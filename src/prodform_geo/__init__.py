@@ -42,6 +42,7 @@ from .jacobi import (
     adapted_frame,
     detq_closed_form,
     detq_derivative_formula,
+    detq_derivatives,
     detq_taylor,
     parallel_immersion,
     parallel_shape,

@@ -3,7 +3,7 @@
 Commands
 --------
 identities   product-structure and curvature identities on random tangents
-detq         series oracle vs closed-form derivatives, det Q equivalence
+detq         exact oracle vs closed-form derivatives, det Q equivalence
 cases        case-system round trips and constancy-cubic annihilation
 gallery      classified examples vs their expected invariants
 flow         dump H(l), C and principal curvatures of one example along l
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -54,7 +55,7 @@ from .jacobi import (
     FrameShape,
     detq_closed_form,
     detq_derivative_formula,
-    detq_taylor,
+    detq_derivatives,
     frame_shape_at,
     parallel_mean_curvature,
     parallel_shape,
@@ -102,12 +103,14 @@ class RunConfig:
             raise ConfigError(f"--case must be one of {CASES}, got {self.case!r}")
         if self.samples < 1:
             raise ConfigError("--samples must be at least 1")
-        if self.tol is not None and self.tol <= 0:
-            raise ConfigError("--tol must be positive")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError("--tol must be positive and finite")
         if self.grid < 2:
             raise ConfigError("--grid must be at least 2")
         if not self.l_values:
             raise ConfigError("--l needs at least one value")
+        if not all(math.isfinite(l) for l in self.l_values):
+            raise ConfigError("--l values must be finite")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"--format must be json or csv, got {self.fmt!r}")
         if self.family is not None and self.family not in (
@@ -118,6 +121,8 @@ class RunConfig:
             raise ConfigError(f"unknown family {self.family!r}")
         if not 0.0 < self.c < 1.0:
             raise ConfigError("--c must lie strictly between 0 and 1")
+        if not math.isfinite(self.k):
+            raise ConfigError("--k must be finite")
 
     def selected_cases(self) -> list[CaseId]:
         if self.case is None:
@@ -300,7 +305,7 @@ def _unit_second_factor(p, rng) -> ProductVector:
 def random_frame_shape(case: CaseId, rng: np.random.Generator, exact: bool) -> FrameShape:
     """Random symmetric shape matrix with entries in [-2, 2] and |C| < 0.95.
 
-    Exact mode draws from a fine rational grid so the series oracle runs in
+    Exact mode draws from a fine rational grid so the derivative oracle runs in
     exact arithmetic.
     """
     if exact:
@@ -327,13 +332,11 @@ def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
         for _ in range(cfg.samples):
             fs = random_frame_shape(case, rng, exact=True)
             cp = fs.case
-            series = detq_taylor(fs, cp, order=12)
+            oracle = detq_derivatives(fs, cp, orders)
+            H, rho, H12, H13 = fs.H, fs.rho, fs.H12, fs.H13
             for k in orders:
-                oracle = series.derivative_at_zero(k)
-                formula = detq_derivative_formula(
-                    k, cp, H=fs.H, rho=fs.rho, H12=fs.H12, H13=fs.H13
-                )
-                derivative_trackers[k].record(float(formula), float(oracle))
+                formula = detq_derivative_formula(k, cp, H=H, rho=rho, H12=H12, H13=H13)
+                derivative_trackers[k].record(float(formula), float(oracle[k]))
 
             fsf = random_frame_shape(case, rng, exact=False)
             cpf = fsf.case
@@ -389,11 +392,12 @@ def run_cases(cfg: RunConfig, report: VerificationReport) -> None:
             ar = case_alphas(case, c0, rho, h12, h13)
             poly = constancy_polynomial(case, ar)
             coeff_scale = max(abs(x) for x in poly.coefficients)
-            annihilation.record_abs(
-                poly.evaluate_at_angle(c0) / coeff_scale, scale=0.0
-            )
             if coeff_scale == 0.0:
                 nonvanishing.record_abs(1.0)
+            else:
+                annihilation.record_abs(
+                    poly.evaluate_at_angle(c0) / coeff_scale, scale=0.0
+                )
             solved = invariants_from_alphas(case, ar, c0)
             roundtrip.record(solved.rho, rho)
             roundtrip.record(solved.H13, h13)

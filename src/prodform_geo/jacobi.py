@@ -4,8 +4,9 @@ Flowing a hypersurface distance l along its normal geodesics turns the shape
 operator into A_l = -Q'(l) Q(l)^{-1}, where Q collects the Jacobi-field
 components in a frame adapted to the product splitting.  The determinant of Q
 has a short closed expansion whose l-derivatives at 0 are polynomial in the
-curvature invariants; this module provides both the closed forms and an exact
-truncated-power-series oracle for those derivatives.
+curvature invariants; this module provides the closed forms, an exact integer
+Leibniz oracle for those derivatives, and a truncated-power-series engine that
+the tests use as its reference.
 
 The two stability functions solve f'' + delta f = 0 with (f(0), f'(0)) equal
 to (0, 1) and (1, 0) respectively, so S' = C and C' = -delta S.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -171,7 +172,7 @@ class CaseParams:
     def __post_init__(self):
         if self.kappa1 not in KAPPAS or self.kappa2 not in KAPPAS:
             raise GeometryError(f"curvature tags must be in {KAPPAS}")
-        if abs(self.C) > 1 + 1e-12:
+        if not math.isfinite(self.C) or abs(self.C) > 1 + 1e-12:
             raise GeometryError(f"angle value must lie in [-1, 1], got {self.C!r}")
 
     @property
@@ -365,6 +366,69 @@ def detq_taylor(fs: FrameShape, cp: CaseParams, order: int = SERIES_ORDER) -> Ta
         + lin(-a[2][2], fs.H13) * c1 * s2
         + lin(fs.H23, -fs.K) * s1 * s2
     )
+
+
+def detq_derivatives(fs: FrameShape, cp: CaseParams, orders: Iterable[int]) -> dict[int, Fraction]:
+    """Exact k-th derivatives of det Q at l = 0, for the requested orders only.
+
+    Each product (p + q l) X Y of the closed expansion is differentiated with
+    the Leibniz rule, using that the derivatives at 0 of the stability pair
+    are powers of -delta: S^(2m+1) = C^(2m) = (-delta)^m, all others 0.  The
+    six entries of the shape matrix, read from its upper triangle as in
+    ``q_matrix``, are put on one integer denominator e and both deltas on one
+    denominator d, so every term is a Python int and order k has the
+    denominator e^3 d^(k // 2).  Float inputs are taken at their exact value
+    ``Fraction(x)``.  Agrees exactly with ``detq_taylor`` and uses none of the
+    closed derivative forms.
+    """
+    orders = list(orders)
+    if any(k < 0 for k in orders):
+        raise ValueError(f"derivative orders must be non-negative, got {orders}")
+    a = fs.A
+    upper = [Fraction(a[i][j]) for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+    e = math.lcm(*(x.denominator for x in upper))
+    a11, a22, a33, a12, a13, a23 = (x.numerator * (e // x.denominator) for x in upper)
+    h12 = a11 * a22 - a12 * a12
+    h13 = a11 * a33 - a13 * a13
+    h23 = a22 * a33 - a23 * a23
+    det = a11 * h23 - a12 * (a12 * a33 - a23 * a13) + a13 * (a12 * a23 - a22 * a13)
+    # (s_x, s_y, e^3 p, e^3 q) for each product (p + q l) X Y of the expansion,
+    # with X = S_delta1 if s_x else C_delta1 and Y = S_delta2 if s_y else C_delta2
+    e2 = e * e
+    terms = (
+        (0, 0, e2 * e, -a11 * e2),
+        (1, 0, -a22 * e2, h12 * e),
+        (0, 1, -a33 * e2, h13 * e),
+        (1, 1, h23 * e, -det),
+    )
+
+    # delta1 = kappa1 (1 + C) / 2 and delta2 = kappa2 (1 - C) / 2 over d = 2 den(C)
+    c = Fraction(cp.C)
+    d = 2 * c.denominator
+    u = -cp.kappa1 * (c.denominator + c.numerator)  # d * (-delta1)
+    v = -cp.kappa2 * (c.denominator - c.numerator)  # d * (-delta2)
+    top = max(orders, default=0) // 2
+    u_pow = [u**i for i in range(top + 1)]
+    v_pow = [v**i for i in range(top + 1)]
+    d_pow = [d**i for i in range(top + 1)]
+
+    def product(n: int, s_x: int, s_y: int, k: int) -> int:
+        """n-th derivative at 0 of X Y, times d^(k // 2)."""
+        m, odd = divmod(n - s_x - s_y, 2)
+        if m < 0 or odd:
+            return 0
+        total = sum(math.comb(n, 2 * i + s_x) * u_pow[i] * v_pow[m - i] for i in range(m + 1))
+        return total * d_pow[k // 2 - m]
+
+    # d^k/dl^k [(p + q l) X Y] = p (X Y)^(k) + k q (X Y)^(k-1)
+    out = {}
+    for k in orders:
+        num = sum(
+            p * product(k, s_x, s_y, k) + k * q * product(k - 1, s_x, s_y, k)
+            for s_x, s_y, p, q in terms
+        )
+        out[k] = Fraction(num, e2 * e * d_pow[k // 2])
+    return out
 
 
 # ---------------------------------------------------------------------------

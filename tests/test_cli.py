@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from prodform_geo import cli
+from prodform_geo.classify import ConstancyPolynomial
 from prodform_geo.cli import (
     CASES,
     ConfigError,
@@ -56,6 +58,14 @@ class TestCommands:
     def test_cases_all_pass(self):
         report = run(make_config(command="cases", samples=50, seed=9))
         assert report.all_passed
+
+    def test_cases_zero_coefficients_fail_the_guard(self, monkeypatch):
+        zero = ConstancyPolynomial(coefficients=(0.0,) * 4, variable="C")
+        monkeypatch.setattr(cli, "constancy_polynomial", lambda case, ar: zero)
+        report = run(make_config(command="cases", case="s2r2", samples=5, seed=9))
+        by_name = {c.name: c for c in report.checks}
+        assert not by_name["s2r2.coefficients_nonvanishing"].passed
+        assert by_name["s2r2.cubic_annihilates_angle"].passed
 
     def test_gallery_psi_angle_value(self):
         report = run(
@@ -142,6 +152,14 @@ class TestEntryPoint:
     def test_usage_error_exit_code(self, capsys):
         assert main(["identities", "--samples", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "nan"], ["--tol", "inf"], ["--l", "0.1,nan"], ["--l", "inf"], ["--k", "nan"]],
+    )
+    def test_non_finite_value_is_usage_error(self, capsys, flags):
+        assert main(["detq", "--samples", "1", *flags]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_success_exit_code(self, capsys, tmp_path):
         out = tmp_path / "report.json"

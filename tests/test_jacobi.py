@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from prodform_geo.jacobi import (
     adapted_frame,
     detq_closed_form,
     detq_derivative_formula,
+    detq_derivatives,
     detq_taylor,
     flow_frame,
     frame_shape_at,
@@ -40,9 +42,11 @@ from prodform_geo.jacobi import (
 from prodform_geo.spaceform import GeometryError
 
 
-def random_exact_shape(case, rng):
-    entries = [Fraction(int(n), 100) for n in rng.integers(-200, 201, size=6)]
-    c = Fraction(int(rng.integers(-94, 95)), 100)
+def random_exact_shape(case, rng, den=100):
+    """Entries in [-2, 2] and |C| < 0.95 on the 1/den grid."""
+    entries = [Fraction(int(n), den) for n in rng.integers(-2 * den, 2 * den + 1, size=6)]
+    c_max = (95 * den - 1) // 100
+    c = Fraction(int(rng.integers(-c_max, c_max + 1)), den)
     a11, a22, a33, a12, a13, a23 = entries
     a = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
     return FrameShape(A=a, kappa1=case.kappa1, kappa2=case.kappa2, C=c)
@@ -123,6 +127,10 @@ class TestCaseParams:
     def test_angle_range_enforced(self):
         with pytest.raises(GeometryError):
             CaseParams(1, 0, 1.5)
+
+    def test_non_finite_angle_rejected(self):
+        with pytest.raises(GeometryError):
+            CaseParams(1, -1, float("nan"))
 
 
 class TestAdaptedFrame:
@@ -323,6 +331,62 @@ class TestDetqTaylor:
             k1, k2, c = fs.kappa1, fs.kappa2, fs.C
             expected = fs.rho - Fraction(3 * (k1 + k2), 2) + Fraction(k1 - k2, 2) * c
             assert series.derivative_at_zero(2) == expected
+
+
+def series_derivatives(fs, order=12):
+    series = detq_taylor(fs, fs.case, order)
+    return {k: series.derivative_at_zero(k) for k in range(order + 1)}
+
+
+class TestDetqDerivatives:
+    """The integer Leibniz oracle equals the series engine exactly."""
+
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_equals_series_on_cli_grid(self, case):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            fs = random_exact_shape(case, rng, den=1000)
+            assert detq_derivatives(fs, fs.case, range(13)) == series_derivatives(fs)
+
+    @pytest.mark.parametrize("den", [3, 7])
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_equals_series_off_grid(self, case, den):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            fs = random_exact_shape(case, rng, den=den)
+            assert detq_derivatives(fs, fs.case, range(13)) == series_derivatives(fs)
+
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_zero_shape(self, case):
+        zero = ((Fraction(0),) * 3,) * 3
+        fs = FrameShape(A=zero, kappa1=case.kappa1, kappa2=case.kappa2, C=Fraction(1, 5))
+        assert detq_derivatives(fs, fs.case, range(13)) == series_derivatives(fs)
+
+    @pytest.mark.parametrize("c", [1, -1])
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_degenerate_angle(self, case, c):
+        # C = 1 makes delta2 = 0 and C = -1 makes delta1 = 0
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            fs = replace(random_exact_shape(case, rng, den=1000), C=Fraction(c))
+            assert detq_derivatives(fs, fs.case, range(13)) == series_derivatives(fs)
+
+    def test_float_entries_taken_exactly(self):
+        fs = random_float_shape(CaseId.S2xH2, np.random.default_rng(16))
+        exact = FrameShape(
+            A=tuple(tuple(Fraction(x) for x in row) for row in fs.A),
+            kappa1=fs.kappa1,
+            kappa2=fs.kappa2,
+            C=Fraction(fs.C),
+        )
+        got = detq_derivatives(fs, fs.case, range(13))
+        assert {k: Fraction(v) for k, v in got.items()} == series_derivatives(exact)
+
+    def test_requested_orders_only(self):
+        fs = random_exact_shape(CaseId.S2xR2, np.random.default_rng(17))
+        assert set(detq_derivatives(fs, fs.case, (4, 10))) == {4, 10}
+        with pytest.raises(ValueError):
+            detq_derivatives(fs, fs.case, (-1,))
 
 
 class TestDerivativeFormulas:
