@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaceform import (
-    GeometryError,
     ModelPoint,
     ModelVector,
     complex_structure,
@@ -160,13 +159,3 @@ def random_product_tangent(p: ProductPoint, rng: np.random.Generator, scale: flo
         random_tangent(p.second, rng, scale),
     )
 
-
-def require_same_point(p: ProductPoint, q: ProductPoint) -> None:
-    ok = (
-        p.kappa1 == q.kappa1
-        and p.kappa2 == q.kappa2
-        and bool(np.max(np.abs(p.first.coords - q.first.coords)) <= 1e-9)
-        and bool(np.max(np.abs(p.second.coords - q.second.coords)) <= 1e-9)
-    )
-    if not ok:
-        raise GeometryError("product vectors live at different base points")

@@ -25,6 +25,7 @@ from .jacobi import (
     FocalPointError,
     detq_derivative_formula,
     frame_shape_at,
+    horner,
     parallel_mean_curvature,
 )
 from .spaceform import GeometryError, ModelPoint, ModelVector, zero_vector
@@ -147,11 +148,7 @@ class ConstancyPolynomial:
     variable: str  # "C" or "1+C"
 
     def evaluate_at_angle(self, c):
-        x = c if self.variable == "C" else 1 + c
-        acc = 0
-        for coeff in reversed(self.coefficients):
-            acc = acc * x + coeff
-        return acc
+        return horner(self.coefficients, c if self.variable == "C" else 1 + c)
 
     def roots_in_angle(self) -> list["PolyRoot"]:
         shift = 0.0 if self.variable == "C" else -1.0
@@ -241,20 +238,13 @@ def solve_polynomial(coefficients: Sequence[float], lo: float = -1.0, hi: float 
     ]
 
 
-def _poly_eval(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _newton_polish(coeffs: Sequence[float], x: float, iterations: int = 3) -> float:
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
     for _ in range(iterations):
-        d = _poly_eval(deriv, x)
+        d = horner(deriv, x)
         if d == 0.0:
             break
-        step = _poly_eval(coeffs, x) / d
+        step = horner(coeffs, x) / d
         if not math.isfinite(step):
             break
         x -= step

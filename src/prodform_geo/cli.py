@@ -8,7 +8,8 @@ cases        case-system round trips and constancy-cubic annihilation
 gallery      classified examples vs their expected invariants
 flow         dump H(l), C and principal curvatures of one example along l
 
-Exit status: 0 all checks pass, 1 any check fails, 2 usage or config error.
+Exit status: 0 all checks pass, 1 any check fails or a geometric or numerical
+failure stops the run, 2 usage or config error.
 Reports are written atomically and are byte-identical for a fixed seed.
 """
 
@@ -19,7 +20,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+import tempfile
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -121,8 +123,8 @@ class RunConfig:
             raise ConfigError(f"unknown family {self.family!r}")
         if not 0.0 < self.c < 1.0:
             raise ConfigError("--c must lie strictly between 0 and 1")
-        if not math.isfinite(self.k):
-            raise ConfigError("--k must be finite")
+        if not (math.isfinite(self.k) and self.k >= 0.0):
+            raise ConfigError("--k must be finite and non-negative")
 
     def selected_cases(self) -> list[CaseId]:
         if self.case is None:
@@ -241,12 +243,7 @@ def run_identities(cfg: RunConfig, report: VerificationReport) -> None:
             y = random_product_tangent(p, rng)
 
             ppx = product_structure(product_structure(x))
-            trackers["p_involution"].record_abs(
-                max(
-                    float(np.max(np.abs(ppx.first.coords - x.first.coords))),
-                    float(np.max(np.abs(ppx.second.coords - x.second.coords))),
-                )
-            )
+            trackers["p_involution"].record_abs(_vector_gap(ppx, x))
             trackers["p_symmetric"].record(
                 product_metric(product_structure(x), y),
                 product_metric(product_structure(y), x),
@@ -321,7 +318,7 @@ def random_frame_shape(case: CaseId, rng: np.random.Generator, exact: bool) -> F
 
 def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
     tol = cfg.tolerance("detq")
-    tol_matrix = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["detq_matrix"]
+    tol_matrix = cfg.tolerance("detq_matrix")
     for case in cfg.selected_cases():
         orders = (1, 2, 4, 6, 10) if case is CaseId.S2xH2 else (1, 2, 4, 6)
         rng = np.random.default_rng(cfg.seed)
@@ -443,9 +440,9 @@ def _gallery_selection(cfg: RunConfig) -> list[ExampleSpec]:
 
 
 def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
-    tol_angle = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["gallery_angle"]
-    tol_curv = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["gallery_curvature"]
-    tol_ricci = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["gallery_ricci"]
+    tol_angle = cfg.tolerance("gallery_angle")
+    tol_curv = cfg.tolerance("gallery_curvature")
+    tol_ricci = cfg.tolerance("gallery_ricci")
 
     for spec in _gallery_selection(cfg):
         imm = build_example(spec)
@@ -573,10 +570,21 @@ def run_flow(cfg: RunConfig, report: VerificationReport) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write ``text`` to ``path`` through a unique temp file in the same directory.
+
+    Concurrent writers never share a temp file, and the temp file is removed
+    when the write or the rename fails.
+    """
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def render_json(report: VerificationReport) -> str:
@@ -714,19 +722,11 @@ def run(cfg: RunConfig) -> VerificationReport:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "case": cfg.case,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "tol": cfg.tol,
-        "grid": cfg.grid,
-        "l_values": list(cfg.l_values),
-        "format": cfg.fmt,
-        "family": cfg.family,
-        "c": cfg.c,
-        "k": cfg.k,
-    }
+    echo = asdict(cfg)
+    echo["format"] = echo.pop("fmt")
+    # a report must not depend on where it is written
+    del echo["out"]
+    return echo
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -737,7 +737,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run(cfg)
     except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a geometric or numerical failure during the run is not a usage error
+        return 2 if isinstance(exc, ConfigError) else 1
 
     text = render_csv(report) if cfg.fmt == "csv" else render_json(report)
     if cfg.out:

@@ -10,7 +10,7 @@ central differences of the normal field, and curvature invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,6 +37,9 @@ FD_STEP = 1e-5
 RANK_TOL = 1e-6
 
 ORTHONORMAL_TOL = 1e-8
+
+#: largest |A_ij - A_ji| accepted in a shape matrix
+SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,11 +117,12 @@ def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> None:
         )
 
 
-def _det3(m: np.ndarray) -> float:
+def _det3(a):
+    """Cofactor expansion of a 3 x 3 determinant, read as ``a[i][j]``."""
     return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
     )
 
 
@@ -152,10 +156,11 @@ def unit_normal(
 
     # cofactor expansion: det(e1, e2, e3, n) = |n|^2 > 0 by construction
     cols = [0, 1, 2, 3]
+    rows = m.tolist()
     n = np.empty(4)
     for j in cols:
         keep = [c for c in cols if c != j]
-        n[j] = (-1.0) ** (j + 1) * _det3(m[:, keep])
+        n[j] = (-1.0) ** (j + 1) * _det3([[row[c] for c in keep] for row in rows])
     n /= np.linalg.norm(n)
 
     normal = ProductVector(
@@ -198,8 +203,70 @@ def gram_schmidt(vectors: Sequence[ProductVector]) -> tuple[ProductVector, ...]:
     return tuple(out)
 
 
+class ShapeInvariants:
+    """Curvature invariants of a symmetric 3 x 3 shape matrix at an angle value.
+
+    Subclasses provide ``A``, ``kappa1``, ``kappa2`` and ``C``.  ``A`` is read
+    as ``A[i][j]``, so an ndarray and a tuple of Fraction rows both work and
+    each invariant stays in the entries' field.  The invariants are computed
+    on access.  The scalar curvature is always recomputed from the trace
+    identity, never accepted as an independent input, so (A, C, rho) stay
+    consistent.
+    """
+
+    def _set_shape(self, a) -> None:
+        """Store ``a`` as ``A`` once it is known to be a finite symmetric 3 x 3 matrix."""
+        if len(a) != 3 or any(len(row) != 3 for row in a):
+            raise GeometryError("shape matrix must be 3 x 3")
+        for i in range(3):
+            for j in range(i, 3):
+                x, y = a[i][j], a[j][i]
+                # each comparison is false for NaN; x == y skips the slow
+                # comparison of a Fraction with the float tolerance
+                if not (-math.inf < x < math.inf and (x == y or abs(x - y) <= SYMMETRY_TOL)):
+                    raise GeometryError(
+                        f"shape matrix must be finite and symmetric within {SYMMETRY_TOL:g}"
+                    )
+        object.__setattr__(self, "A", a)
+
+    @property
+    def H(self):
+        a = self.A
+        return a[0][0] + a[1][1] + a[2][2]
+
+    @property
+    def K(self):
+        return _det3(self.A)
+
+    @property
+    def H12(self):
+        a = self.A
+        return a[0][0] * a[1][1] - a[0][1] ** 2
+
+    @property
+    def H13(self):
+        a = self.A
+        return a[0][0] * a[2][2] - a[0][2] ** 2
+
+    @property
+    def H23(self):
+        a = self.A
+        return a[1][1] * a[2][2] - a[1][2] ** 2
+
+    @property
+    def rho(self):
+        a = self.A
+        norm_sq = sum(a[i][j] ** 2 for i in range(3) for j in range(3))
+        return (
+            self.kappa1 * (1 - self.C)
+            + self.kappa2 * (1 + self.C)
+            + self.H**2
+            - norm_sq
+        )
+
+
 @dataclass(frozen=True)
-class ShapeRecord:
+class ShapeRecord(ShapeInvariants):
     """Shape operator at a point, in a declared orthonormal tangent basis."""
 
     A: np.ndarray
@@ -208,28 +275,9 @@ class ShapeRecord:
     kappa1: int
     kappa2: int
     C: float
-    H: float = field(init=False)
-    K: float = field(init=False)
-    H12: float = field(init=False)
-    H13: float = field(init=False)
-    H23: float = field(init=False)
-    rho: float = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
-        if a.shape != (3, 3):
-            raise GeometryError("shape operator must be 3 x 3")
-        if float(np.max(np.abs(a - a.T))) > ORTHONORMAL_TOL:
-            raise GeometryError("shape operator is not symmetric within tolerance")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "H", float(np.trace(a)))
-        object.__setattr__(self, "K", float(_det3(a)))
-        object.__setattr__(self, "H12", float(a[0, 0] * a[1, 1] - a[0, 1] ** 2))
-        object.__setattr__(self, "H13", float(a[0, 0] * a[2, 2] - a[0, 2] ** 2))
-        object.__setattr__(self, "H23", float(a[1, 1] * a[2, 2] - a[1, 2] ** 2))
-        norm_sq = float(np.sum(a * a))
-        rho = self.kappa1 * (1.0 - self.C) + self.kappa2 * (1.0 + self.C) + self.H**2 - norm_sq
-        object.__setattr__(self, "rho", rho)
+        self._set_shape(np.array(self.A, dtype=float, ndmin=2))
 
     def principal_curvatures(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.A)

@@ -29,7 +29,7 @@ from .ambient import (
     product_transport,
     product_velocity,
 )
-from .hypersurface import Immersion, ShapeRecord, shape_operator, unit_normal, angle_of_normal
+from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, shape_operator, unit_normal, angle_of_normal
 from .spaceform import GeometryError, KAPPAS, complex_structure, tangent_frame, zero_vector
 
 #: the adapted frame refuses points closer than this to C^2 = 1
@@ -121,13 +121,22 @@ class TaylorSeries:
         return math.factorial(k) * self.coeffs[k]
 
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def __repr__(self) -> str:
         return f"TaylorSeries({self.coeffs!r})"
+
+
+def horner(coeffs: Sequence, x):
+    """Value at x of the polynomial with ascending coefficients ``coeffs``.
+
+    The accumulator starts from the int 0, so Fraction inputs stay exact and
+    float inputs give the same value as a float accumulator would.
+    """
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def stability_series(delta, order: int = SERIES_ORDER) -> tuple[TaylorSeries, TaylorSeries]:
@@ -185,12 +194,8 @@ class CaseParams:
 
 
 @dataclass(frozen=True)
-class FrameShape:
-    """Symmetric shape matrix in the adapted frame, with derived invariants.
-
-    The scalar curvature is always recomputed from the trace identity, never
-    accepted as an independent input, so (A, C, rho) stay consistent.
-    """
+class FrameShape(ShapeInvariants):
+    """Symmetric shape matrix in the adapted frame, with derived invariants."""
 
     A: tuple
     kappa1: int
@@ -198,14 +203,7 @@ class FrameShape:
     C: object
 
     def __post_init__(self):
-        a = tuple(tuple(row) for row in self.A)
-        if len(a) != 3 or any(len(row) != 3 for row in a):
-            raise GeometryError("frame shape matrix must be 3 x 3")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if abs(a[i][j] - a[j][i]) > 1e-8:
-                    raise GeometryError("frame shape matrix is not symmetric")
-        object.__setattr__(self, "A", a)
+        self._set_shape(tuple(tuple(row) for row in self.A))
 
     @classmethod
     def from_record(cls, rec: ShapeRecord) -> "FrameShape":
@@ -214,46 +212,6 @@ class FrameShape:
     @property
     def case(self) -> CaseParams:
         return CaseParams(self.kappa1, self.kappa2, self.C)
-
-    @property
-    def H(self):
-        a = self.A
-        return a[0][0] + a[1][1] + a[2][2]
-
-    @property
-    def K(self):
-        a = self.A
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
-    @property
-    def H12(self):
-        a = self.A
-        return a[0][0] * a[1][1] - a[0][1] ** 2
-
-    @property
-    def H13(self):
-        a = self.A
-        return a[0][0] * a[2][2] - a[0][2] ** 2
-
-    @property
-    def H23(self):
-        a = self.A
-        return a[1][1] * a[2][2] - a[1][2] ** 2
-
-    @property
-    def rho(self):
-        a = self.A
-        norm_sq = sum(a[i][j] ** 2 for i in range(3) for j in range(3))
-        return (
-            self.kappa1 * (1 - self.C)
-            + self.kappa2 * (1 + self.C)
-            + self.H**2
-            - norm_sq
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +503,19 @@ def flow_frame(
     return e1, e2, e3
 
 
+def _flow_frame_at(
+    imm: Immersion, u: np.ndarray
+) -> tuple[ProductVector, float, tuple[ProductVector, ProductVector, ProductVector]]:
+    """Unit normal at u, its angle value and the flow frame they determine."""
+    n = unit_normal(imm, u)
+    c, v = angle_of_normal(n)
+    return n, c, flow_frame(n, c, v)
+
+
 def frame_shape_at(imm: Immersion, u: np.ndarray) -> tuple[FrameShape, CaseParams, ShapeRecord]:
     """Shape data at a parameter value, expressed in the flow frame."""
     u = np.asarray(u, dtype=float)
-    n = unit_normal(imm, u)
-    c, v = angle_of_normal(n)
-    frame = flow_frame(n, c, v)
+    n, c, frame = _flow_frame_at(imm, u)
     rec = shape_operator(imm, u, basis=frame, hint=n)
     fs = FrameShape.from_record(rec)
     return fs, CaseParams(imm.kappa1, imm.kappa2, c), rec
@@ -585,9 +550,7 @@ def transported_frame(
 ) -> tuple[tuple[ProductVector, ProductVector, ProductVector], ProductVector]:
     """Flow frame carried to the parallel hypersurface, with the flowed normal."""
     u = np.asarray(u, dtype=float)
-    n = unit_normal(imm, u)
-    c, v = angle_of_normal(n)
-    frame = flow_frame(n, c, v)
+    n, _, frame = _flow_frame_at(imm, u)
     p = imm.chart(u)
     moved = tuple(product_transport(p, n, l, e) for e in frame)
     n_l = product_velocity(p, n, l)

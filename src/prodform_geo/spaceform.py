@@ -85,9 +85,12 @@ class ModelPoint:
                 f"kappa={self.kappa} point needs {dim} coordinates, got shape {coords.shape}"
             )
         if self.kappa == 0:
+            if not (math.isfinite(coords[0]) and math.isfinite(coords[1])):
+                raise GeometryError(f"flat point coordinates must be finite, got {coords.tolist()}")
             return
         q = _quadric_value(self.kappa, coords)
-        if abs(q - 1.0) > CONSTRAINT_TOL:
+        # written so that a non-finite coordinate, which makes q NaN or inf, fails too
+        if not abs(q - 1.0) <= CONSTRAINT_TOL:
             raise GeometryError(
                 f"coordinates violate the kappa={self.kappa} quadric: q={q!r}"
             )
@@ -149,16 +152,15 @@ class ModelVector:
         return math.sqrt(max(metric(self, self), 0.0))
 
 
-def _same_base(u: ModelVector, v: ModelVector) -> bool:
-    if u.base is v.base:
+def _same_point(p: ModelPoint, q: ModelPoint) -> bool:
+    """Whether p and q are the same point up to 1e-9 in each coordinate."""
+    if p is q:
         return True
-    if u.base.kappa != v.base.kappa:
-        return False
-    return bool(np.max(np.abs(u.base.coords - v.base.coords)) <= 1e-9)
+    return p.kappa == q.kappa and bool(np.max(np.abs(p.coords - q.coords)) <= 1e-9)
 
 
 def _require_same_base(u: ModelVector, v: ModelVector) -> None:
-    if not _same_base(u, v):
+    if not _same_point(u.base, v.base):
         raise GeometryError("vectors live at different base points")
 
 
@@ -268,9 +270,7 @@ def parallel_transport(p: ModelPoint, v: ModelVector, l: float, w: ModelVector) 
 
 
 def _require_vector_at(p: ModelPoint, v: ModelVector) -> None:
-    if v.base is p:
-        return
-    if v.kappa != p.kappa or bool(np.max(np.abs(v.base.coords - p.coords)) > 1e-9):
+    if not _same_point(v.base, p):
         raise GeometryError("vector is not based at the given point")
 
 

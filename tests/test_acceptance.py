@@ -6,7 +6,6 @@ criterion's measured error.
 """
 
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,9 +32,9 @@ from prodform_geo.classify import (
     invariants_from_alphas,
     isoparametric_report,
 )
+from prodform_geo.cli import random_frame_shape
 from prodform_geo.hypersurface import ricci, shape_operator, unit_normal
 from prodform_geo.jacobi import (
-    FrameShape,
     detq_closed_form,
     detq_derivative_formula,
     detq_derivatives,
@@ -60,21 +59,6 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} failed: {name} {detail}"
 
 
-def _exact_shape(case: CaseId, rng: np.random.Generator) -> FrameShape:
-    e = [Fraction(int(n), 1000) for n in rng.integers(-2000, 2001, size=6)]
-    c = Fraction(int(rng.integers(-949, 950)), 1000)
-    a = ((e[0], e[3], e[4]), (e[3], e[1], e[5]), (e[4], e[5], e[2]))
-    return FrameShape(A=a, kappa1=case.kappa1, kappa2=case.kappa2, C=c)
-
-
-def _float_shape(case: CaseId, rng: np.random.Generator) -> FrameShape:
-    e = rng.uniform(-2.0, 2.0, size=6)
-    a = ((e[0], e[3], e[4]), (e[3], e[1], e[5]), (e[4], e[5], e[2]))
-    return FrameShape(
-        A=a, kappa1=case.kappa1, kappa2=case.kappa2, C=float(rng.uniform(-0.95, 0.95))
-    )
-
-
 def test_criterion_1_derivative_identity_suite():
     started = time.perf_counter()
     worst = 0.0
@@ -82,7 +66,7 @@ def test_criterion_1_derivative_identity_suite():
         rng = np.random.default_rng(SEED)
         orders = (1, 2, 4, 6, 10) if case is CaseId.S2xH2 else (1, 2, 4, 6)
         for _ in range(SAMPLES):
-            fs = _exact_shape(case, rng)
+            fs = random_frame_shape(case, rng, exact=True)
             cp = fs.case
             oracles = detq_derivatives(fs, cp, orders)
             H, rho, H12, H13 = fs.H, fs.rho, fs.H12, fs.H13
@@ -107,7 +91,7 @@ def test_criterion_2_detq_equivalence():
     for case in CaseId:
         rng = np.random.default_rng(SEED + 1)
         for _ in range(SAMPLES):
-            fs = _float_shape(case, rng)
+            fs = random_frame_shape(case, rng, exact=False)
             cp = fs.case
             l = float(rng.uniform(-0.4, 0.4))
             q = q_matrix(fs, cp, l)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -35,6 +36,10 @@ class TestRunConfig:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ConfigError):
             make_config(tol=-1e-9).validate()
+
+    def test_rejects_negative_curve_curvature(self):
+        with pytest.raises(ConfigError):
+            make_config(k=-1.0).validate()
 
     def test_case_selection(self):
         assert [c.value for c in make_config().selected_cases()] == list(CASES)
@@ -161,6 +166,15 @@ class TestEntryPoint:
         assert main(["detq", "--samples", "1", *flags]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_negative_k_is_usage_error(self, capsys):
+        assert main(["flow", "--family", "curve_x_factor", "--k", "-1"]) == 2
+        assert "--k must be finite and non-negative" in capsys.readouterr().err
+
+    def test_geometric_failure_during_run_exit_code(self, capsys):
+        # at c this close to 1 the flow frame is no longer orthonormal to 1e-8
+        assert main(["gallery", "--family", "psi", "--c", "0.9999999", "--grid", "2"]) == 1
+        assert "error: supplied basis is not orthonormal" in capsys.readouterr().err
+
     def test_success_exit_code(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(
@@ -173,8 +187,16 @@ class TestEntryPoint:
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         out = tmp_path / "r.json"
         main(["cases", "--case", "s2r2", "--samples", "5", "--out", str(out)])
-        assert out.exists()
-        assert not (tmp_path / "r.json.tmp").exists()
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_atomic_write_removes_tmp_when_rename_fails(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            cli._atomic_write(str(tmp_path / "r.json"), "{}\n")
+        assert os.listdir(tmp_path) == []
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -255,6 +255,21 @@ class TestShapeOperator:
                 C=rec.C,
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_record_rejects_non_finite_entry(self, bad):
+        rec = shape_operator(psi_immersion(), GRID[0])
+        a = rec.A.copy()
+        a[1, 1] = bad
+        with pytest.raises(GeometryError):
+            ShapeRecord(
+                A=a,
+                basis=rec.basis,
+                normal=rec.normal,
+                kappa1=rec.kappa1,
+                kappa2=rec.kappa2,
+                C=rec.C,
+            )
+
 
 class TestRicci:
     def test_zero_vector_gives_zero(self):

@@ -15,6 +15,7 @@ from prodform_geo.classify import (
     build_example,
     case_alphas,
 )
+from prodform_geo.cli import random_frame_shape
 from prodform_geo.hypersurface import angle_of_normal, unit_normal
 from prodform_geo.jacobi import (
     CaseParams,
@@ -50,16 +51,6 @@ def random_exact_shape(case, rng, den=100):
     a11, a22, a33, a12, a13, a23 = entries
     a = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
     return FrameShape(A=a, kappa1=case.kappa1, kappa2=case.kappa2, C=c)
-
-
-def random_float_shape(case, rng):
-    e = rng.uniform(-2.0, 2.0, size=6)
-    a = (
-        (e[0], e[3], e[4]),
-        (e[3], e[1], e[5]),
-        (e[4], e[5], e[2]),
-    )
-    return FrameShape(A=a, kappa1=case.kappa1, kappa2=case.kappa2, C=float(rng.uniform(-0.95, 0.95)))
 
 
 class TestTaylorSeries:
@@ -133,6 +124,20 @@ class TestCaseParams:
             CaseParams(1, -1, float("nan"))
 
 
+class TestFrameShape:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            ((math.nan, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((math.inf, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((1, math.nan, 0), (math.nan, 1, 0), (0, 0, 1)),
+        ],
+    )
+    def test_non_finite_entry_rejected(self, a):
+        with pytest.raises(GeometryError):
+            FrameShape(A=a, kappa1=1, kappa2=-1, C=0.2)
+
+
 class TestAdaptedFrame:
     def _psi_frame(self, c):
         imm = build_example(ExampleSpec(family=FAMILY_PSI, c=c))
@@ -178,7 +183,7 @@ class TestAdaptedFrame:
 class TestQMatrix:
     def test_identity_at_zero(self):
         rng = np.random.default_rng(0)
-        fs = random_float_shape(CaseId.S2xH2, rng)
+        fs = random_frame_shape(CaseId.S2xH2, rng, exact=False)
         assert np.array_equal(q_matrix(fs, fs.case, 0.0), np.eye(3))
 
     def test_zero_shape_gives_diagonal(self):
@@ -193,14 +198,14 @@ class TestQMatrix:
     def test_determinant_equals_closed_form(self, case):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            fs = random_float_shape(case, rng)
+            fs = random_frame_shape(case, rng, exact=False)
             l = float(rng.uniform(-0.5, 0.5))
             direct = float(np.linalg.det(q_matrix(fs, fs.case, l)))
             assert abs(direct - detq_closed_form(fs, fs.case, l)) < 1e-12
 
     def test_prime_matches_divided_difference(self):
         rng = np.random.default_rng(2)
-        fs = random_float_shape(CaseId.S2xR2, rng)
+        fs = random_frame_shape(CaseId.S2xR2, rng, exact=False)
         cp = fs.case
         l, h = 0.3, 1e-6
         numeric = (q_matrix(fs, cp, l + h) - q_matrix(fs, cp, l - h)) / (2 * h)
@@ -210,7 +215,7 @@ class TestQMatrix:
 class TestDetqClosedForm:
     def test_value_one_at_zero(self):
         rng = np.random.default_rng(3)
-        fs = random_float_shape(CaseId.H2xR2, rng)
+        fs = random_frame_shape(CaseId.H2xR2, rng, exact=False)
         assert detq_closed_form(fs, fs.case, 0.0) == 1.0
 
     def test_zero_shape_balanced_angle(self):
@@ -224,7 +229,7 @@ class TestDetqClosedForm:
         from prodform_geo.jacobi import detq_closed_form_dl
 
         rng = np.random.default_rng(4)
-        fs = random_float_shape(CaseId.S2xH2, rng)
+        fs = random_frame_shape(CaseId.S2xH2, rng, exact=False)
         cp = fs.case
         l, h = 0.25, 1e-6
         numeric = (detq_closed_form(fs, cp, l + h) - detq_closed_form(fs, cp, l - h)) / (2 * h)
@@ -234,7 +239,7 @@ class TestDetqClosedForm:
 class TestParallelShape:
     def test_recovers_initial_shape_at_zero(self):
         rng = np.random.default_rng(5)
-        fs = random_float_shape(CaseId.S2xH2, rng)
+        fs = random_frame_shape(CaseId.S2xH2, rng, exact=False)
         cp = fs.case
         a_0 = parallel_shape(q_matrix(fs, cp, 0.0), q_matrix_prime(fs, cp, 0.0))
         assert np.max(np.abs(a_0 - np.array(fs.A, dtype=float))) < 1e-14
@@ -243,7 +248,7 @@ class TestParallelShape:
     def test_trace_equals_log_derivative(self, case):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            fs = random_float_shape(case, rng)
+            fs = random_frame_shape(case, rng, exact=False)
             cp = fs.case
             l = float(rng.uniform(-0.4, 0.4))
             if abs(detq_closed_form(fs, cp, l)) < 1e-3:
@@ -372,7 +377,7 @@ class TestDetqDerivatives:
             assert detq_derivatives(fs, fs.case, range(13)) == series_derivatives(fs)
 
     def test_float_entries_taken_exactly(self):
-        fs = random_float_shape(CaseId.S2xH2, np.random.default_rng(16))
+        fs = random_frame_shape(CaseId.S2xH2, np.random.default_rng(16), exact=False)
         exact = FrameShape(
             A=tuple(tuple(Fraction(x) for x in row) for row in fs.A),
             kappa1=fs.kappa1,
@@ -418,7 +423,7 @@ class TestDerivativeFormulas:
         rng = np.random.default_rng(11)
         orders = (1, 2, 4, 6, 10) if case is CaseId.S2xH2 else (1, 2, 4, 6)
         for _ in range(60):
-            fs = random_float_shape(case, rng)
+            fs = random_frame_shape(case, rng, exact=False)
             cp = fs.case
             series = detq_taylor(fs, cp, order=12)
             for k in orders:

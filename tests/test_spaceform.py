@@ -231,6 +231,19 @@ class TestConstraintEnforcement:
         with pytest.raises(GeometryError):
             ModelPoint(-1, [-1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "kappa, coords",
+        [
+            (0, [math.nan, 0.0]),
+            (0, [0.0, math.inf]),
+            (1, [math.nan, 0.0, 0.0]),
+            (-1, [1.0, math.nan, 0.0]),
+        ],
+    )
+    def test_non_finite_point_rejected(self, kappa, coords):
+        with pytest.raises(GeometryError):
+            ModelPoint(kappa, coords)
+
     def test_tangent_frame_is_orthonormal(self):
         rng = np.random.default_rng(10)
         for kappa in (-1, 0, 1):
