@@ -353,7 +353,7 @@ class ExampleSpec:
 
     def label(self) -> str:
         if self.family == FAMILY_PSI:
-            return f"psi(c={self.c:g})"
+            return f"psi(c={self.c!r})"
         side = "first" if self.family == FAMILY_CURVE_X_FACTOR else "second"
         return f"curve(k={self.k:g},{side})x({self.kappa1},{self.kappa2})"
 
@@ -540,6 +540,11 @@ def build_perturbed_psi(c: float = 0.25, amplitude: float = 0.1) -> Immersion:
     def chart(u: np.ndarray) -> ProductPoint:
         t, r, s = u
         cr = c * (1.0 + amplitude * math.sin(r))
+        if not 0.0 <= cr <= 1.0:
+            raise GeometryError(
+                f"perturbed strip constant c(1 + {amplitude!r} sin r) = {cr!r} at r = {float(r)!r} "
+                f"leaves [0, 1] for c = {c!r}"
+            )
         g, n = horocycle_with_normal(r)
         p = math.cosh(t * math.sqrt(cr)) * g + math.sinh(t * math.sqrt(cr)) * n
         q = s * np.array([1.0, 0.0]) + t * math.sqrt(1.0 - cr) * np.array([0.0, 1.0])

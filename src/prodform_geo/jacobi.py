@@ -485,18 +485,26 @@ def flow_frame(
     Away from the degenerate values this is the adapted frame.  At C = 1 the
     normal lies in the first factor: the curvature block acts on (J N1, 0)
     while the whole second factor is flat, so any orthonormal pair there fills
-    the two zero-frequency slots (and symmetrically at C = -1).
+    the two zero-frequency slots (and symmetrically at C = -1).  Near those
+    values J N1 and J N2 have norms sqrt((1 + C)/2) and sqrt((1 - C)/2), and
+    are scaled to unit length.
     """
     if 1.0 - c * c >= FRAME_EPS:
         return adapted_frame(n, c, v)
     p = n.base
     if c > 0.0:
-        e2 = ProductVector(complex_structure(n.first), zero_vector(p.second))
+        jn1 = complex_structure(n.first)
+        if c != 1.0:  # at C = 1 exactly the factor is 1
+            jn1 = jn1.scale(1.0 / math.sqrt((1.0 + c) / 2.0))
+        e2 = ProductVector(jn1, zero_vector(p.second))
         b1, b2 = tangent_frame(p.second)
         e1 = ProductVector(zero_vector(p.first), b1)
         e3 = ProductVector(zero_vector(p.first), b2)
     else:
-        e3 = ProductVector(zero_vector(p.first), complex_structure(n.second))
+        jn2 = complex_structure(n.second)
+        if c != -1.0:
+            jn2 = jn2.scale(1.0 / math.sqrt((1.0 - c) / 2.0))
+        e3 = ProductVector(zero_vector(p.first), jn2)
         a1, a2 = tangent_frame(p.first)
         e1 = ProductVector(a1, zero_vector(p.second))
         e2 = ProductVector(a2, zero_vector(p.second))

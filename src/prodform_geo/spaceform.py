@@ -19,6 +19,9 @@ KAPPAS = (-1, 0, 1)
 #: inputs violating tangency/quadric constraints by more than this are rejected
 CONSTRAINT_TOL = 1e-8
 
+#: tangency defects at or below this (times the coordinate scale) are roundoff
+ROUNDOFF_TOL = 64.0 * float(np.finfo(float).eps)
+
 
 class GeometryError(ValueError):
     """Invalid or incompatible geometric inputs."""
@@ -32,9 +35,15 @@ def euclid_form(a, b) -> float:
     return float(np.dot(a, b))
 
 
+def _floats(a) -> list[float]:
+    return np.asarray(a, dtype=float).tolist()
+
+
 def lorentz_form(a, b) -> float:
     """Minkowski pairing -a1*b1 + a2*b2 + a3*b3 on raw triples."""
-    return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+    a0, a1, a2 = _floats(a)
+    b0, b1, b2 = _floats(b)
+    return -a0 * b0 + a1 * b1 + a2 * b2
 
 
 def form(kappa: int, a, b) -> float:
@@ -49,15 +58,9 @@ def lorentz_cross(a, b) -> np.ndarray:
 
     Returns (a3*b2 - a2*b3, a3*b1 - a1*b3, a1*b2 - a2*b1).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.array(
-        [
-            a[2] * b[1] - a[1] * b[2],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+    a0, a1, a2 = _floats(a)
+    b0, b1, b2 = _floats(b)
+    return np.array([a2 * b1 - a1 * b2, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _quadric_value(kappa: int, coords: np.ndarray) -> float:
@@ -96,6 +99,10 @@ class ModelPoint:
             )
         if self.kappa == -1 and coords[0] <= 0:
             raise GeometryError("hyperboloid points must have positive first coordinate")
+        # max(1, max|x_i|), the point's share of every tangency scale; not a
+        # field, so equality, repr and hashing ignore it
+        x0, x1, x2 = coords.tolist()
+        object.__setattr__(self, "_scale", max(1.0, abs(x0), abs(x1), abs(x2)))
 
 
 @dataclass(frozen=True)
@@ -110,24 +117,29 @@ class ModelVector:
     coords: np.ndarray
 
     def __post_init__(self):
+        base = self.base
         coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != self.base.coords.shape:
+        if coords.shape != base.coords.shape:
             raise GeometryError("vector and base point dimensions differ")
-        kappa = self.base.kappa
+        xs = coords.tolist()
+        if not all(map(math.isfinite, xs)):
+            raise GeometryError(f"tangent vector coordinates must be finite, got {xs}")
+        kappa = base.kappa
         if kappa != 0:
-            t = form(kappa, self.base.coords, coords)
-            scale = max(1.0, float(np.max(np.abs(coords)))) * max(
-                1.0, float(np.max(np.abs(self.base.coords)))
-            )
+            t = form(kappa, base.coords, coords)
+            # the maximum of Python floats is exact, so the scale is the one a
+            # numpy reduction would give, bit for bit
+            x0, x1, x2 = xs
+            scale = max(1.0, abs(x0), abs(x1), abs(x2)) * base._scale
             if abs(t) > CONSTRAINT_TOL * scale:
                 raise GeometryError(
                     f"vector is not tangent at its base point (defect {t!r})"
                 )
             # defects at roundoff level are left alone so that negation,
             # scaling and addition of tangent vectors stay bitwise exact
-            if abs(t) > 64.0 * np.finfo(float).eps * scale:
+            if abs(t) > ROUNDOFF_TOL * scale:
                 # <p, p> = kappa on the quadric, so 1/<p,p> = kappa
-                coords = coords - kappa * t * self.base.coords
+                coords = coords - kappa * t * base.coords
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -197,7 +209,10 @@ def complex_structure(v: ModelVector) -> ModelVector:
     if v.kappa == 0:
         return ModelVector(p, np.array([-v.coords[1], v.coords[0]]))
     if v.kappa == 1:
-        return ModelVector(p, np.cross(p.coords, v.coords))
+        # p x v with the products and differences np.cross performs
+        a0, a1, a2 = p.coords.tolist()
+        b0, b1, b2 = v.coords.tolist()
+        return ModelVector(p, np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]))
     return ModelVector(p, lorentz_cross(p.coords, v.coords))
 
 

@@ -171,9 +171,17 @@ class TestEntryPoint:
         assert "--k must be finite and non-negative" in capsys.readouterr().err
 
     def test_geometric_failure_during_run_exit_code(self, capsys):
-        # at c this close to 1 the flow frame is no longer orthonormal to 1e-8
-        assert main(["gallery", "--family", "psi", "--c", "0.9999999", "--grid", "2"]) == 1
-        assert "error: supplied basis is not orthonormal" in capsys.readouterr().err
+        # the negative control's c(1 + 0.1 sin r) passes 1 inside the grid
+        assert main(["gallery", "--family", "psi", "--c", "0.95", "--grid", "2"]) == 1
+        assert "error: perturbed strip constant" in capsys.readouterr().err
+
+    def test_negative_control_below_strip_limit_passes(self, capsys):
+        assert main(["gallery", "--family", "psi", "--c", "0.9", "--grid", "2"]) == 0
+        assert "[PASS] psi_negative_control_fails" in capsys.readouterr().err
+
+    def test_flow_near_degenerate_angle_succeeds(self, capsys):
+        assert main(["flow", "--c", "0.9999999", "--grid", "2"]) == 0
+        assert "psi(c=0.9999999).flow_dump" in capsys.readouterr().err
 
     def test_success_exit_code(self, capsys, tmp_path):
         out = tmp_path / "report.json"

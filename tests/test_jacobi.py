@@ -16,8 +16,9 @@ from prodform_geo.classify import (
     case_alphas,
 )
 from prodform_geo.cli import random_frame_shape
-from prodform_geo.hypersurface import angle_of_normal, unit_normal
+from prodform_geo.hypersurface import ORTHONORMAL_TOL, angle_of_normal, unit_normal
 from prodform_geo.jacobi import (
+    FRAME_EPS,
     CaseParams,
     FocalPointError,
     FrameDegenerateError,
@@ -178,6 +179,15 @@ class TestAdaptedFrame:
         frame = flow_frame(n, c, v)
         gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+
+    @pytest.mark.parametrize("strip", [0.9999999, 1e-7])
+    def test_flow_frame_orthonormal_near_degenerate_angle(self, strip):
+        # 0 < 1 - C^2 < FRAME_EPS: the fallback legs J N1, J N2 need scaling
+        n, c, v = self._psi_frame(strip)
+        assert 0.0 < 1.0 - c * c < FRAME_EPS
+        frame = flow_frame(n, c, v)
+        gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
+        assert np.max(np.abs(gram - np.eye(3))) <= ORTHONORMAL_TOL
 
 
 class TestQMatrix:

@@ -244,6 +244,33 @@ class TestConstraintEnforcement:
         with pytest.raises(GeometryError):
             ModelPoint(kappa, coords)
 
+    @pytest.mark.parametrize(
+        "point, coords",
+        [
+            ((0.0, 0.0, 1.0), [math.nan, 0.0, 0.0]),
+            ((0.0, 0.0, 1.0), [math.inf, 0.0, 0.0]),
+        ],
+    )
+    def test_non_finite_vector_rejected_on_sphere(self, point, coords):
+        with pytest.raises(GeometryError, match="finite"):
+            ModelVector(sphere_point(*point), coords)
+
+    @pytest.mark.parametrize(
+        "point, coords",
+        [
+            ((1.0, 0.0, 0.0), [0.0, math.nan, 0.0]),
+            ((1.0, 0.0, 0.0), [0.0, math.inf, 0.0]),
+        ],
+    )
+    def test_non_finite_vector_rejected_on_hyperboloid(self, point, coords):
+        with pytest.raises(GeometryError, match="finite"):
+            ModelVector(hyper_point(*point), coords)
+
+    @pytest.mark.parametrize("coords", [[math.nan, 0.0], [math.inf, 1.0]])
+    def test_non_finite_vector_rejected_in_plane(self, coords):
+        with pytest.raises(GeometryError, match="finite"):
+            ModelVector(ModelPoint(0, [0.5, -2.0]), coords)
+
     def test_tangent_frame_is_orthonormal(self):
         rng = np.random.default_rng(10)
         for kappa in (-1, 0, 1):
@@ -252,3 +279,105 @@ class TestConstraintEnforcement:
             assert abs(metric(a, a) - 1) < 1e-12
             assert abs(metric(b, b) - 1) < 1e-12
             assert abs(metric(a, b)) < 1e-12
+
+
+# The expressions ModelVector, lorentz_form and lorentz_cross evaluated with
+# numpy reductions and numpy scalars before they moved to Python floats.  Every
+# decision and every coordinate of the float versions must match them bit for
+# bit.
+
+REFERENCE_ROUNDOFF = 64.0 * np.finfo(float).eps
+
+
+def reference_form(kappa, a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if kappa == -1:
+        return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+    return float(np.dot(a, b))
+
+
+def reference_cross(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.array(
+        [
+            a[2] * b[1] - a[1] * b[2],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ]
+    )
+
+
+def reference_vector(base, coords):
+    """("reject" | "accept" | "project", coordinates) as the numpy version decides."""
+    coords = np.asarray(coords, dtype=float)
+    kappa = base.kappa
+    if kappa == 0:
+        return "accept", coords
+    t = reference_form(kappa, base.coords, coords)
+    scale = max(1.0, float(np.max(np.abs(coords)))) * max(
+        1.0, float(np.max(np.abs(base.coords)))
+    )
+    if abs(t) > 1e-8 * scale:
+        return "reject", None
+    if abs(t) > REFERENCE_ROUNDOFF * scale:
+        return "project", coords - kappa * t * base.coords
+    return "accept", coords
+
+
+def constructed(base, coords):
+    try:
+        v = ModelVector(base, coords)
+    except GeometryError:
+        return "reject", None
+    return ("accept" if np.array_equal(v.coords, coords) else "project"), v.coords
+
+
+def defect_candidates(p, rng):
+    """Tangents at p with normal defects just below and above both thresholds."""
+    out = []
+    for _ in range(8):
+        w = random_tangent(p, rng, scale=10.0 ** rng.uniform(-3, 3)).coords
+        out.append(w)
+        if p.kappa == 0:
+            continue
+        scale = max(1.0, float(np.max(np.abs(w)))) * max(1.0, float(np.max(np.abs(p.coords))))
+        for threshold in (REFERENCE_ROUNDOFF, 1e-8):
+            for factor in (0.5, 0.99, 1.01, 2.0):
+                # <p, p> = kappa, so w + d p has defect kappa d
+                out.append(w + factor * threshold * scale * p.coords)
+    return out
+
+
+class TestFloatValidationEquivalence:
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    def test_decisions_and_coordinates_match_reference(self, kappa):
+        rng = np.random.default_rng(2024 + kappa)
+        seen = set()
+        for _ in range(60):
+            p = random_point(kappa, rng)
+            for coords in defect_candidates(p, rng):
+                want, want_coords = reference_vector(p, coords)
+                got, got_coords = constructed(p, coords)
+                assert got == want
+                if want != "reject":
+                    assert np.array_equal(got_coords, want_coords)
+                seen.add(want)
+        assert seen == ({"accept"} if kappa == 0 else {"accept", "project", "reject"})
+
+    @pytest.mark.parametrize("kappa", [-1, 1])
+    def test_forms_match_reference(self, kappa):
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            a, b = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3)
+            assert form(kappa, a, b) == reference_form(kappa, a, b)
+            assert np.array_equal(lorentz_cross(a, b), reference_cross(a, b))
+
+    def test_sphere_complex_structure_is_numpy_cross(self):
+        rng = np.random.default_rng(78)
+        for _ in range(200):
+            p = random_point(1, rng)
+            v = random_tangent(p, rng, scale=10.0 ** rng.uniform(-3, 3))
+            want = ModelVector(p, np.cross(p.coords, v.coords))
+            assert np.array_equal(complex_structure(v).coords, want.coords)
