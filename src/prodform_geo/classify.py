@@ -530,7 +530,11 @@ def _build_psi(spec: ExampleSpec) -> Immersion:
     )
 
 
-def build_perturbed_psi(c: float = 0.25, amplitude: float = 0.1) -> Immersion:
+#: relative size of the strip-constant perturbation in the negative control
+PERTURBED_AMPLITUDE = 0.1
+
+
+def build_perturbed_psi(c: float = 0.25, amplitude: float = PERTURBED_AMPLITUDE) -> Immersion:
     """Negative control: the ruled example with c replaced by c(1 + a sin r).
 
     Still lands on the product manifold but is not isoparametric; its angle

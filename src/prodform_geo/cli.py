@@ -16,12 +16,14 @@ Reports are written atomically and are byte-identical for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -43,6 +45,7 @@ from .classify import (
     FAMILY_CURVE_X_FACTOR,
     FAMILY_FACTOR_X_CURVE,
     FAMILY_PSI,
+    PERTURBED_AMPLITUDE,
     build_example,
     build_perturbed_psi,
     case_alphas,
@@ -105,6 +108,8 @@ class RunConfig:
             raise ConfigError(f"--case must be one of {CASES}, got {self.case!r}")
         if self.samples < 1:
             raise ConfigError("--samples must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("--seed must be non-negative")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError("--tol must be positive and finite")
         if self.grid < 2:
@@ -302,8 +307,9 @@ def _unit_second_factor(p, rng) -> ProductVector:
 def random_frame_shape(case: CaseId, rng: np.random.Generator, exact: bool) -> FrameShape:
     """Random symmetric shape matrix with entries in [-2, 2] and |C| < 0.95.
 
-    Exact mode draws from a fine rational grid so the derivative oracle runs in
-    exact arithmetic.
+    Exact mode draws Fraction entries and C from the 1/1000 grid, so the
+    derivative oracle runs in integer arithmetic and every closed form is a
+    terminating decimal that ``exact_derivatives`` evaluates without rounding.
     """
     if exact:
         entries = [Fraction(int(n), 1000) for n in rng.integers(-2000, 2001, size=6)]
@@ -314,6 +320,36 @@ def random_frame_shape(case: CaseId, rng: np.random.Generator, exact: bool) -> F
     a11, a22, a33, a12, a13, a23 = entries
     a = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
     return FrameShape(A=a, kappa1=case.kappa1, kappa2=case.kappa2, C=c)
+
+
+#: Every operation in this context is exact or raises.  On the 1/1000 grid of
+#: ``random_frame_shape`` (|a_ij| <= 2, |C| < 0.95) the closed forms divide
+#: only by 2, 4 and 8; the longest value, in the order-10 form, has 18
+#: fractional digits and magnitude below 10^4, so at most 22 significant
+#: digits, well inside the precision.
+EXACT_DECIMAL = decimal.Context(
+    prec=50,
+    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
+
+
+def exact_derivatives(fs: FrameShape, orders: Sequence[int]) -> tuple[dict[int, Decimal], dict[int, Fraction]]:
+    """Closed-form and oracle derivatives of det Q at l = 0 for an exact shape.
+
+    The oracle ``detq_derivatives`` runs on the Fraction shape itself.  The
+    closed forms and their invariants run on a Decimal copy of it, in
+    ``EXACT_DECIMAL``: a shape off a terminating-decimal grid raises
+    ``decimal.Inexact`` instead of being rounded.
+    """
+    oracle = detq_derivatives(fs, fs.case, orders)
+    with decimal.localcontext(EXACT_DECIMAL):
+        a = tuple(tuple(Decimal(x.numerator) / x.denominator for x in row) for row in fs.A)
+        c = Decimal(fs.C.numerator) / fs.C.denominator
+        ds = FrameShape(A=a, kappa1=fs.kappa1, kappa2=fs.kappa2, C=c)
+        cp = ds.case
+        H, rho, H12, H13 = ds.H, ds.rho, ds.H12, ds.H13
+        closed = {k: detq_derivative_formula(k, cp, H=H, rho=rho, H12=H12, H13=H13) for k in orders}
+    return closed, oracle
 
 
 def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
@@ -327,13 +363,11 @@ def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
         trace_tracker = ErrorTracker()
 
         for _ in range(cfg.samples):
-            fs = random_frame_shape(case, rng, exact=True)
-            cp = fs.case
-            oracle = detq_derivatives(fs, cp, orders)
-            H, rho, H12, H13 = fs.H, fs.rho, fs.H12, fs.H13
+            closed, oracle = exact_derivatives(random_frame_shape(case, rng, exact=True), orders)
             for k in orders:
-                formula = detq_derivative_formula(k, cp, H=H, rho=rho, H12=H12, H13=H13)
-                derivative_trackers[k].record(float(formula), float(oracle[k]))
+                # float() rounds a Decimal and a Fraction correctly, so equal
+                # exact values record an error of 0
+                derivative_trackers[k].record(float(closed[k]), float(oracle[k]))
 
             fsf = random_frame_shape(case, rng, exact=False)
             cpf = fsf.case
@@ -505,8 +539,10 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
         )
 
     if cfg.family in (None, FAMILY_PSI):
+        # c(1 + a sin r) must stay in [0, 1], so the control's c is capped
+        control_c = min(cfg.c, 1.0 / (1.0 + PERTURBED_AMPLITUDE))
         control = isoparametric_report(
-            build_perturbed_psi(cfg.c), l_samples=cfg.l_values, tol=1e-3
+            build_perturbed_psi(control_c), l_samples=cfg.l_values, tol=1e-3
         )
         report.add(
             CheckResult(

@@ -301,6 +301,11 @@ class TestIsoparametricReport:
         assert not rep.angle_pass
         assert rep.angle.max_dev > 1e-3
 
+    def test_perturbed_strip_constant_above_one_rejected(self):
+        # 0.95 (1 + 0.1 sin 1) > 1
+        with pytest.raises(GeometryError, match="perturbed strip constant"):
+            build_perturbed_psi(0.95).chart(np.array([0.0, 1.0, 0.0]))
+
     def test_gallery_covers_all_cases(self):
         specs = gallery_specs()
         pairs = {(s.kappa1, s.kappa2) for s in specs}

@@ -5,6 +5,7 @@ import pytest
 
 from prodform_geo import cli
 from prodform_geo.classify import ConstancyPolynomial
+from prodform_geo.spaceform import GeometryError
 from prodform_geo.cli import (
     CASES,
     ConfigError,
@@ -37,6 +38,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             make_config(tol=-1e-9).validate()
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError):
+            make_config(seed=-1).validate()
+
     def test_rejects_negative_curve_curvature(self):
         with pytest.raises(ConfigError):
             make_config(k=-1.0).validate()
@@ -55,10 +60,12 @@ class TestCommands:
         assert "h2r2.sectional_mixed" in names
 
     def test_detq_all_pass(self):
-        report = run(make_config(command="detq", case="s2h2", samples=25, seed=7))
+        report = run(make_config(command="detq", samples=25, seed=7))
         assert report.all_passed
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["s2h2.derivative_order_10"].max_rel_err == 0.0
+        derivative_checks = [c for c in report.checks if ".derivative_order_" in c.name]
+        # orders 1, 2, 4, 6 in every case and order 10 on S2xH2
+        assert len(derivative_checks) == 13
+        assert all(c.max_abs_err == 0.0 for c in derivative_checks)
 
     def test_cases_all_pass(self):
         report = run(make_config(command="cases", samples=50, seed=9))
@@ -170,14 +177,28 @@ class TestEntryPoint:
         assert main(["flow", "--family", "curve_x_factor", "--k", "-1"]) == 2
         assert "--k must be finite and non-negative" in capsys.readouterr().err
 
-    def test_geometric_failure_during_run_exit_code(self, capsys):
-        # the negative control's c(1 + 0.1 sin r) passes 1 inside the grid
-        assert main(["gallery", "--family", "psi", "--c", "0.95", "--grid", "2"]) == 1
-        assert "error: perturbed strip constant" in capsys.readouterr().err
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["detq", "--samples", "1", "--seed", "-1"]) == 2
+        assert "error: --seed must be non-negative" in capsys.readouterr().err
+
+    def test_geometric_failure_during_run_exit_code(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise GeometryError("injected failure")
+
+        monkeypatch.setattr(cli, "isoparametric_report", fail)
+        assert main(["gallery", "--family", "psi", "--grid", "2"]) == 1
+        assert "error: injected failure" in capsys.readouterr().err
 
     def test_negative_control_below_strip_limit_passes(self, capsys):
         assert main(["gallery", "--family", "psi", "--c", "0.9", "--grid", "2"]) == 0
         assert "[PASS] psi_negative_control_fails" in capsys.readouterr().err
+
+    def test_negative_control_near_degenerate_angle_passes(self, capsys):
+        # the control is capped below the strip limit while psi keeps c
+        assert main(["gallery", "--family", "psi", "--c", "0.9999999", "--grid", "2"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("[PASS]") == 4
+        assert "[PASS] psi_negative_control_fails" in err
 
     def test_flow_near_degenerate_angle_succeeds(self, capsys):
         assert main(["flow", "--c", "0.9999999", "--grid", "2"]) == 0

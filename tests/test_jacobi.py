@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -15,7 +16,7 @@ from prodform_geo.classify import (
     build_example,
     case_alphas,
 )
-from prodform_geo.cli import random_frame_shape
+from prodform_geo.cli import exact_derivatives, random_frame_shape
 from prodform_geo.hypersurface import ORTHONORMAL_TOL, angle_of_normal, unit_normal
 from prodform_geo.jacobi import (
     FRAME_EPS,
@@ -469,6 +470,41 @@ class TestDerivativeFormulas:
             assert detq_derivative_formula(2, cp, rho=rho, H12=h12, H13=h13) == ar.alpha1
             assert detq_derivative_formula(4, cp, rho=rho, H12=h12, H13=h13) == ar.alpha2
             assert detq_derivative_formula(6, cp, rho=rho, H12=h12, H13=h13) == ar.alpha3
+
+
+class TestDecimalClosedForms:
+    """The closed forms evaluated in the trapped decimal context equal the oracle."""
+
+    @staticmethod
+    def assert_exact(fs, case):
+        orders = (1, 2, 4, 6, 10) if case is CaseId.S2xH2 else (1, 2, 4, 6)
+        closed, _ = exact_derivatives(fs, orders)
+        assert {k: Fraction(v) for k, v in closed.items()} == detq_derivatives(fs, fs.case, orders)
+
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_equals_oracle_on_cli_grid(self, case):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            self.assert_exact(random_frame_shape(case, rng, exact=True), case)
+
+    @pytest.mark.parametrize("c", [Fraction(949, 1000), Fraction(-949, 1000)])
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_extreme_grid_angle(self, case, c):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            self.assert_exact(replace(random_frame_shape(case, rng, exact=True), C=c), case)
+
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_zero_shape(self, case):
+        zero = ((Fraction(0),) * 3,) * 3
+        self.assert_exact(FrameShape(A=zero, kappa1=case.kappa1, kappa2=case.kappa2, C=Fraction(1, 5)), case)
+
+    def test_off_grid_entry_raises_inexact(self):
+        fs = random_frame_shape(CaseId.S2xH2, np.random.default_rng(20), exact=True)
+        a = [list(row) for row in fs.A]
+        a[0][0] = Fraction(1, 3)
+        with pytest.raises(decimal.Inexact):
+            exact_derivatives(replace(fs, A=tuple(map(tuple, a))), (1, 2))
 
 
 class TestJacobiAgainstNumericFlow:
