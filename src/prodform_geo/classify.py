@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .ambient import ProductPoint, ProductVector
-from .hypersurface import Immersion
+from .hypersurface import Immersion, ShapeRecord
 from .jacobi import (
     CaseParams,
     FocalPointError,
@@ -615,6 +615,8 @@ class IsoparametricReport:
     angle_pass: bool
     principal_pass: bool
     mean_curvature_pass: bool
+    #: the shape record at each grid point, in grid order
+    records: tuple[ShapeRecord, ...] = field(repr=False)
 
     @property
     def passed(self) -> bool:
@@ -638,30 +640,29 @@ def isoparametric_report(
         grid = imm.grid(5)
     l_samples = tuple(float(l) for l in l_samples)
 
-    angles: list[float] = []
-    principals: list[np.ndarray] = []
     h_of_l: dict[float, list[float]] = {l: [] for l in l_samples}
     focal: list[str] = []
+    records: list[ShapeRecord] = []
 
     for u in grid:
         fs, cp, rec = frame_shape_at(imm, u)
-        angles.append(rec.C)
-        principals.append(rec.principal_curvatures())
+        records.append(rec)
         for l in l_samples:
             try:
                 h_of_l[l].append(parallel_mean_curvature(fs, cp, l))
             except FocalPointError:
                 focal.append(f"focal point at u={np.asarray(u).tolist()}, l={l:g}")
 
+    principals = [rec.principal_curvatures() for rec in records]
     principal_stats = tuple(
         StatSummary.of([pc[i] for pc in principals]) for i in range(3)
     )
-    angle_stats = StatSummary.of(angles)
+    angle_stats = StatSummary.of([rec.C for rec in records])
     h_stats = {l: StatSummary.of(vals) for l, vals in h_of_l.items() if vals}
 
     return IsoparametricReport(
         name=imm.name,
-        grid_points=len(list(grid)),
+        grid_points=len(records),
         l_samples=l_samples,
         tol=tol,
         angle=angle_stats,
@@ -671,4 +672,5 @@ def isoparametric_report(
         angle_pass=angle_stats.max_dev <= tol,
         principal_pass=all(s.max_dev <= tol for s in principal_stats),
         mean_curvature_pass=all(s.max_dev <= tol for s in h_stats.values()),
+        records=tuple(records),
     )

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -54,6 +54,8 @@ from .classify import (
     invariants_from_alphas,
     isoparametric_report,
 )
+# nothing here calls shape_operator, but perfbench's gallery workload cuts its
+# run into segments on calls of cli.shape_operator, so the name must stay
 from .hypersurface import ricci, shape_operator
 from .jacobi import (
     FocalPointError,
@@ -463,11 +465,12 @@ def run_cases(cfg: RunConfig, report: VerificationReport) -> None:
 
 
 def _gallery_selection(cfg: RunConfig) -> list[ExampleSpec]:
-    specs = gallery_specs()
-    if cfg.family is not None:
-        specs = [s for s in specs if s.family == cfg.family]
-        if cfg.family == FAMILY_PSI:
-            specs = [replace(s, c=cfg.c) for s in specs]
+    cases = cfg.selected_cases()
+    specs = [
+        replace(s, c=cfg.c) if s.family == FAMILY_PSI else s
+        for s in gallery_specs()
+        if cfg.family in (None, s.family) and CaseId.from_kappas(s.kappa1, s.kappa2) in cases
+    ]
     if not specs:
         raise ConfigError("gallery selection is empty")
     return specs
@@ -477,16 +480,18 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
     tol_angle = cfg.tolerance("gallery_angle")
     tol_curv = cfg.tolerance("gallery_curvature")
     tol_ricci = cfg.tolerance("gallery_ricci")
+    control_c = None
 
     for spec in _gallery_selection(cfg):
         imm = build_example(spec)
-        grid = imm.grid(cfg.grid)
-        rep = isoparametric_report(imm, grid=grid, l_samples=cfg.l_values, tol=tol_curv)
+        rep = isoparametric_report(imm, grid=imm.grid(cfg.grid), l_samples=cfg.l_values, tol=tol_curv)
 
         angle_tracker = ErrorTracker()
         angle_tracker.record_abs(rep.angle.max_dev, scale=0.0)
         if spec.family == FAMILY_PSI:
             angle_tracker.record(rep.angle.mean, 1.0 - 2.0 * spec.c)
+            # c(1 + a sin r) must stay in [0, 1], so the control's c is capped
+            control_c = min(spec.c, 1.0 / (1.0 + PERTURBED_AMPLITUDE))
         else:
             expected = 1.0 if spec.family == FAMILY_CURVE_X_FACTOR else -1.0
             angle_tracker.record(rep.angle.mean, expected)
@@ -524,8 +529,7 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
         )
 
         ricci_tracker = ErrorTracker()
-        for u in grid:
-            rec = shape_operator(imm, u)
+        for rec in rep.records:
             trace = sum(ricci(e, rec) for e in rec.basis)
             ricci_tracker.record(trace, rec.rho)
         report.add(
@@ -538,9 +542,7 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
             )
         )
 
-    if cfg.family in (None, FAMILY_PSI):
-        # c(1 + a sin r) must stay in [0, 1], so the control's c is capped
-        control_c = min(cfg.c, 1.0 / (1.0 + PERTURBED_AMPLITUDE))
+    if control_c is not None:
         control = isoparametric_report(
             build_perturbed_psi(control_c), l_samples=cfg.l_values, tol=1e-3
         )
@@ -559,10 +561,9 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
 def run_flow(cfg: RunConfig, report: VerificationReport) -> None:
     family = cfg.family or FAMILY_PSI
     case = CaseId.from_tag(cfg.case) if cfg.case else CaseId.H2xR2
-    if family == FAMILY_PSI:
-        spec = ExampleSpec(family=FAMILY_PSI, c=cfg.c)
-    else:
-        spec = ExampleSpec(family=family, kappa1=case.kappa1, kappa2=case.kappa2, k=cfg.k)
+    if family == FAMILY_PSI and case is not CaseId.H2xR2:
+        raise ConfigError(f"psi lives in h2r2, not in {case.value}")
+    spec = ExampleSpec(family=family, kappa1=case.kappa1, kappa2=case.kappa2, k=cfg.k, c=cfg.c)
     imm = build_example(spec)
 
     focal_events = 0
@@ -693,45 +694,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_TYPES = {
-    "case": str,
-    "samples": int,
-    "seed": int,
-    "tol": float,
-    "grid": int,
-    "out": str,
-    "fmt": str,
-    "format": str,
-    "family": str,
-    "c": float,
-    "k": float,
-    "l": str,
-    "l_values": str,
-}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
+    # the options that set RunConfig fields; a config file key names one by its
+    # field or by its flag (l_values or l, fmt or format)
+    settable = {f.name for f in fields(RunConfig)}
+    actions = [a for a in _build_parser()._actions if a.option_strings and a.dest in settable]
+    by_key = {key: a for a in actions for key in (a.dest, a.option_strings[0][2:])}
     values: dict = {}
     if args.config:
-        raw = _parse_config_file(args.config)
-        for key, text in raw.items():
-            if key in ("l", "l_values"):
-                values["l_values"] = text
-            elif key in ("format", "fmt"):
-                values["fmt"] = text
-            elif key in _CONFIG_TYPES:
-                try:
-                    values[key] = _CONFIG_TYPES[key](text)
-                except ValueError as exc:
-                    raise ConfigError(f"config key {key}: {exc}") from exc
-            else:
+        for key, text in _parse_config_file(args.config).items():
+            action = by_key.get(key)
+            if action is None:
                 raise ConfigError(f"unknown config key {key!r}")
-    for key in ("case", "samples", "seed", "tol", "grid", "out", "fmt", "family", "c", "k"):
-        flag = getattr(args, key, None)
+            try:
+                values[action.dest] = (action.type or str)(text)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from exc
+    for action in actions:
+        flag = getattr(args, action.dest)
         if flag is not None:
-            values[key] = flag
-    if args.l_values is not None:
-        values["l_values"] = args.l_values
+            values[action.dest] = flag
     if isinstance(values.get("l_values"), str):
         try:
             values["l_values"] = tuple(float(x) for x in values["l_values"].split(",") if x.strip())

@@ -26,10 +26,11 @@ from .ambient import (
     ProductVector,
     complex_structures,
     product_exp,
+    product_metric,
     product_transport,
     product_velocity,
 )
-from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, shape_operator, unit_normal, angle_of_normal
+from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, gram_schmidt, shape_operator, unit_normal, angle_of_normal
 from .spaceform import GeometryError, KAPPAS, complex_structure, tangent_frame, zero_vector
 
 #: the adapted frame refuses points closer than this to C^2 = 1
@@ -487,27 +488,30 @@ def flow_frame(
     while the whole second factor is flat, so any orthonormal pair there fills
     the two zero-frequency slots (and symmetrically at C = -1).  Near those
     values J N1 and J N2 have norms sqrt((1 + C)/2) and sqrt((1 - C)/2), and
-    are scaled to unit length.
+    are scaled to unit length; the normal still has a small part in the
+    factor of the pair, so the pair is projected onto the tangent space.
     """
     if 1.0 - c * c >= FRAME_EPS:
         return adapted_frame(n, c, v)
     p = n.base
     if c > 0.0:
         jn1 = complex_structure(n.first)
-        if c != 1.0:  # at C = 1 exactly the factor is 1
-            jn1 = jn1.scale(1.0 / math.sqrt((1.0 + c) / 2.0))
-        e2 = ProductVector(jn1, zero_vector(p.second))
         b1, b2 = tangent_frame(p.second)
         e1 = ProductVector(zero_vector(p.first), b1)
         e3 = ProductVector(zero_vector(p.first), b2)
+        if c != 1.0:  # at C = 1 exactly the legs are unit and tangent already
+            jn1 = jn1.scale(1.0 / math.sqrt((1.0 + c) / 2.0))
+            e1, e3 = gram_schmidt([e - n.scale(product_metric(e, n)) for e in (e1, e3)])
+        e2 = ProductVector(jn1, zero_vector(p.second))
     else:
         jn2 = complex_structure(n.second)
-        if c != -1.0:
-            jn2 = jn2.scale(1.0 / math.sqrt((1.0 - c) / 2.0))
-        e3 = ProductVector(zero_vector(p.first), jn2)
         a1, a2 = tangent_frame(p.first)
         e1 = ProductVector(a1, zero_vector(p.second))
         e2 = ProductVector(a2, zero_vector(p.second))
+        if c != -1.0:
+            jn2 = jn2.scale(1.0 / math.sqrt((1.0 - c) / 2.0))
+            e1, e2 = gram_schmidt([e - n.scale(product_metric(e, n)) for e in (e1, e2)])
+        e3 = ProductVector(zero_vector(p.first), jn2)
     return e1, e2, e3
 
 

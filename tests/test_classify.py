@@ -313,11 +313,11 @@ class TestIsoparametricReport:
         families = {s.family for s in specs}
         assert families == {FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE, FAMILY_PSI}
 
-    def test_full_gallery_passes_at_default_grid(self):
+    def test_full_gallery_passes_at_default_grid(self, default_gallery):
+        report, reports = default_gallery
+        assert report.all_passed
         for spec in gallery_specs():
-            imm = build_example(spec)
-            rep = isoparametric_report(
-                imm, grid=imm.grid(5), l_samples=(-0.2, -0.1, 0.1, 0.2), tol=1e-5
-            )
-            assert rep.passed, f"{imm.name}: {rep}"
+            rep = reports[spec.label()]
+            assert rep.passed, f"{rep.name}: {rep}"
+            assert rep.grid_points == 5**3
             assert not rep.focal_events

@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from prodform_geo import cli
-from prodform_geo.classify import ConstancyPolynomial
+from prodform_geo import cli, jacobi
+from prodform_geo.classify import ConstancyPolynomial, gallery_specs
 from prodform_geo.spaceform import GeometryError
 from prodform_geo.cli import (
     CASES,
@@ -86,6 +86,35 @@ class TestCommands:
         assert report.all_passed
         angle = next(c for c in report.checks if c.name.endswith("angle_constancy"))
         assert angle.max_abs_err < 1e-8  # grid mean within 1e-8 of 1 - 2c
+
+    def test_gallery_c_sets_psi_and_its_control(self, monkeypatch):
+        built = []
+        original = cli.build_perturbed_psi
+        monkeypatch.setattr(cli, "build_perturbed_psi", lambda c: built.append(c) or original(c))
+        report = run(make_config(command="gallery", case="h2r2", c=0.5, grid=2))
+        assert "psi(c=0.5).angle_constancy" in {c.name for c in report.checks}
+        assert built == [0.5]
+
+    def test_gallery_case_selects_examples(self):
+        report = run(make_config(command="gallery", case="s2r2", grid=2))
+        # no psi and so no negative control, whose check name has no example part
+        examples = {c.name.rsplit(".", 1)[0] for c in report.checks}
+        assert examples == {s.label() for s in gallery_specs() if (s.kappa1, s.kappa2) == (1, 0)}
+
+    def test_gallery_builds_one_shape_operator_per_point(self, monkeypatch):
+        calls = 0
+        original = jacobi.shape_operator
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        # every module-level name the gallery could call it by
+        monkeypatch.setattr(jacobi, "shape_operator", counted)
+        monkeypatch.setattr(cli, "shape_operator", counted)
+        run(make_config(command="gallery", family="psi", grid=2))
+        assert calls == 2**3 + 5**3  # psi's grid and the negative control's
 
     def test_flow_produces_rows(self):
         report = run(
@@ -200,6 +229,15 @@ class TestEntryPoint:
         assert err.count("[PASS]") == 4
         assert "[PASS] psi_negative_control_fails" in err
 
+    def test_gallery_case_without_its_family_is_usage_error(self, capsys):
+        assert main(["gallery", "--case", "s2r2", "--family", "psi", "--grid", "2"]) == 2
+        assert "error: gallery selection is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["s2h2", "s2r2"])
+    def test_flow_psi_outside_its_case_is_usage_error(self, capsys, case):
+        assert main(["flow", "--family", "psi", "--case", case, "--grid", "2"]) == 2
+        assert "error: psi lives in h2r2" in capsys.readouterr().err
+
     def test_flow_near_degenerate_angle_succeeds(self, capsys):
         assert main(["flow", "--c", "0.9999999", "--grid", "2"]) == 0
         assert "psi(c=0.9999999).flow_dump" in capsys.readouterr().err
@@ -245,6 +283,30 @@ class TestEntryPoint:
         parser = _build_parser()
         args = parser.parse_args(["detq", "--config", str(cfg_file)])
         with pytest.raises(ConfigError):
+            build_config(args)
+
+    def test_config_values_take_their_option_types(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("tol = 1e-9\ngrid = 3\nl = 0.1, -0.2\nformat = csv\nc = 0.5\n")
+        args = _build_parser().parse_args(["gallery", "--config", str(cfg_file)])
+        cfg = build_config(args)
+        assert (cfg.tol, cfg.grid, cfg.l_values, cfg.fmt, cfg.c) == (1e-9, 3, (0.1, -0.2), "csv", 0.5)
+
+    def test_badly_typed_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("samples = many\n")
+        args = _build_parser().parse_args(["detq", "--config", str(cfg_file)])
+        with pytest.raises(ConfigError, match="config key samples"):
+            build_config(args)
+        assert main(["detq", "--config", str(cfg_file)]) == 2
+        assert "error: config key samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["config = other.cfg", "command = cases", "help = 1"])
+    def test_config_key_that_sets_no_run_field_rejected(self, tmp_path, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        args = _build_parser().parse_args(["detq", "--config", str(cfg_file)])
+        with pytest.raises(ConfigError, match="unknown config key"):
             build_config(args)
 
     def test_l_values_parsing(self):

@@ -183,12 +183,14 @@ class TestAdaptedFrame:
 
     @pytest.mark.parametrize("strip", [0.9999999, 1e-7])
     def test_flow_frame_orthonormal_near_degenerate_angle(self, strip):
-        # 0 < 1 - C^2 < FRAME_EPS: the fallback legs J N1, J N2 need scaling
+        # 0 < 1 - C^2 < FRAME_EPS: the fallback legs J N1, J N2 need scaling,
+        # and the other factor's pair loses its small normal part
         n, c, v = self._psi_frame(strip)
         assert 0.0 < 1.0 - c * c < FRAME_EPS
         frame = flow_frame(n, c, v)
         gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
         assert np.max(np.abs(gram - np.eye(3))) <= ORTHONORMAL_TOL
+        assert max(abs(product_metric(e, n)) for e in frame) < 1e-12
 
 
 class TestQMatrix:
