@@ -132,6 +132,11 @@ class RunConfig:
             raise ConfigError("--c must lie strictly between 0 and 1")
         if not (math.isfinite(self.k) and self.k >= 0.0):
             raise ConfigError("--k must be finite and non-negative")
+        if self.out is not None:
+            if os.path.isdir(self.out):
+                raise ConfigError(f"--out {self.out!r} is a directory")
+            if not os.path.isdir(os.path.dirname(self.out) or "."):
+                raise ConfigError(f"--out directory of {self.out!r} does not exist")
 
     def selected_cases(self) -> list[CaseId]:
         if self.case is None:

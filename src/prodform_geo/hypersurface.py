@@ -3,8 +3,10 @@
 An :class:`Immersion` is a map from a box in R^3 into the product, optionally
 with an analytic jacobian.  From it we derive tangent frames, the unit normal
 (by a generalized cross product in an orthonormal ambient frame), the product
-angle function C = <PN, N>, the shape operator by Richardson-extrapolated
-central differences of the normal field, and curvature invariants.
+angle function C = <PN, N>, the shape operator from the second fundamental
+form h_kl = <d_k d_l f, N>, and curvature invariants.  Derivatives of the
+chart are central differences at steps STEP, 2 STEP and 4 STEP, Richardson-
+extrapolated to order STEP^6.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .spaceform import (
     tangent_project,
 )
 
-#: base step for central differences
-FD_STEP = 1e-5
+#: smallest of the three central-difference steps STEP, 2 STEP, 4 STEP
+STEP = 8e-3
 
 #: smallest admissible singular value of the tangent map
 RANK_TOL = 1e-6
@@ -72,35 +74,36 @@ class Immersion:
         ]
 
 
-def _fd_step(u: np.ndarray) -> float:
-    return max(FD_STEP, FD_STEP * float(np.linalg.norm(u)))
+def _richardson(difference: Callable[[float], np.ndarray]) -> np.ndarray:
+    """Two Richardson rounds on a central difference taken at STEP, 2 STEP and 4 STEP."""
+    return (64.0 * difference(STEP) - 20.0 * difference(2.0 * STEP) + difference(4.0 * STEP)) / 45.0
+
+
+def _chart_coords(imm: Immersion, u: np.ndarray) -> np.ndarray:
+    q = imm.chart(u)
+    return np.concatenate((q.first.coords, q.second.coords))
 
 
 def tangent_basis(imm: Immersion, u: np.ndarray) -> tuple[ProductVector, ProductVector, ProductVector]:
     """Coordinate tangent vectors of the immersion at parameter u.
 
-    Uses the analytic jacobian when available, otherwise second-order central
-    differences of the chart with components projected onto the factor
-    tangent spaces.
+    Uses the analytic jacobian when available, otherwise Richardson-
+    extrapolated central differences of the chart with components projected
+    onto the factor tangent spaces.
     """
     u = np.asarray(u, dtype=float)
     if imm.jacobian is not None:
         basis = imm.jacobian(u)
     else:
         p = imm.chart(u)
-        h = _fd_step(u)
+        split = p.first.coords.size
         vectors = []
-        for k in range(3):
-            du = np.zeros(3)
-            du[k] = h
-            plus = imm.chart(u + du)
-            minus = imm.chart(u - du)
-            d1 = (plus.first.coords - minus.first.coords) / (2.0 * h)
-            d2 = (plus.second.coords - minus.second.coords) / (2.0 * h)
+        for du in np.eye(3):
+            d = _richardson(lambda s: (_chart_coords(imm, u + s * du) - _chart_coords(imm, u - s * du)) / (2 * s))
             vectors.append(
                 ProductVector(
-                    ModelVector(p.first, tangent_project(p.first, d1)),
-                    ModelVector(p.second, tangent_project(p.second, d2)),
+                    ModelVector(p.first, tangent_project(p.first, d[:split])),
+                    ModelVector(p.second, tangent_project(p.second, d[split:])),
                 )
             )
         basis = tuple(vectors)
@@ -138,8 +141,8 @@ def unit_normal(
     components in an orthonormal ambient frame, computed as a generalized
     cross product.  The sign makes (e1, e2, e3, N) positively oriented in the
     frame induced by the factor rotations J; that convention is deterministic
-    and does not depend on the frame representative.  A ``hint`` vector
-    overrides the sign to keep a family of normals coherent.
+    and does not depend on the frame representative.  A ``hint`` vector at
+    the same point overrides the sign to keep a family of normals coherent.
     """
     u = np.asarray(u, dtype=float)
     if basis is None:
@@ -167,14 +170,8 @@ def unit_normal(
         frame[0].first.scale(n[0]) + frame[1].first.scale(n[1]),
         frame[2].second.scale(n[2]) + frame[3].second.scale(n[3]),
     )
-    if hint is not None:
-        # hint may live at a nearby point (finite differencing), so align
-        # through the raw ambient pairing instead of the strict metric
-        align = form(p.kappa1, normal.first.coords, hint.first.coords) + form(
-            p.kappa2, normal.second.coords, hint.second.coords
-        )
-        if align < 0.0:
-            normal = -normal
+    if hint is not None and product_metric(normal, hint) < 0.0:
+        normal = -normal
     return normal
 
 
@@ -283,10 +280,12 @@ class ShapeRecord(ShapeInvariants):
         return np.linalg.eigvalsh(self.A)
 
 
-def _check_orthonormal(basis: Sequence[ProductVector]) -> None:
+def _check_orthonormal(basis: Sequence[ProductVector], n: ProductVector) -> None:
     gram = np.array([[product_metric(a, b) for b in basis] for a in basis])
     if float(np.max(np.abs(gram - np.eye(3)))) > ORTHONORMAL_TOL:
         raise GeometryError("supplied basis is not orthonormal within 1e-8")
+    if max(abs(product_metric(b, n)) for b in basis) > ORTHONORMAL_TOL:
+        raise GeometryError("supplied basis is not tangent within 1e-8")
 
 
 def shape_operator(
@@ -295,21 +294,21 @@ def shape_operator(
     basis: Optional[Sequence[ProductVector]] = None,
     hint: Optional[ProductVector] = None,
 ) -> ShapeRecord:
-    """Shape operator A_ij = -<grad_{e_i} N, e_j> by differencing the normal.
+    """Shape operator A_ij = <grad_{e_i} e_j, N> from the second fundamental form.
 
-    The normal field is differentiated along the parameter directions with
-    central differences at two step sizes and Richardson-combined; directional
-    derivatives along the basis follow from the Gram solve that expresses each
-    basis vector in coordinate tangents.  The result is symmetrized.
+    h_kl = <d_k d_l f, N> is the Hessian at u of the height v -> <f(v) - f(u), N>
+    in the flat ambient form of each factor, which suffices because N is
+    tangent to each factor quadric; A = coeff h coeff^T, where coeff
+    expresses the basis in coordinate tangents.
     """
     u = np.asarray(u, dtype=float)
     tangents = tangent_basis(imm, u)
+    n = unit_normal(imm, u, hint=hint, basis=tangents)
     if basis is None:
         basis = gram_schmidt(tangents)
     else:
         basis = tuple(basis)
-        _check_orthonormal(basis)
-    n = unit_normal(imm, u, hint=hint, basis=tangents)
+        _check_orthonormal(basis, n)
 
     gram = np.array([[product_metric(a, b) for b in tangents] for a in basis])
     coeff = np.linalg.solve(
@@ -317,41 +316,32 @@ def shape_operator(
         gram.T,
     ).T  # coeff[i] expresses basis[i] in the coordinate tangents
 
-    h = _fd_step(u)
-    dn = [_normal_derivative(imm, u, k, h, n) for k in range(3)]
+    p = n.base
 
-    a = np.empty((3, 3))
-    for i in range(3):
-        d1 = sum(coeff[i, k] * dn[k][0] for k in range(3))
-        d2 = sum(coeff[i, k] * dn[k][1] for k in range(3))
-        for j in range(3):
-            a[i, j] = -(
-                form(imm.kappa1, d1, basis[j].first.coords)
-                + form(imm.kappa2, d2, basis[j].second.coords)
-            )
-    a = 0.5 * (a + a.T)
-    c, _ = angle_of_normal(n)
-    return ShapeRecord(A=a, basis=tuple(basis), normal=n, kappa1=imm.kappa1, kappa2=imm.kappa2, C=c)
-
-
-def _normal_derivative(
-    imm: Immersion, u: np.ndarray, k: int, h: float, center: ProductVector
-) -> tuple[np.ndarray, np.ndarray]:
-    """Richardson-extrapolated derivative of the normal field along u^k."""
-
-    def central(step: float) -> tuple[np.ndarray, np.ndarray]:
-        du = np.zeros(3)
-        du[k] = step
-        np_plus = unit_normal(imm, u + du, hint=center)
-        np_minus = unit_normal(imm, u - du, hint=center)
-        return (
-            (np_plus.first.coords - np_minus.first.coords) / (2.0 * step),
-            (np_plus.second.coords - np_minus.second.coords) / (2.0 * step),
+    def height(v: np.ndarray) -> float:
+        q = imm.chart(v)
+        return form(imm.kappa1, q.first.coords - p.first.coords, n.first.coords) + form(
+            imm.kappa2, q.second.coords - p.second.coords, n.second.coords
         )
 
-    f1, s1 = central(h)
-    f2, s2 = central(2.0 * h)
-    return (4.0 * f1 - f2) / 3.0, (4.0 * s1 - s2) / 3.0
+    def second_difference(s: float) -> np.ndarray:
+        e = s * np.eye(3)
+        h = np.empty((3, 3))
+        for k in range(3):
+            h[k, k] = (height(u + e[k]) + height(u - e[k])) / s**2
+            for l in range(k):
+                h[k, l] = h[l, k] = (
+                    height(u + e[k] + e[l])
+                    - height(u + e[k] - e[l])
+                    - height(u - e[k] + e[l])
+                    + height(u - e[k] - e[l])
+                ) / (4.0 * s**2)
+        return h
+
+    a = coeff @ _richardson(second_difference) @ coeff.T
+    a = 0.5 * (a + a.T)
+    c, _ = angle_of_normal(n)
+    return ShapeRecord(A=a, basis=basis, normal=n, kappa1=imm.kappa1, kappa2=imm.kappa2, C=c)
 
 
 def ricci(x: ProductVector, rec: ShapeRecord) -> float:

@@ -169,7 +169,7 @@ def test_criterion_6_jacobi_vs_numeric_flow():
                 frame_l, n_l = transported_frame(imm, u, l)
                 rec_l = shape_operator(flowed, u, basis=frame_l, hint=n_l)
                 worst = max(worst, float(np.max(np.abs(a_jacobi - rec_l.A))))
-    ok = worst < 1e-4
+    ok = worst < 1e-8
     _report(
         6,
         "closed-form A_l vs numeric shape operator of the flowed immersion",

@@ -149,8 +149,17 @@ class TestCommands:
 
 
 class TestDeterminism:
-    def test_reports_are_byte_identical_for_fixed_seed(self):
-        cfg = make_config(command="detq", case="s2r2", samples=10, seed=42)
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(command="detq", case="s2r2", samples=10, seed=42),
+            dict(command="gallery", family="psi", grid=2),
+            dict(command="flow", grid=2),
+        ],
+        ids=["detq", "gallery", "flow"],
+    )
+    def test_reports_are_byte_identical_for_fixed_seed(self, settings):
+        cfg = make_config(**settings)
         body1 = render_json(run(cfg))
         body2 = render_json(run(cfg))
         assert body1 == body2
@@ -250,6 +259,17 @@ class TestEntryPoint:
         assert code == 0
         body = json.loads(out.read_text())
         assert body["summary"]["failed"] == 0
+
+    def test_out_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main(["cases", "--samples", "1", "--out", str(out)]) == 2
+        assert "error: --out directory" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_out_naming_a_directory_is_usage_error(self, tmp_path, capsys):
+        assert main(["cases", "--samples", "1", "--out", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         out = tmp_path / "r.json"

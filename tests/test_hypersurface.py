@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prodform_geo import hypersurface
 from prodform_geo.ambient import ProductPoint, ProductVector, product_metric
 from prodform_geo.classify import (
     ExampleSpec,
@@ -22,6 +23,7 @@ from prodform_geo.hypersurface import (
     tangent_basis,
     unit_normal,
 )
+from prodform_geo.jacobi import flow_frame
 from prodform_geo.spaceform import (
     DegeneratePointError,
     GeometryError,
@@ -81,8 +83,8 @@ class TestTangentBasis:
             ta = tangent_basis(analytic, u)
             tn = tangent_basis(numeric, u)
             for a, b in zip(ta, tn):
-                assert np.max(np.abs(a.first.coords - b.first.coords)) < 1e-8
-                assert np.max(np.abs(a.second.coords - b.second.coords)) < 1e-8
+                assert np.max(np.abs(a.first.coords - b.first.coords)) < 1e-12
+                assert np.max(np.abs(a.second.coords - b.second.coords)) < 1e-12
 
     def test_degenerate_immersion_detected(self):
         def chart(u):
@@ -241,6 +243,36 @@ class TestShapeOperator:
         t = tangent_basis(imm, u)
         with pytest.raises(GeometryError):
             shape_operator(imm, u, basis=t)
+
+    def test_basis_with_normal_part_rejected(self):
+        # orthonormal, but the first leg leans 1e-4 toward the normal
+        imm = psi_immersion()
+        u = GRID[1]
+        n = unit_normal(imm, u)
+        c, v = angle_of_normal(n)
+        e1, e2, e3 = flow_frame(n, c, v)
+        tilted = (e1 + n.scale(1e-4)).scale(1.0 / math.sqrt(1.0 + 1e-8))
+        with pytest.raises(GeometryError, match="not tangent"):
+            shape_operator(imm, u, basis=(tilted, e2, e3), hint=n)
+
+    def test_jacobian_free_chart_matches_analytic(self):
+        analytic = psi_immersion()
+        numeric = psi_without_jacobian()
+        for u in GRID:
+            gap = np.max(np.abs(shape_operator(numeric, u).A - shape_operator(analytic, u).A))
+            assert gap < 1e-9
+
+    def test_one_unit_normal_call_per_shape(self, monkeypatch):
+        calls = []
+        original = hypersurface.unit_normal
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hypersurface, "unit_normal", counted)
+        shape_operator(psi_immersion(), GRID[1])
+        assert len(calls) == 1
 
     def test_record_enforces_symmetry(self):
         imm = psi_immersion()
