@@ -332,6 +332,9 @@ class ExampleSpec:
     def __post_init__(self):
         if self.family not in (FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE, FAMILY_PSI):
             raise GeometryError(f"unknown example family {self.family!r}")
+        for name in ("k", "c", "V0", "W0", "X0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.family == FAMILY_PSI:
             if (self.kappa1, self.kappa2) != (-1, 0):
                 raise GeometryError("the ruled example lives in the hyperbolic-times-flat product")
@@ -339,10 +342,11 @@ class ExampleSpec:
                 raise GeometryError(f"the strip constant must satisfy 0 < c < 1, got {self.c}")
             v0 = np.asarray(self.V0, dtype=float)
             w0 = np.asarray(self.W0, dtype=float)
-            if (
-                abs(v0 @ v0 - 1.0) > 1e-12
-                or abs(w0 @ w0 - 1.0) > 1e-12
-                or abs(v0 @ w0) > 1e-12
+            # each comparison is false for NaN
+            if not (
+                abs(v0 @ v0 - 1.0) <= 1e-12
+                and abs(w0 @ w0 - 1.0) <= 1e-12
+                and abs(v0 @ w0) <= 1e-12
             ):
                 raise GeometryError("V0 and W0 must be orthonormal in the flat factor")
         else:

@@ -615,14 +615,18 @@ def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a unique temp file in the same directory.
 
     Concurrent writers never share a temp file, and the temp file is removed
-    when the write or the rename fails.
+    when the write or the rename fails.  The report gets the mode ``open``
+    gives a new file, 0o666 less the umask, not the temp file's 0o600.
     """
     fd, tmp = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
     )
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

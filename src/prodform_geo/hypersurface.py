@@ -12,8 +12,8 @@ extrapolated to order STEP^6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -291,7 +291,7 @@ def _check_orthonormal(basis: Sequence[ProductVector], n: ProductVector) -> None
 def shape_operator(
     imm: Immersion,
     u: np.ndarray,
-    basis: Optional[Sequence[ProductVector]] = None,
+    basis: Union[None, Sequence[ProductVector], Callable[[ProductVector], Sequence[ProductVector]]] = None,
     hint: Optional[ProductVector] = None,
 ) -> ShapeRecord:
     """Shape operator A_ij = <grad_{e_i} e_j, N> from the second fundamental form.
@@ -299,15 +299,27 @@ def shape_operator(
     h_kl = <d_k d_l f, N> is the Hessian at u of the height v -> <f(v) - f(u), N>
     in the flat ambient form of each factor, which suffices because N is
     tangent to each factor quadric; A = coeff h coeff^T, where coeff
-    expresses the basis in coordinate tangents.
+    expresses the basis in coordinate tangents.  ``basis`` is an orthonormal
+    tangent basis, a function that builds one from the unit normal, or None
+    for the Gram-Schmidt basis of the coordinate tangents.  Each chart point
+    is evaluated once per call: without a jacobian, the tangent differences
+    and the Hessian's diagonal read the same points u +- s e_k.
     """
     u = np.asarray(u, dtype=float)
-    tangents = tangent_basis(imm, u)
+    points: dict[bytes, ProductPoint] = {}
+
+    def chart(v: np.ndarray) -> ProductPoint:
+        key = v.tobytes()
+        if key not in points:
+            points[key] = imm.chart(v)
+        return points[key]
+
+    tangents = tangent_basis(replace(imm, chart=chart), u)
     n = unit_normal(imm, u, hint=hint, basis=tangents)
     if basis is None:
         basis = gram_schmidt(tangents)
     else:
-        basis = tuple(basis)
+        basis = tuple(basis(n) if callable(basis) else basis)
         _check_orthonormal(basis, n)
 
     gram = np.array([[product_metric(a, b) for b in tangents] for a in basis])
@@ -319,7 +331,7 @@ def shape_operator(
     p = n.base
 
     def height(v: np.ndarray) -> float:
-        q = imm.chart(v)
+        q = chart(v)
         return form(imm.kappa1, q.first.coords - p.first.coords, n.first.coords) + form(
             imm.kappa2, q.second.coords - p.second.coords, n.second.coords
         )

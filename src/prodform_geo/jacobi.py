@@ -478,19 +478,20 @@ def adapted_frame(
     return e1, e2, e3
 
 
-def flow_frame(
-    n: ProductVector, c: float, v: ProductVector
-) -> tuple[ProductVector, ProductVector, ProductVector]:
-    """Frame that diagonalizes the Jacobi blocks, valid also at C^2 = 1.
+def flow_frame(n: ProductVector) -> tuple[ProductVector, ProductVector, ProductVector]:
+    """Frame at the unit normal n that diagonalizes the Jacobi blocks, also at C^2 = 1.
 
-    Away from the degenerate values this is the adapted frame.  At C = 1 the
-    normal lies in the first factor: the curvature block acts on (J N1, 0)
-    while the whole second factor is flat, so any orthonormal pair there fills
-    the two zero-frequency slots (and symmetrically at C = -1).  Near those
-    values J N1 and J N2 have norms sqrt((1 + C)/2) and sqrt((1 - C)/2), and
-    are scaled to unit length; the normal still has a small part in the
-    factor of the pair, so the pair is projected onto the tangent space.
+    The angle value C and the tangent part V come from n through
+    ``angle_of_normal``.  Away from the degenerate values this is the adapted
+    frame.  At C = 1 the normal lies in the first factor: the curvature block
+    acts on (J N1, 0) while the whole second factor is flat, so any
+    orthonormal pair there fills the two zero-frequency slots (and
+    symmetrically at C = -1).  Near those values J N1 and J N2 have norms
+    sqrt((1 + C)/2) and sqrt((1 - C)/2), and are scaled to unit length; the
+    normal still has a small part in the factor of the pair, so the pair is
+    projected onto the tangent space.
     """
+    c, v = angle_of_normal(n)
     if 1.0 - c * c >= FRAME_EPS:
         return adapted_frame(n, c, v)
     p = n.base
@@ -515,22 +516,10 @@ def flow_frame(
     return e1, e2, e3
 
 
-def _flow_frame_at(
-    imm: Immersion, u: np.ndarray
-) -> tuple[ProductVector, float, tuple[ProductVector, ProductVector, ProductVector]]:
-    """Unit normal at u, its angle value and the flow frame they determine."""
-    n = unit_normal(imm, u)
-    c, v = angle_of_normal(n)
-    return n, c, flow_frame(n, c, v)
-
-
 def frame_shape_at(imm: Immersion, u: np.ndarray) -> tuple[FrameShape, CaseParams, ShapeRecord]:
-    """Shape data at a parameter value, expressed in the flow frame."""
-    u = np.asarray(u, dtype=float)
-    n, c, frame = _flow_frame_at(imm, u)
-    rec = shape_operator(imm, u, basis=frame, hint=n)
-    fs = FrameShape.from_record(rec)
-    return fs, CaseParams(imm.kappa1, imm.kappa2, c), rec
+    """Shape data at a parameter value, expressed in the flow frame of its normal."""
+    rec = shape_operator(imm, u, basis=flow_frame)
+    return FrameShape.from_record(rec), CaseParams(imm.kappa1, imm.kappa2, rec.C), rec
 
 
 def parallel_immersion(imm: Immersion, l: float) -> Immersion:
@@ -542,9 +531,8 @@ def parallel_immersion(imm: Immersion, l: float) -> Immersion:
     """
 
     def chart(u: np.ndarray) -> ProductPoint:
-        p = imm.chart(u)
         n = unit_normal(imm, u)
-        return product_exp(p, n, l)
+        return product_exp(n.base, n, l)
 
     label = f"{imm.name}|flow l={l:g}" if imm.name else f"flow l={l:g}"
     return Immersion(
@@ -561,9 +549,6 @@ def transported_frame(
     imm: Immersion, u: np.ndarray, l: float
 ) -> tuple[tuple[ProductVector, ProductVector, ProductVector], ProductVector]:
     """Flow frame carried to the parallel hypersurface, with the flowed normal."""
-    u = np.asarray(u, dtype=float)
-    n, _, frame = _flow_frame_at(imm, u)
-    p = imm.chart(u)
-    moved = tuple(product_transport(p, n, l, e) for e in frame)
-    n_l = product_velocity(p, n, l)
-    return moved, n_l
+    n = unit_normal(imm, u)
+    p = n.base
+    return tuple(product_transport(p, n, l, e) for e in flow_frame(n)), product_velocity(p, n, l)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,21 @@ class TestBuildExample:
             ExampleSpec(family=FAMILY_PSI, V0=(1.0, 0.0), W0=(1.0, 0.0))
         with pytest.raises(GeometryError):
             ExampleSpec(family=FAMILY_PSI, V0=(2.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "family, field, value",
+        [
+            (FAMILY_CURVE_X_FACTOR, "k", math.nan),
+            (FAMILY_FACTOR_X_CURVE, "k", math.inf),
+            (FAMILY_PSI, "c", math.nan),
+            (FAMILY_PSI, "V0", (math.nan, 0.0)),
+            (FAMILY_PSI, "W0", (0.0, math.inf)),
+            (FAMILY_PSI, "X0", (math.inf, 0.0)),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, family, field, value):
+        with pytest.raises(GeometryError, match=f"{field} must be finite"):
+            ExampleSpec(family=family, **{field: value})
 
     def test_psi_wrong_product_rejected(self):
         with pytest.raises(GeometryError):

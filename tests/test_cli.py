@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import pytest
 
@@ -275,6 +276,16 @@ class TestEntryPoint:
         out = tmp_path / "r.json"
         main(["cases", "--case", "s2r2", "--samples", "5", "--out", str(out)])
         assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_report_gets_the_mode_of_a_plain_file(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            main(["cases", "--case", "s2r2", "--samples", "5", "--out", str(tmp_path / "r.json")])
+            (tmp_path / "plain").write_text("")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "r.json").st_mode) == 0o644
+        assert stat.S_IMODE(os.stat(tmp_path / "plain").st_mode) == 0o644
 
     def test_atomic_write_removes_tmp_when_rename_fails(self, tmp_path, monkeypatch):
         def refuse(src, dst):

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from prodform_geo import hypersurface
+from prodform_geo import hypersurface, jacobi
 from prodform_geo.ambient import ProductPoint, ProductVector, product_metric
 from prodform_geo.classify import (
     ExampleSpec,
@@ -11,6 +12,7 @@ from prodform_geo.classify import (
     FAMILY_FACTOR_X_CURVE,
     FAMILY_PSI,
     build_example,
+    build_perturbed_psi,
 )
 from prodform_geo.hypersurface import (
     Immersion,
@@ -23,7 +25,7 @@ from prodform_geo.hypersurface import (
     tangent_basis,
     unit_normal,
 )
-from prodform_geo.jacobi import flow_frame
+from prodform_geo.jacobi import flow_frame, frame_shape_at
 from prodform_geo.spaceform import (
     DegeneratePointError,
     GeometryError,
@@ -46,6 +48,16 @@ def psi_without_jacobian(c=0.25):
         jacobian=None,
         name="psi-fd",
     )
+
+
+def counting(fn, calls):
+    """``fn``, appending the positional arguments of each call to ``calls``."""
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 GRID = [
@@ -249,8 +261,7 @@ class TestShapeOperator:
         imm = psi_immersion()
         u = GRID[1]
         n = unit_normal(imm, u)
-        c, v = angle_of_normal(n)
-        e1, e2, e3 = flow_frame(n, c, v)
+        e1, e2, e3 = flow_frame(n)
         tilted = (e1 + n.scale(1e-4)).scale(1.0 / math.sqrt(1.0 + 1e-8))
         with pytest.raises(GeometryError, match="not tangent"):
             shape_operator(imm, u, basis=(tilted, e2, e3), hint=n)
@@ -263,16 +274,29 @@ class TestShapeOperator:
             assert gap < 1e-9
 
     def test_one_unit_normal_call_per_shape(self, monkeypatch):
+        # one tangent basis and one unit normal per shape, also in the flow
+        # frame; jacobi binds unit_normal at import, so both names are counted
+        calls = {"tangent_basis": [], "unit_normal": []}
+        for name, seen in calls.items():
+            monkeypatch.setattr(hypersurface, name, counting(getattr(hypersurface, name), seen))
+        monkeypatch.setattr(jacobi, "unit_normal", hypersurface.unit_normal)
+        for shape in (shape_operator, frame_shape_at):
+            for seen in calls.values():
+                seen.clear()
+            shape(psi_immersion(), GRID[1])
+            assert {name: len(seen) for name, seen in calls.items()} == {
+                "tangent_basis": 1,
+                "unit_normal": 1,
+            }, shape.__name__
+
+    def test_jacobian_free_shape_evaluates_each_chart_point_once(self):
+        # u, u +- s e_k at three steps (shared by both stencils), and
+        # u +- s e_k +- s e_l for the three pairs k < l at three steps
         calls = []
-        original = hypersurface.unit_normal
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(hypersurface, "unit_normal", counted)
-        shape_operator(psi_immersion(), GRID[1])
-        assert len(calls) == 1
+        imm = build_perturbed_psi(0.25)
+        shape_operator(replace(imm, chart=counting(imm.chart, calls)), GRID[1])
+        assert len(calls) == 55
+        assert len({args[0].tobytes() for args in calls}) == 55
 
     def test_record_enforces_symmetry(self):
         imm = psi_immersion()

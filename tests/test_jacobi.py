@@ -177,7 +177,7 @@ class TestAdaptedFrame:
         with pytest.raises(FrameDegenerateError):
             adapted_frame(n, c, v)
         # the flow frame covers the degenerate case and stays orthonormal
-        frame = flow_frame(n, c, v)
+        frame = flow_frame(n)
         gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
@@ -187,7 +187,7 @@ class TestAdaptedFrame:
         # and the other factor's pair loses its small normal part
         n, c, v = self._psi_frame(strip)
         assert 0.0 < 1.0 - c * c < FRAME_EPS
-        frame = flow_frame(n, c, v)
+        frame = flow_frame(n)
         gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
         assert np.max(np.abs(gram - np.eye(3))) <= ORTHONORMAL_TOL
         assert max(abs(product_metric(e, n)) for e in frame) < 1e-12
@@ -287,6 +287,21 @@ class TestParallelImmersion:
         u = np.array([0.3, 0.2, -0.6])
         assert np.allclose(flowed.chart(u).first.coords, imm.chart(u).first.coords, atol=1e-14)
         assert np.allclose(flowed.chart(u).second.coords, imm.chart(u).second.coords, atol=1e-14)
+
+    def test_flow_starts_from_the_normal_base_point(self):
+        # the jacobian already gives the base point: no chart call is needed
+        imm = build_example(ExampleSpec(family=FAMILY_PSI, c=0.25))
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return imm.chart(u)
+
+        charted = replace(imm, chart=counted)
+        u = np.array([0.3, 0.2, -0.6])
+        parallel_immersion(charted, 0.1).chart(u)
+        transported_frame(charted, u, 0.1)
+        assert calls == []
 
     def test_circle_radius_flows_linearly(self):
         imm = build_example(
