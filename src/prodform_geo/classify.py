@@ -28,7 +28,7 @@ from .jacobi import (
     horner,
     parallel_mean_curvature,
 )
-from .spaceform import GeometryError, ModelPoint, ModelVector, zero_vector
+from .spaceform import KAPPAS, GeometryError, ModelPoint, ModelVector, zero_vector
 
 
 class CaseId(enum.Enum):
@@ -335,6 +335,9 @@ class ExampleSpec:
         for name in ("k", "c", "V0", "W0", "X0"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("kappa1", "kappa2"):
+            if getattr(self, name) not in KAPPAS:
+                raise GeometryError(f"{name} must be one of {KAPPAS}, got {getattr(self, name)!r}")
         if self.family == FAMILY_PSI:
             if (self.kappa1, self.kappa2) != (-1, 0):
                 raise GeometryError("the ruled example lives in the hyperbolic-times-flat product")
@@ -591,90 +594,81 @@ class StatSummary:
 
     mean: float
     max_dev: float  # largest |value - mean|
-    spread: float  # max - min
-    std: float
 
     @classmethod
     def of(cls, values: Sequence[float]) -> "StatSummary":
         arr = np.asarray(values, dtype=float)
         mean = float(np.mean(arr))
-        return cls(
-            mean=mean,
-            max_dev=float(np.max(np.abs(arr - mean))),
-            spread=float(np.max(arr) - np.min(arr)),
-            std=float(np.std(arr)),
-        )
+        return cls(mean=mean, max_dev=float(np.max(np.abs(arr - mean))))
 
 
 @dataclass(frozen=True)
 class IsoparametricReport:
+    """What ``isoparametric_report`` measured on one grid; it judges nothing.
+
+    ``records`` holds the flow-frame shape record of each grid point and
+    ``h_values`` the H(l) of each point for each entry of ``l_samples``, in
+    order, with None at a focal point.  The statistics summarize them:
+    ``mean_curvature`` maps each distinct l to its H values over the
+    non-focal points.
+    """
+
     name: str
-    grid_points: int
     l_samples: tuple[float, ...]
-    tol: float
     angle: StatSummary
     principal: tuple[StatSummary, StatSummary, StatSummary]
     mean_curvature: dict[float, StatSummary]
-    focal_events: tuple[str, ...]
-    angle_pass: bool
-    principal_pass: bool
-    mean_curvature_pass: bool
-    #: the shape record at each grid point, in grid order
     records: tuple[ShapeRecord, ...] = field(repr=False)
+    h_values: tuple[tuple[Optional[float], ...], ...] = field(repr=False)
 
     @property
-    def passed(self) -> bool:
-        return self.angle_pass and self.principal_pass and self.mean_curvature_pass
+    def grid_points(self) -> int:
+        return len(self.records)
+
+    @property
+    def focal_events(self) -> int:
+        return sum(h is None for hs in self.h_values for h in hs)
 
 
 def isoparametric_report(
     imm: Immersion,
     grid: Optional[Sequence[np.ndarray]] = None,
     l_samples: Sequence[float] = (-0.2, -0.1, 0.1, 0.2),
-    tol: float = 1e-5,
 ) -> IsoparametricReport:
-    """Constancy report for the angle, principal curvatures and flow H(l).
+    """Measure the angle, principal curvatures and flow H(l) over a grid.
 
-    The parallel mean curvature H(l) is evaluated through the det Q closed
-    form from the shape data at each grid point; focal points are recorded
-    and the run continues.  Each statistic passes when its largest deviation
-    over the grid stays below ``tol``.
+    Each grid point gets one flow-frame shape record, and H(l) comes from
+    the det Q closed form of its frame shape; a focal point gives None and
+    the walk continues.  The report holds measurements only: the checks
+    and their tolerances belong to the caller.
     """
     if grid is None:
         grid = imm.grid(5)
     l_samples = tuple(float(l) for l in l_samples)
 
-    h_of_l: dict[float, list[float]] = {l: [] for l in l_samples}
-    focal: list[str] = []
     records: list[ShapeRecord] = []
-
+    h_values: list[tuple[Optional[float], ...]] = []
+    h_of_l: dict[float, list[float]] = {l: [] for l in l_samples}
     for u in grid:
         fs, cp, rec = frame_shape_at(imm, u)
         records.append(rec)
+        hs: list[Optional[float]] = []
         for l in l_samples:
             try:
-                h_of_l[l].append(parallel_mean_curvature(fs, cp, l))
+                hs.append(parallel_mean_curvature(fs, cp, l))
+                h_of_l[l].append(hs[-1])
             except FocalPointError:
-                focal.append(f"focal point at u={np.asarray(u).tolist()}, l={l:g}")
+                hs.append(None)
+        h_values.append(tuple(hs))
 
     principals = [rec.principal_curvatures() for rec in records]
-    principal_stats = tuple(
-        StatSummary.of([pc[i] for pc in principals]) for i in range(3)
-    )
-    angle_stats = StatSummary.of([rec.C for rec in records])
-    h_stats = {l: StatSummary.of(vals) for l, vals in h_of_l.items() if vals}
 
     return IsoparametricReport(
         name=imm.name,
-        grid_points=len(records),
         l_samples=l_samples,
-        tol=tol,
-        angle=angle_stats,
-        principal=principal_stats,
-        mean_curvature=h_stats,
-        focal_events=tuple(focal),
-        angle_pass=angle_stats.max_dev <= tol,
-        principal_pass=all(s.max_dev <= tol for s in principal_stats),
-        mean_curvature_pass=all(s.max_dev <= tol for s in h_stats.values()),
+        angle=StatSummary.of([rec.C for rec in records]),
+        principal=tuple(StatSummary.of([pc[i] for pc in principals]) for i in range(3)),
+        mean_curvature={l: StatSummary.of(vals) for l, vals in h_of_l.items() if vals},
         records=tuple(records),
+        h_values=tuple(h_values),
     )

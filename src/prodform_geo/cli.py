@@ -58,12 +58,10 @@ from .classify import (
 # run into segments on calls of cli.shape_operator, so the name must stay
 from .hypersurface import ricci, shape_operator
 from .jacobi import (
-    FocalPointError,
     FrameShape,
     detq_closed_form,
     detq_derivative_formula,
     detq_derivatives,
-    frame_shape_at,
     parallel_mean_curvature,
     parallel_shape,
     q_matrix,
@@ -489,7 +487,7 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
 
     for spec in _gallery_selection(cfg):
         imm = build_example(spec)
-        rep = isoparametric_report(imm, grid=imm.grid(cfg.grid), l_samples=cfg.l_values, tol=tol_curv)
+        rep = isoparametric_report(imm, grid=imm.grid(cfg.grid), l_samples=cfg.l_values)
 
         angle_tracker = ErrorTracker()
         angle_tracker.record_abs(rep.angle.max_dev, scale=0.0)
@@ -548,9 +546,7 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
         )
 
     if control_c is not None:
-        control = isoparametric_report(
-            build_perturbed_psi(control_c), l_samples=cfg.l_values, tol=1e-3
-        )
+        control = isoparametric_report(build_perturbed_psi(control_c), l_samples=cfg.l_values)
         report.add(
             CheckResult(
                 name="psi_negative_control_fails",
@@ -571,36 +567,31 @@ def run_flow(cfg: RunConfig, report: VerificationReport) -> None:
     spec = ExampleSpec(family=family, kappa1=case.kappa1, kappa2=case.kappa2, k=cfg.k, c=cfg.c)
     imm = build_example(spec)
 
-    focal_events = 0
-    for u in imm.grid(cfg.grid):
-        fs, cp, rec = frame_shape_at(imm, u)
-        pcs = rec.principal_curvatures()
-        for l in (0.0,) + tuple(cfg.l_values):
-            row = {
-                "u1": float(u[0]),
-                "u2": float(u[1]),
-                "u3": float(u[2]),
-                "l": float(l),
-                "H": None,
-                "C": rec.C,
-                "k1": float(pcs[0]),
-                "k2": float(pcs[1]),
-                "k3": float(pcs[2]),
-            }
-            try:
-                row["H"] = parallel_mean_curvature(fs, cp, l)
-            except FocalPointError:
-                # recorded as a missing value; the run continues
-                focal_events += 1
-                row["H"] = None
-            report.rows.append(row)
+    grid = imm.grid(cfg.grid)
+    rep = isoparametric_report(imm, grid, l_samples=(0.0, *cfg.l_values))
+    for u, rec, hs in zip(grid, rep.records, rep.h_values):
+        k1, k2, k3 = (float(k) for k in rec.principal_curvatures())
+        for l, h in zip(rep.l_samples, hs):
+            report.rows.append(
+                {
+                    "u1": float(u[0]),
+                    "u2": float(u[1]),
+                    "u3": float(u[2]),
+                    "l": l,
+                    "H": h,  # None at a focal point; the run continues
+                    "C": rec.C,
+                    "k1": k1,
+                    "k2": k2,
+                    "k3": k3,
+                }
+            )
     report.add(
         CheckResult(
             name=f"{imm.name}.flow_dump",
             anchor="cli.flow.dump",
             samples=len(report.rows),
-            max_abs_err=float(focal_events),
-            max_rel_err=float(focal_events),
+            max_abs_err=float(rep.focal_events),
+            max_rel_err=float(rep.focal_events),
             passed=True,
         )
     )

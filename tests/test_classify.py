@@ -276,6 +276,12 @@ class TestBuildExample:
         with pytest.raises(GeometryError, match=f"{field} must be finite"):
             ExampleSpec(family=family, **{field: value})
 
+    @pytest.mark.parametrize("family", [FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE])
+    @pytest.mark.parametrize("field, value", [("kappa1", 5), ("kappa1", 1.5), ("kappa2", 7)])
+    def test_curvature_tag_outside_space_forms_rejected(self, family, field, value):
+        with pytest.raises(GeometryError, match=f"{field} must be one of"):
+            ExampleSpec(family=family, **{field: value})
+
     def test_psi_wrong_product_rejected(self):
         with pytest.raises(GeometryError):
             ExampleSpec(family=FAMILY_PSI, kappa1=1, kappa2=0)
@@ -295,28 +301,45 @@ class TestBuildExample:
             assert abs(lorentz_form(p.first.coords, p.first.coords) + 1.0) < 1e-12
 
 
+def _max_deviation(rep) -> float:
+    """Largest deviation from the grid mean over the angle, principal curvatures and H(l)."""
+    stats = [rep.angle, *rep.principal, *rep.mean_curvature.values()]
+    return max(s.max_dev for s in stats)
+
+
 class TestIsoparametricReport:
     def test_circle_times_factor_passes(self):
         imm = build_example(
             ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=1, kappa2=0, k=1.0)
         )
-        rep = isoparametric_report(imm, grid=imm.grid(3), tol=1e-5)
-        assert rep.passed
+        rep = isoparametric_report(imm, grid=imm.grid(3))
+        assert _max_deviation(rep) <= 1e-5
+        assert rep.focal_events == 0
         assert abs(abs(rep.angle.mean) - 1.0) < 1e-12
         pcs = sorted(abs(s.mean) for s in rep.principal)
         assert np.allclose(pcs, [0.0, 0.0, 1.0], atol=1e-6)
 
     def test_psi_passes_with_expected_angle(self):
         imm = build_example(ExampleSpec(family=FAMILY_PSI, c=0.25))
-        rep = isoparametric_report(imm, grid=imm.grid(3), tol=1e-5)
-        assert rep.passed
+        rep = isoparametric_report(imm, grid=imm.grid(3))
+        assert _max_deviation(rep) <= 1e-5
+        assert rep.focal_events == 0
         assert abs(rep.angle.mean - 0.5) < 1e-8
         assert rep.angle.max_dev < 1e-8
 
     def test_perturbed_psi_fails(self):
-        rep = isoparametric_report(build_perturbed_psi(0.25), tol=1e-3)
-        assert not rep.angle_pass
+        rep = isoparametric_report(build_perturbed_psi(0.25))
         assert rep.angle.max_dev > 1e-3
+
+    def test_focal_samples_are_left_out_of_h_statistics(self):
+        # a curvature-2 circle focalizes at distance 1/2 on one side
+        imm = build_example(
+            ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=1, kappa2=0, k=2.0)
+        )
+        rep = isoparametric_report(imm, grid=imm.grid(2), l_samples=(0.5, -0.5, 0.1))
+        assert [[h is None for h in hs] for hs in rep.h_values] == [[False, True, False]] * 2**3
+        assert rep.focal_events == 2**3
+        assert set(rep.mean_curvature) == {0.5, 0.1}
 
     def test_perturbed_strip_constant_above_one_rejected(self):
         # 0.95 (1 + 0.1 sin 1) > 1
@@ -335,6 +358,7 @@ class TestIsoparametricReport:
         assert report.all_passed
         for spec in gallery_specs():
             rep = reports[spec.label()]
-            assert rep.passed, f"{rep.name}: {rep}"
+            # run_gallery's default curvature tolerance
+            assert _max_deviation(rep) <= 1e-6, f"{rep.name}: {rep}"
             assert rep.grid_points == 5**3
-            assert not rep.focal_events
+            assert rep.focal_events == 0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 
@@ -147,6 +148,32 @@ class TestCommands:
         assert report.all_passed  # the dump itself is not a failure
         assert any(row["H"] is None for row in report.rows)
         assert any(row["H"] is not None for row in report.rows)
+        (dump,) = report.checks
+        assert dump.max_abs_err == sum(row["H"] is None for row in report.rows)
+
+    def test_flow_rows_come_from_the_isoparametric_report(self, monkeypatch):
+        reports = []
+        original = cli.isoparametric_report
+
+        def capture(*args, **kwargs):
+            reports.append(original(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "isoparametric_report", capture)
+        report = run(make_config(command="flow", grid=2, l_values=(0.1,)))
+        (rep,) = reports
+        assert rep.l_samples == (0.0, 0.1)
+        assert [row["H"] for row in report.rows] == [h for hs in rep.h_values for h in hs]
+        assert [row["C"] for row in report.rows] == [rec.C for rec in rep.records for _ in range(2)]
+
+    def test_flow_keeps_repeated_l_values_in_order(self):
+        report = run(make_config(command="flow", grid=2, l_values=(0.1, 0.1, -0.0)))
+        ls = [row["l"] for row in report.rows]
+        assert ls == [0.0, 0.1, 0.1, -0.0] * 2**3
+        assert [math.copysign(1.0, l) for l in ls[:4]] == [1.0, 1.0, 1.0, -1.0]
+        for point in range(2**3):
+            first, second = report.rows[4 * point + 1 : 4 * point + 3]
+            assert first == second
 
 
 class TestDeterminism:

@@ -212,15 +212,15 @@ class TestShapeOperator:
         )
         rec = shape_operator(imm, GRID[1])
         pcs = np.sort(np.abs(rec.principal_curvatures()))
-        assert np.max(np.abs(pcs - np.array([0.0, 0.0, k]))) < 1e-6
+        assert np.max(np.abs(pcs - np.array([0.0, 0.0, k]))) < 1e-9
 
     def test_geodesic_times_factor_is_totally_geodesic(self):
         imm = build_example(
             ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=-1, kappa2=0, k=0.0)
         )
         rec = shape_operator(imm, GRID[3])
-        assert np.max(np.abs(rec.A)) < 1e-7
-        assert abs(rec.H) < 1e-7 and abs(rec.K) < 1e-12
+        assert np.max(np.abs(rec.A)) < 1e-12
+        assert abs(rec.H) < 1e-12 and abs(rec.K) < 1e-12
 
     def test_trace_identity_links_invariants(self):
         imm = psi_immersion()
@@ -232,7 +232,7 @@ class TestShapeOperator:
                 - (rec.kappa1 + rec.kappa2)
                 + (rec.kappa1 - rec.kappa2) * rec.C
             )
-            assert abs(lhs - rhs) < 1e-8
+            assert abs(lhs - rhs) < 1e-13
 
     def test_basis_covariance_under_rotation(self):
         imm = psi_immersion()
@@ -247,7 +247,7 @@ class TestShapeOperator:
             for i in range(3)
         )
         rec_rot = shape_operator(imm, u, basis=rotated)
-        assert np.max(np.abs(rec_rot.A - r.T @ rec.A @ r)) < 1e-6
+        assert np.max(np.abs(rec_rot.A - r.T @ rec.A @ r)) < 1e-13
 
     def test_non_orthonormal_basis_rejected(self):
         imm = psi_immersion()

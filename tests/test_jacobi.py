@@ -536,4 +536,4 @@ class TestJacobiAgainstNumericFlow:
             flowed = parallel_immersion(imm, l)
             frame_l, n_l = transported_frame(imm, u, l)
             rec_l = shape_operator(flowed, u, basis=frame_l, hint=n_l)
-            assert np.max(np.abs(a_jacobi - rec_l.A)) < 1e-4
+            assert np.max(np.abs(a_jacobi - rec_l.A)) < 1e-8
