@@ -26,7 +26,6 @@ from .ambient import (
 from .hypersurface import (
     Immersion,
     ShapeRecord,
-    angle_function,
     ricci,
     shape_operator,
     tangent_basis,

@@ -606,9 +606,10 @@ class StatSummary:
 class IsoparametricReport:
     """What ``isoparametric_report`` measured on one grid; it judges nothing.
 
-    ``records`` holds the flow-frame shape record of each grid point and
-    ``h_values`` the H(l) of each point for each entry of ``l_samples``, in
-    order, with None at a focal point.  The statistics summarize them:
+    ``records`` holds the flow-frame shape record of each grid point,
+    ``principal_values`` its ascending principal curvatures and ``h_values``
+    its H(l) for each entry of ``l_samples``, in order, with None at a focal
+    point.  The statistics summarize them:
     ``mean_curvature`` maps each distinct l to its H values over the
     non-focal points.
     """
@@ -619,6 +620,7 @@ class IsoparametricReport:
     principal: tuple[StatSummary, StatSummary, StatSummary]
     mean_curvature: dict[float, StatSummary]
     records: tuple[ShapeRecord, ...] = field(repr=False)
+    principal_values: tuple[tuple[float, float, float], ...] = field(repr=False)
     h_values: tuple[tuple[Optional[float], ...], ...] = field(repr=False)
 
     @property
@@ -661,7 +663,7 @@ def isoparametric_report(
                 hs.append(None)
         h_values.append(tuple(hs))
 
-    principals = [rec.principal_curvatures() for rec in records]
+    principals = tuple(tuple(float(k) for k in rec.principal_curvatures()) for rec in records)
 
     return IsoparametricReport(
         name=imm.name,
@@ -670,5 +672,6 @@ def isoparametric_report(
         principal=tuple(StatSummary.of([pc[i] for pc in principals]) for i in range(3)),
         mean_curvature={l: StatSummary.of(vals) for l, vals in h_of_l.items() if vals},
         records=tuple(records),
+        principal_values=principals,
         h_values=tuple(h_values),
     )

@@ -195,32 +195,47 @@ class VerificationReport:
 
 
 class ErrorTracker:
-    """Running maxima of absolute and scale-relative errors."""
+    """One check: its name, anchor and tolerance, and its running error maxima.
 
-    def __init__(self):
+    ``record`` scales an error by max(1, |got|, |want|); ``record_abs`` takes
+    an unscaled error, so its relative error is the absolute one.  ``check``
+    judges the relative maximum, or the absolute one with ``judge_abs``.  A
+    NaN error, once recorded, stays the maximum and fails the check.
+    """
+
+    def __init__(self, name: str, anchor: str, tol: float, judge_abs: bool = False):
+        self.name = name
+        self.anchor = anchor
+        self.tol = tol
+        self.judge_abs = judge_abs
         self.max_abs = 0.0
         self.max_rel = 0.0
 
     def record(self, got: float, want: float) -> None:
         err = abs(got - want)
-        self.max_abs = max(self.max_abs, err)
-        self.max_rel = max(self.max_rel, err / max(1.0, abs(got), abs(want)))
+        self.max_abs = _worse(err, self.max_abs)
+        self.max_rel = _worse(err / max(1.0, abs(got), abs(want)), self.max_rel)
 
-    def record_abs(self, err: float, scale: float = 1.0) -> None:
+    def record_abs(self, err: float) -> None:
         err = abs(err)
-        self.max_abs = max(self.max_abs, err)
-        self.max_rel = max(self.max_rel, err / max(1.0, abs(scale)))
+        self.max_abs = _worse(err, self.max_abs)
+        self.max_rel = _worse(err, self.max_rel)
 
-    def check(self, name: str, anchor: str, samples: int, tol: float, use_rel: bool = True) -> CheckResult:
-        err = self.max_rel if use_rel else self.max_abs
+    def check(self, samples: int) -> CheckResult:
+        err = self.max_abs if self.judge_abs else self.max_rel
         return CheckResult(
-            name=name,
-            anchor=anchor,
+            name=self.name,
+            anchor=self.anchor,
             samples=samples,
             max_abs_err=self.max_abs,
             max_rel_err=self.max_rel,
-            passed=bool(err <= tol),
+            passed=bool(err <= self.tol),
         )
+
+
+def _worse(err: float, worst: float) -> float:
+    """The larger error, where NaN is larger than any number (``max`` would drop it)."""
+    return err if err > worst or err != err else worst
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +248,7 @@ def run_identities(cfg: RunConfig, report: VerificationReport) -> None:
     for case in cfg.selected_cases():
         rng = np.random.default_rng(cfg.seed)
         trackers = {
-            name: ErrorTracker()
+            name: ErrorTracker(f"{case.value}.{name}", f"ambient.{name}", tol)
             for name in (
                 "p_involution",
                 "p_symmetric",
@@ -279,15 +294,8 @@ def run_identities(cfg: RunConfig, report: VerificationReport) -> None:
             trackers["sectional_second"].record(curvature_tensor(b, jb, jb, b), float(case.kappa2))
             trackers["sectional_mixed"].record(curvature_tensor(a, b, b, a), 0.0)
 
-        for name, tracker in trackers.items():
-            report.add(
-                tracker.check(
-                    f"{case.value}.{name}",
-                    anchor=f"ambient.{name}",
-                    samples=cfg.samples,
-                    tol=tol,
-                )
-            )
+        for tracker in trackers.values():
+            report.add(tracker.check(cfg.samples))
 
 
 def _vector_gap(x: ProductVector, y: ProductVector) -> float:
@@ -363,9 +371,14 @@ def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
     for case in cfg.selected_cases():
         orders = (1, 2, 4, 6, 10) if case is CaseId.S2xH2 else (1, 2, 4, 6)
         rng = np.random.default_rng(cfg.seed)
-        derivative_trackers = {k: ErrorTracker() for k in orders}
-        det_tracker = ErrorTracker()
-        trace_tracker = ErrorTracker()
+        tag = case.value
+        derivative_trackers = {
+            k: ErrorTracker(f"{tag}.derivative_order_{k}", f"jacobi.detq.d{k}", tol) for k in orders
+        }
+        det_tracker = ErrorTracker(
+            f"{tag}.detq_matrix_vs_closed_form", "jacobi.detq.matrix_equivalence", tol_matrix, judge_abs=True
+        )
+        trace_tracker = ErrorTracker(f"{tag}.trace_vs_log_derivative", "jacobi.detq.jacobi_formula", tol)
 
         for _ in range(cfg.samples):
             closed, oracle = exact_derivatives(random_frame_shape(case, rng, exact=True), orders)
@@ -380,46 +393,28 @@ def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
             q = q_matrix(fsf, cpf, l)
             det_direct = float(np.linalg.det(q))
             det_closed = detq_closed_form(fsf, cpf, l)
-            det_tracker.record_abs(det_direct - det_closed, scale=0.0)
+            det_tracker.record_abs(det_direct - det_closed)
             if abs(det_closed) > 1e-3:
                 trace = float(np.trace(parallel_shape(q, q_matrix_prime(fsf, cpf, l))))
                 trace_tracker.record(trace, parallel_mean_curvature(fsf, cpf, l))
 
-        for k in orders:
-            report.add(
-                derivative_trackers[k].check(
-                    f"{case.value}.derivative_order_{k}",
-                    anchor=f"jacobi.detq.d{k}",
-                    samples=cfg.samples,
-                    tol=tol,
-                )
-            )
-        report.add(
-            det_tracker.check(
-                f"{case.value}.detq_matrix_vs_closed_form",
-                anchor="jacobi.detq.matrix_equivalence",
-                samples=cfg.samples,
-                tol=tol_matrix,
-                use_rel=False,
-            )
-        )
-        report.add(
-            trace_tracker.check(
-                f"{case.value}.trace_vs_log_derivative",
-                anchor="jacobi.detq.jacobi_formula",
-                samples=cfg.samples,
-                tol=tol,
-            )
-        )
+        for tracker in (*derivative_trackers.values(), det_tracker, trace_tracker):
+            report.add(tracker.check(cfg.samples))
 
 
 def run_cases(cfg: RunConfig, report: VerificationReport) -> None:
     tol = cfg.tolerance("cases")
     for case in cfg.selected_cases():
         rng = np.random.default_rng(cfg.seed)
-        annihilation = ErrorTracker()
-        roundtrip = ErrorTracker()
-        nonvanishing = ErrorTracker()
+        tag = case.value
+        # the annihilation tolerance is fixed: --tol does not reach it
+        annihilation = ErrorTracker(
+            f"{tag}.cubic_annihilates_angle", f"classify.{tag}.constancy_cubic", 1e-8, judge_abs=True
+        )
+        roundtrip = ErrorTracker(f"{tag}.invariants_round_trip", f"classify.{tag}.solved_system", tol)
+        nonvanishing = ErrorTracker(
+            f"{tag}.coefficients_nonvanishing", f"classify.{tag}.coefficient_guard", tol, judge_abs=True
+        )
         for _ in range(cfg.samples):
             c0 = float(rng.uniform(-0.9, 0.9))
             rho = float(rng.uniform(-3.0, 3.0))
@@ -431,40 +426,14 @@ def run_cases(cfg: RunConfig, report: VerificationReport) -> None:
             if coeff_scale == 0.0:
                 nonvanishing.record_abs(1.0)
             else:
-                annihilation.record_abs(
-                    poly.evaluate_at_angle(c0) / coeff_scale, scale=0.0
-                )
+                annihilation.record_abs(poly.evaluate_at_angle(c0) / coeff_scale)
             solved = invariants_from_alphas(case, ar, c0)
             roundtrip.record(solved.rho, rho)
             roundtrip.record(solved.H13, h13)
             if case is CaseId.S2xH2:
                 roundtrip.record(solved.H12, h12)
-        report.add(
-            annihilation.check(
-                f"{case.value}.cubic_annihilates_angle",
-                anchor=f"classify.{case.value}.constancy_cubic",
-                samples=cfg.samples,
-                tol=1e-8,
-                use_rel=False,
-            )
-        )
-        report.add(
-            roundtrip.check(
-                f"{case.value}.invariants_round_trip",
-                anchor=f"classify.{case.value}.solved_system",
-                samples=cfg.samples,
-                tol=tol,
-            )
-        )
-        report.add(
-            nonvanishing.check(
-                f"{case.value}.coefficients_nonvanishing",
-                anchor=f"classify.{case.value}.coefficient_guard",
-                samples=cfg.samples,
-                tol=tol,
-                use_rel=False,
-            )
-        )
+        for tracker in (annihilation, roundtrip, nonvanishing):
+            report.add(tracker.check(cfg.samples))
 
 
 def _gallery_selection(cfg: RunConfig) -> list[ExampleSpec]:
@@ -488,31 +457,28 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
     for spec in _gallery_selection(cfg):
         imm = build_example(spec)
         rep = isoparametric_report(imm, grid=imm.grid(cfg.grid), l_samples=cfg.l_values)
+        name = imm.name
+        angle = ErrorTracker(f"{name}.angle_constancy", "classify.gallery.angle", tol_angle, judge_abs=True)
+        curvature = ErrorTracker(
+            f"{name}.curvature_constancy", "classify.gallery.principal_curvatures", tol_curv, judge_abs=True
+        )
+        ricci_trace = ErrorTracker(
+            f"{name}.ricci_trace_vs_scalar", "hypersurface.ricci.trace", tol_ricci, judge_abs=True
+        )
 
-        angle_tracker = ErrorTracker()
-        angle_tracker.record_abs(rep.angle.max_dev, scale=0.0)
+        angle.record_abs(rep.angle.max_dev)
         if spec.family == FAMILY_PSI:
-            angle_tracker.record(rep.angle.mean, 1.0 - 2.0 * spec.c)
+            angle.record(rep.angle.mean, 1.0 - 2.0 * spec.c)
             # c(1 + a sin r) must stay in [0, 1], so the control's c is capped
             control_c = min(spec.c, 1.0 / (1.0 + PERTURBED_AMPLITUDE))
         else:
             expected = 1.0 if spec.family == FAMILY_CURVE_X_FACTOR else -1.0
-            angle_tracker.record(rep.angle.mean, expected)
-        report.add(
-            angle_tracker.check(
-                f"{imm.name}.angle_constancy",
-                anchor="classify.gallery.angle",
-                samples=rep.grid_points,
-                tol=tol_angle,
-                use_rel=False,
-            )
-        )
+            angle.record(rep.angle.mean, expected)
 
-        curv_tracker = ErrorTracker()
         for stat in rep.principal:
-            curv_tracker.record_abs(stat.max_dev, scale=0.0)
+            curvature.record_abs(stat.max_dev)
         for stats in rep.mean_curvature.values():
-            curv_tracker.record_abs(stats.max_dev, scale=0.0)
+            curvature.record_abs(stats.max_dev)
         if spec.family != FAMILY_PSI:
             got = sorted(s.mean for s in rep.principal)
             want = sorted((spec.k, 0.0, 0.0))
@@ -520,30 +486,13 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
                 max(abs(g - w) for g, w in zip(got, sorted(want))),
                 max(abs(g - w) for g, w in zip(got, sorted(-x for x in want))),
             )
-            curv_tracker.record_abs(gap, scale=0.0)
-        report.add(
-            curv_tracker.check(
-                f"{imm.name}.curvature_constancy",
-                anchor="classify.gallery.principal_curvatures",
-                samples=rep.grid_points,
-                tol=tol_curv,
-                use_rel=False,
-            )
-        )
+            curvature.record_abs(gap)
 
-        ricci_tracker = ErrorTracker()
         for rec in rep.records:
-            trace = sum(ricci(e, rec) for e in rec.basis)
-            ricci_tracker.record(trace, rec.rho)
-        report.add(
-            ricci_tracker.check(
-                f"{imm.name}.ricci_trace_vs_scalar",
-                anchor="hypersurface.ricci.trace",
-                samples=rep.grid_points,
-                tol=tol_ricci,
-                use_rel=False,
-            )
-        )
+            ricci_trace.record(sum(ricci(e, rec) for e in rec.basis), rec.rho)
+
+        for tracker in (angle, curvature, ricci_trace):
+            report.add(tracker.check(rep.grid_points))
 
     if control_c is not None:
         control = isoparametric_report(build_perturbed_psi(control_c), l_samples=cfg.l_values)
@@ -569,8 +518,7 @@ def run_flow(cfg: RunConfig, report: VerificationReport) -> None:
 
     grid = imm.grid(cfg.grid)
     rep = isoparametric_report(imm, grid, l_samples=(0.0, *cfg.l_values))
-    for u, rec, hs in zip(grid, rep.records, rep.h_values):
-        k1, k2, k3 = (float(k) for k in rec.principal_curvatures())
+    for u, rec, (k1, k2, k3), hs in zip(grid, rep.records, rep.principal_values, rep.h_values):
         for l, h in zip(rep.l_samples, hs):
             report.rows.append(
                 {

@@ -59,10 +59,6 @@ class Immersion:
     jacobian: Optional[Callable[[np.ndarray], tuple[ProductVector, ProductVector, ProductVector]]] = None
     name: str = ""
 
-    @property
-    def anchor(self) -> np.ndarray:
-        return np.array([0.5 * (lo + hi) for lo, hi in self.domain])
-
     def grid(self, n: int = 5) -> list[np.ndarray]:
         """Regular n x n x n sample of the parameter box."""
         axes = [np.linspace(lo, hi, n) for lo, hi in self.domain]
@@ -143,19 +139,14 @@ def unit_normal(
     frame induced by the factor rotations J; that convention is deterministic
     and does not depend on the frame representative.  A ``hint`` vector at
     the same point overrides the sign to keep a family of normals coherent.
+    A given ``basis`` must come from ``tangent_basis`` at u, whose rank check
+    then covers the normal too.
     """
-    u = np.asarray(u, dtype=float)
     if basis is None:
         basis = tangent_basis(imm, u)
     p = basis[0].base
     frame = ambient_frame(p)
     m = np.array([[product_metric(t, f) for f in frame] for t in basis])
-
-    sigma_min = min(np.linalg.svd(m, compute_uv=False))
-    if sigma_min < RANK_TOL:
-        raise DegeneratePointError(
-            f"immersion is degenerate at u={u.tolist()} (sigma_min={sigma_min:.3e})"
-        )
 
     # cofactor expansion: det(e1, e2, e3, n) = |n|^2 > 0 by construction
     cols = [0, 1, 2, 3]
@@ -180,11 +171,6 @@ def angle_of_normal(n: ProductVector) -> tuple[float, ProductVector]:
     pn = product_structure(n)
     c = product_metric(pn, n) / product_metric(n, n)
     return c, pn - n.scale(c)
-
-
-def angle_function(imm: Immersion, u: np.ndarray, hint: Optional[ProductVector] = None) -> tuple[float, ProductVector]:
-    """Product angle function and its tangential companion field at u."""
-    return angle_of_normal(unit_normal(imm, u, hint=hint))
 
 
 def gram_schmidt(vectors: Sequence[ProductVector]) -> tuple[ProductVector, ...]:

@@ -208,7 +208,8 @@ class FrameShape(ShapeInvariants):
 
     @classmethod
     def from_record(cls, rec: ShapeRecord) -> "FrameShape":
-        return cls(A=tuple(map(tuple, rec.A)), kappa1=rec.kappa1, kappa2=rec.kappa2, C=rec.C)
+        # plain floats: an overflow in the closed forms gives inf or nan, not a numpy warning
+        return cls(A=rec.A.tolist(), kappa1=rec.kappa1, kappa2=rec.kappa2, C=rec.C)
 
     @property
     def case(self) -> CaseParams:
@@ -227,7 +228,12 @@ def stability_functions(delta: float, l: float) -> tuple[float, float]:
         return l, 1.0
     if delta < 0.0:
         r = math.sqrt(-delta)
-        return math.sinh(l * r) / r, math.cosh(l * r)
+        try:
+            return math.sinh(l * r) / r, math.cosh(l * r)
+        except OverflowError:
+            raise GeometryError(
+                f"flow distance l = {l!r} overflows the stability functions at delta = {delta!r}"
+            ) from None
     r = math.sqrt(delta)
     return math.sin(l * r) / r, math.cos(l * r)
 
@@ -302,7 +308,11 @@ def parallel_mean_curvature(fs: FrameShape, cp: CaseParams, l: float) -> float:
     det = detq_closed_form(fs, cp, l)
     if abs(det) < FOCAL_TOL:
         raise FocalPointError(f"det Q = {det:.3e}: focal point reached")
-    return -detq_closed_form_dl(fs, cp, l) / det
+    h = -detq_closed_form_dl(fs, cp, l) / det
+    # an overflowed det Q makes H nan, or finite and meaningless
+    if not (math.isfinite(det) and math.isfinite(h)):
+        raise GeometryError(f"det Q or H is not finite at flow distance l = {l!r}, too large for floats")
+    return h
 
 
 def detq_taylor(fs: FrameShape, cp: CaseParams, order: int = SERIES_ORDER) -> TaylorSeries:

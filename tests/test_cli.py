@@ -5,12 +5,13 @@ import stat
 
 import pytest
 
-from prodform_geo import cli, jacobi
+from prodform_geo import cli, hypersurface, jacobi
 from prodform_geo.classify import ConstancyPolynomial, gallery_specs
 from prodform_geo.spaceform import GeometryError
 from prodform_geo.cli import (
     CASES,
     ConfigError,
+    ErrorTracker,
     RunConfig,
     build_config,
     main,
@@ -51,6 +52,47 @@ class TestRunConfig:
     def test_case_selection(self):
         assert [c.value for c in make_config().selected_cases()] == list(CASES)
         assert [c.value for c in make_config(case="s2r2").selected_cases()] == ["s2r2"]
+
+
+class TestErrorTracker:
+    def test_record_scales_by_the_larger_value_or_one(self):
+        t = ErrorTracker("x", "a", 1.0)
+        t.record(4.0, 2.0)
+        assert (t.max_abs, t.max_rel) == (2.0, 0.5)
+        t = ErrorTracker("x", "a", 1.0)
+        t.record(-0.25, 0.5)
+        assert (t.max_abs, t.max_rel) == (0.75, 0.75)
+
+    def test_record_abs_relative_error_is_the_absolute_one(self):
+        t = ErrorTracker("x", "a", 1.0)
+        t.record_abs(-3.0)
+        t.record_abs(2.0)
+        assert (t.max_abs, t.max_rel) == (3.0, 3.0)
+
+    @pytest.mark.parametrize("judge_abs, judged", [(False, 0.5), (True, 2.0)])
+    def test_check_judges_its_maximum_at_the_tolerance(self, judge_abs, judged):
+        for tol, passed in ((judged, True), (math.nextafter(judged, 0.0), False)):
+            t = ErrorTracker("s2h2.x", "anchor.x", tol, judge_abs=judge_abs)
+            t.record(4.0, 2.0)  # abs 2, rel 0.5
+            assert t.check(7) == cli.CheckResult(
+                name="s2h2.x", anchor="anchor.x", samples=7, max_abs_err=2.0, max_rel_err=0.5, passed=passed
+            )
+
+    @pytest.mark.parametrize("judge_abs", [False, True])
+    def test_recorded_nan_fails(self, judge_abs):
+        nan = float("nan")
+        for first, then in ((nan, 1.0), (1.0, nan)):
+            t = ErrorTracker("x", "a", 1e300, judge_abs=judge_abs)
+            t.record_abs(first)
+            t.record_abs(then)
+            t.record(2.0, 1.0)
+            result = t.check(3)
+            assert math.isnan(result.max_abs_err) and math.isnan(result.max_rel_err)
+            assert not result.passed
+        t = ErrorTracker("x", "a", 1e300, judge_abs=judge_abs)
+        t.record(nan, 1.0)
+        t.record(2.0, 1.0)
+        assert not t.check(1).passed
 
 
 class TestCommands:
@@ -166,6 +208,19 @@ class TestCommands:
         assert [row["H"] for row in report.rows] == [h for hs in rep.h_values for h in hs]
         assert [row["C"] for row in report.rows] == [rec.C for rec in rep.records for _ in range(2)]
 
+    def test_flow_solves_for_principal_curvatures_once_per_point(self, monkeypatch):
+        calls = 0
+        original = hypersurface.ShapeRecord.principal_curvatures
+
+        def counted(rec):
+            nonlocal calls
+            calls += 1
+            return original(rec)
+
+        monkeypatch.setattr(hypersurface.ShapeRecord, "principal_curvatures", counted)
+        run(make_config(command="flow", grid=2))
+        assert calls == 2**3
+
     def test_flow_keeps_repeated_l_values_in_order(self):
         report = run(make_config(command="flow", grid=2, l_values=(0.1, 0.1, -0.0)))
         ls = [row["l"] for row in report.rows]
@@ -254,6 +309,24 @@ class TestEntryPoint:
         monkeypatch.setattr(cli, "isoparametric_report", fail)
         assert main(["gallery", "--family", "psi", "--grid", "2"]) == 1
         assert "error: injected failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--l", "814"],
+            ["flow", "--l", "900"],
+            ["gallery", "--family", "psi", "--l", "815"],
+            ["gallery", "--case", "s2h2", "--family", "factor_x_curve", "--l", "709"],
+        ],
+    )
+    def test_flow_distance_too_large_for_floats_stops_the_run(self, capsys, tmp_path, argv):
+        # H(l), or the cosh inside it, overflows before any check sees it
+        out = tmp_path / "r.json"
+        assert main([*argv, "--grid", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and f"l = {float(argv[-1])!r}" in captured.err
+        assert "[PASS]" not in captured.err and captured.out == ""
+        assert os.listdir(tmp_path) == []
 
     def test_negative_control_below_strip_limit_passes(self, capsys):
         assert main(["gallery", "--family", "psi", "--c", "0.9", "--grid", "2"]) == 0

@@ -17,7 +17,6 @@ from prodform_geo.classify import (
 from prodform_geo.hypersurface import (
     Immersion,
     ShapeRecord,
-    angle_function,
     angle_of_normal,
     gram_schmidt,
     ricci,
@@ -106,8 +105,11 @@ class TestTangentBasis:
             )
 
         imm = Immersion(kappa1=0, kappa2=0, chart=chart)
-        with pytest.raises(DegeneratePointError):
-            tangent_basis(imm, np.zeros(3))
+        # tangent_basis's rank check is the only one: the normal and the
+        # shape operator must reach it
+        for build in (tangent_basis, unit_normal, shape_operator):
+            with pytest.raises(DegeneratePointError):
+                build(imm, np.zeros(3))
 
 
 class TestUnitNormal:
@@ -178,7 +180,7 @@ class TestAngleFunction:
             ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=0, k=1.0)
         )
         for u in GRID:
-            c, v = angle_function(imm, u)
+            c, v = angle_of_normal(unit_normal(imm, u))
             assert c == 1.0
             assert v.first.norm() == 0.0 and v.second.norm() == 0.0
 
@@ -187,20 +189,20 @@ class TestAngleFunction:
             ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=1, kappa2=0, k=1.0)
         )
         for u in GRID:
-            c, v = angle_function(imm, u)
+            c, v = angle_of_normal(unit_normal(imm, u))
             assert c == -1.0
             assert v.first.norm() == 0.0 and v.second.norm() == 0.0
 
     def test_psi_angle_constant(self):
         c_target = 1.0 - 2.0 * 0.25
         imm = psi_immersion(0.25)
-        values = [angle_function(imm, u)[0] for u in GRID]
+        values = [angle_of_normal(unit_normal(imm, u))[0] for u in GRID]
         assert max(abs(v - c_target) for v in values) < 1e-10
 
     def test_companion_norm_identity(self):
         imm = psi_immersion()
         for u in GRID:
-            c, v = angle_function(imm, u)
+            c, v = angle_of_normal(unit_normal(imm, u))
             assert abs(product_metric(v, v) - (1.0 - c * c)) < 1e-10
 
 

@@ -90,6 +90,12 @@ class TestStabilityFunctions:
         assert abs(s - math.sinh(t)) < 1e-15
         assert abs(c - math.cosh(t)) < 1e-15
 
+    @pytest.mark.parametrize("l", [800.0, -800.0])
+    def test_overflow_names_the_flow_distance(self, l):
+        # cosh(800) is past the largest float
+        with pytest.raises(GeometryError, match=f"l = {l!r}"):
+            stability_functions(-1.0, l)
+
     @pytest.mark.parametrize("delta", [-1.3, -0.2, 0.0, 0.4, 1.7])
     def test_series_matches_functions(self, delta):
         s_ser, c_ser = stability_series(delta, order=16)
@@ -278,6 +284,13 @@ class TestParallelShape:
             parallel_shape(q_matrix(fs, cp, 0.5), q_matrix_prime(fs, cp, 0.5))
         with pytest.raises(FocalPointError):
             parallel_mean_curvature(fs, cp, 0.5)
+
+    def test_overflowed_det_q_is_not_a_focal_point(self):
+        # C_delta(709) = cosh(709) is a float, but det Q = (1 - 709) cosh(709) is not
+        fs = FrameShape(A=((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), kappa1=-1, kappa2=0, C=1.0)
+        with pytest.raises(GeometryError, match="l = 709.0") as raised:
+            parallel_mean_curvature(fs, fs.case, 709.0)
+        assert not isinstance(raised.value, FocalPointError)
 
 
 class TestParallelImmersion:
