@@ -100,13 +100,15 @@ def curvature_tensor(x: ProductVector, y: ProductVector, z: ProductVector, w: Pr
     k2 = x.base.kappa2
     pw = product_structure(w)
     pz = product_structure(z)
+    pw_plus_w, pz_plus_z = pw + w, pz + z
+    pw_minus_w, pz_minus_z = pw - w, pz - z
     term1 = (
-        product_metric(x, pw + w) * product_metric(y, pz + z)
-        - product_metric(x, pz + z) * product_metric(y, pw + w)
+        product_metric(x, pw_plus_w) * product_metric(y, pz_plus_z)
+        - product_metric(x, pz_plus_z) * product_metric(y, pw_plus_w)
     )
     term2 = (
-        product_metric(x, pw - w) * product_metric(y, pz - z)
-        - product_metric(x, pz - z) * product_metric(y, pw - w)
+        product_metric(x, pw_minus_w) * product_metric(y, pz_minus_z)
+        - product_metric(x, pz_minus_z) * product_metric(y, pw_minus_w)
     )
     return k1 / 4.0 * term1 + k2 / 4.0 * term2
 

@@ -267,24 +267,19 @@ def run_identities(cfg: RunConfig, report: VerificationReport) -> None:
             x = random_product_tangent(p, rng)
             y = random_product_tangent(p, rng)
 
-            ppx = product_structure(product_structure(x))
-            trackers["p_involution"].record_abs(_vector_gap(ppx, x))
-            trackers["p_symmetric"].record(
-                product_metric(product_structure(x), y),
-                product_metric(product_structure(y), x),
-            )
-            trackers["p_isometry"].record(
-                product_metric(product_structure(x), product_structure(y)),
-                product_metric(x, y),
-            )
-            j1x, j2x = complex_structures(x)
-            mj1j2 = -complex_structures(j2x)[0]
-            mj2j1 = -complex_structures(j1x)[1]
             px = product_structure(x)
-            trackers["p_eq_minus_j1j2"].record_abs(_vector_gap(mj1j2, px))
-            trackers["p_eq_minus_j2j1"].record_abs(_vector_gap(mj2j1, px))
-            trackers["j1_squared"].record_abs(_vector_gap(complex_structures(j1x)[0], -x))
-            trackers["j2_squared"].record_abs(_vector_gap(complex_structures(j2x)[1], -x))
+            py = product_structure(y)
+            trackers["p_involution"].record_abs(_vector_gap(product_structure(px), x))
+            trackers["p_symmetric"].record(product_metric(px, y), product_metric(py, x))
+            trackers["p_isometry"].record(product_metric(px, py), product_metric(x, y))
+            j1x, j2x = complex_structures(x)
+            j1j1x, j2j1x = complex_structures(j1x)
+            j1j2x, j2j2x = complex_structures(j2x)
+            minus_x = -x
+            trackers["p_eq_minus_j1j2"].record_abs(_vector_gap(-j1j2x, px))
+            trackers["p_eq_minus_j2j1"].record_abs(_vector_gap(-j2j1x, px))
+            trackers["j1_squared"].record_abs(_vector_gap(j1j1x, minus_x))
+            trackers["j2_squared"].record_abs(_vector_gap(j2j2x, minus_x))
 
             a = _unit_first_factor(p, rng)
             ja = complex_structures(a)[0]
@@ -299,9 +294,11 @@ def run_identities(cfg: RunConfig, report: VerificationReport) -> None:
 
 
 def _vector_gap(x: ProductVector, y: ProductVector) -> float:
+    """Largest coordinate gap; the same subtractions as numpy, and an exact max."""
     return max(
-        float(np.max(np.abs(x.first.coords - y.first.coords))),
-        float(np.max(np.abs(x.second.coords - y.second.coords))),
+        abs(a - b)
+        for u, v in ((x.first, y.first), (x.second, y.second))
+        for a, b in zip(u.coords.tolist(), v.coords.tolist())
     )
 
 
@@ -616,7 +613,7 @@ def _parse_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 

@@ -22,6 +22,10 @@ CONSTRAINT_TOL = 1e-8
 #: tangency defects at or below this (times the coordinate scale) are roundoff
 ROUNDOFF_TOL = 64.0 * float(np.finfo(float).eps)
 
+#: sphere defects summed in Python floats at or below this (times the scale)
+#: are accepted without the ambient form; see ModelVector.__post_init__
+FILTER_TOL = 32.0 * float(np.finfo(float).eps)
+
 
 class GeometryError(ValueError):
     """Invalid or incompatible geometric inputs."""
@@ -99,9 +103,12 @@ class ModelPoint:
             )
         if self.kappa == -1 and coords[0] <= 0:
             raise GeometryError("hyperboloid points must have positive first coordinate")
-        # max(1, max|x_i|), the point's share of every tangency scale; not a
-        # field, so equality, repr and hashing ignore it
-        x0, x1, x2 = coords.tolist()
+        # the coordinates as Python floats and max(1, max|x_i|), the point's
+        # share of every tangency scale; not fields, so equality, repr and
+        # hashing ignore them
+        xs = coords.tolist()
+        x0, x1, x2 = xs
+        object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_scale", max(1.0, abs(x0), abs(x1), abs(x2)))
 
 
@@ -126,11 +133,22 @@ class ModelVector:
             raise GeometryError(f"tangent vector coordinates must be finite, got {xs}")
         kappa = base.kappa
         if kappa != 0:
-            t = form(kappa, base.coords, coords)
             # the maximum of Python floats is exact, so the scale is the one a
             # numpy reduction would give, bit for bit
             x0, x1, x2 = xs
             scale = max(1.0, abs(x0), abs(x1), abs(x2)) * base._scale
+            if kappa == -1:
+                t = lorentz_form(base.coords, coords)
+            else:
+                p0, p1, p2 = base._xs
+                # A floating-point filter (Shewchuk 1997): two evaluations of a
+                # 3-term dot product differ by at most 2 gamma_3 sum|p_i x_i|
+                # <= 9 eps scale (Higham 2002, 3.1), so at or below FILTER_TOL
+                # the np.dot defect is below ROUNDOFF_TOL and the vector is
+                # accepted either way; every other case takes the np.dot defect.
+                t = p0 * x0 + p1 * x1 + p2 * x2
+                if not abs(t) <= FILTER_TOL * scale:
+                    t = euclid_form(base.coords, coords)
             if abs(t) > CONSTRAINT_TOL * scale:
                 raise GeometryError(
                     f"vector is not tangent at its base point (defect {t!r})"

@@ -3,9 +3,18 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from prodform_geo import cli, hypersurface, jacobi
+from prodform_geo.ambient import (
+    complex_structures,
+    curvature_tensor,
+    product_metric,
+    product_structure,
+    random_product_point,
+    random_product_tangent,
+)
 from prodform_geo.classify import ConstancyPolynomial, gallery_specs
 from prodform_geo.spaceform import GeometryError
 from prodform_geo.cli import (
@@ -231,7 +240,78 @@ class TestCommands:
             assert first == second
 
 
+def reference_vector_gap(x, y):
+    return max(
+        float(np.max(np.abs(x.first.coords - y.first.coords))),
+        float(np.max(np.abs(x.second.coords - y.second.coords))),
+    )
+
+
+def reference_identities(cfg):
+    """``identities`` as it ran while each sample rebuilt P x, P y, the J pairs
+    and -x where each was used, with numpy reductions for the vector gaps."""
+    report = cli.VerificationReport(seed=cfg.seed, config=cli._config_echo(cfg))
+    tol = cfg.tolerance("identities")
+    for case in cfg.selected_cases():
+        rng = np.random.default_rng(cfg.seed)
+        trackers = {
+            name: ErrorTracker(f"{case.value}.{name}", f"ambient.{name}", tol)
+            for name in (
+                "p_involution",
+                "p_symmetric",
+                "p_isometry",
+                "p_eq_minus_j1j2",
+                "p_eq_minus_j2j1",
+                "j1_squared",
+                "j2_squared",
+                "sectional_first",
+                "sectional_second",
+                "sectional_mixed",
+            )
+        }
+        for _ in range(cfg.samples):
+            p = random_product_point(case.kappa1, case.kappa2, rng)
+            x = random_product_tangent(p, rng)
+            y = random_product_tangent(p, rng)
+
+            ppx = product_structure(product_structure(x))
+            trackers["p_involution"].record_abs(reference_vector_gap(ppx, x))
+            trackers["p_symmetric"].record(
+                product_metric(product_structure(x), y),
+                product_metric(product_structure(y), x),
+            )
+            trackers["p_isometry"].record(
+                product_metric(product_structure(x), product_structure(y)),
+                product_metric(x, y),
+            )
+            j1x, j2x = complex_structures(x)
+            mj1j2 = -complex_structures(j2x)[0]
+            mj2j1 = -complex_structures(j1x)[1]
+            px = product_structure(x)
+            trackers["p_eq_minus_j1j2"].record_abs(reference_vector_gap(mj1j2, px))
+            trackers["p_eq_minus_j2j1"].record_abs(reference_vector_gap(mj2j1, px))
+            trackers["j1_squared"].record_abs(reference_vector_gap(complex_structures(j1x)[0], -x))
+            trackers["j2_squared"].record_abs(reference_vector_gap(complex_structures(j2x)[1], -x))
+
+            a = cli._unit_first_factor(p, rng)
+            ja = complex_structures(a)[0]
+            trackers["sectional_first"].record(curvature_tensor(a, ja, ja, a), float(case.kappa1))
+            b = cli._unit_second_factor(p, rng)
+            jb = complex_structures(b)[0]
+            trackers["sectional_second"].record(curvature_tensor(b, jb, jb, b), float(case.kappa2))
+            trackers["sectional_mixed"].record(curvature_tensor(a, b, b, a), 0.0)
+
+        for tracker in trackers.values():
+            report.add(tracker.check(cfg.samples))
+    return report
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("seed", [4, 13])
+    def test_identities_report_matches_reference_loop(self, seed):
+        cfg = make_config(command="identities", samples=50, seed=seed)
+        assert render_json(run(cfg)) == render_json(reference_identities(cfg))
+
     @pytest.mark.parametrize(
         "settings",
         [
@@ -431,6 +511,16 @@ class TestEntryPoint:
             build_config(args)
         assert main(["detq", "--config", str(cfg_file)]) == 2
         assert "error: config key samples" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        # a UTF-16 byte-order mark is not valid UTF-8
+        cfg_file.write_bytes(b"\xff\xfes\x00a\x00")
+        args = _build_parser().parse_args(["cases", "--config", str(cfg_file)])
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            build_config(args)
+        assert main(["cases", "--config", str(cfg_file)]) == 2
+        assert "error: cannot read config file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["config = other.cfg", "command = cases", "help = 1"])
     def test_config_key_that_sets_no_run_field_rejected(self, tmp_path, line):

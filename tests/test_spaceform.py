@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from prodform_geo import spaceform
 from prodform_geo.spaceform import (
+    FILTER_TOL,
+    ROUNDOFF_TOL,
     GeometryError,
     ModelPoint,
     ModelVector,
@@ -344,7 +347,8 @@ def defect_candidates(p, rng):
             continue
         scale = max(1.0, float(np.max(np.abs(w)))) * max(1.0, float(np.max(np.abs(p.coords))))
         for threshold in (REFERENCE_ROUNDOFF, 1e-8):
-            for factor in (0.5, 0.99, 1.01, 2.0):
+            # 0.45 to 0.55 of the roundoff threshold straddle FILTER_TOL
+            for factor in (0.45, 0.5, 0.55, 0.99, 1.01, 2.0):
                 # <p, p> = kappa, so w + d p has defect kappa d
                 out.append(w + factor * threshold * scale * p.coords)
     return out
@@ -381,3 +385,50 @@ class TestFloatValidationEquivalence:
             v = random_tangent(p, rng, scale=10.0 ** rng.uniform(-3, 3))
             want = ModelVector(p, np.cross(p.coords, v.coords))
             assert np.array_equal(complex_structure(v).coords, want.coords)
+
+
+class TestSphereTangencyFilter:
+    """ModelVector takes a sphere defect in Python floats first and recomputes
+    it with np.dot only above FILTER_TOL; the bound below makes that safe."""
+
+    EPS = float(np.finfo(float).eps)
+
+    def test_summation_orders_agree_within_the_bound(self):
+        # any two evaluations of a 3-term dot product differ by at most
+        # 2 gamma_3 sum|a_i b_i| (Higham 2002, 3.1), below 9 eps sum|a_i b_i|
+        rng = np.random.default_rng(80)
+        pairs = [rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, 1)) for _ in range(500)]
+        for _ in range(500):
+            # heavy cancellation: b is a projected onto the plane orthogonal to a
+            a, c = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, 1))
+            pairs.append((a, c - (a @ c) / (a @ a) * a))
+        for a, b in pairs:
+            a0, a1, a2 = a.tolist()
+            b0, b1, b2 = b.tolist()
+            fast = a0 * b0 + a1 * b1 + a2 * b2
+            bound = 9.0 * self.EPS * float(np.sum(np.abs(a * b)))
+            assert abs(fast - float(np.dot(a, b))) <= bound
+        # sum|p_i v_i| <= 3 scale, so even this bound keeps np.dot's defect
+        # below ROUNDOFF_TOL wherever the Python sum is within FILTER_TOL
+        assert FILTER_TOL + 3.0 * 9.0 * self.EPS < ROUNDOFF_TOL
+
+    def test_only_defects_above_the_filter_reach_the_ambient_form(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        points = [random_point(1, rng) for _ in range(200)]
+        clean = [random_tangent(p, rng, scale=10.0 ** rng.uniform(-3, 3)).coords for p in points]
+        calls = []
+        original = spaceform.euclid_form
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(spaceform, "euclid_form", counting)
+        for p, w in zip(points, clean):
+            assert np.array_equal(ModelVector(p, w).coords, w)
+        assert calls == []
+        for p, w in zip(points, clean):
+            scale = max(1.0, float(np.max(np.abs(w)))) * max(1.0, float(np.max(np.abs(p.coords))))
+            defective = w + 2.0 * ROUNDOFF_TOL * scale * p.coords
+            assert not np.array_equal(ModelVector(p, defective).coords, defective)
+        assert len(calls) == len(points)
