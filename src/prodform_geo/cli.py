@@ -317,13 +317,13 @@ def _unit_second_factor(p, rng) -> ProductVector:
 def random_frame_shape(case: CaseId, rng: np.random.Generator, exact: bool) -> FrameShape:
     """Random symmetric shape matrix with entries in [-2, 2] and |C| < 0.95.
 
-    Exact mode draws Fraction entries and C from the 1/1000 grid, so the
-    derivative oracle runs in integer arithmetic and every closed form is a
-    terminating decimal that ``exact_derivatives`` evaluates without rounding.
+    Exact mode draws the entries and C as Decimals n/1000, so the oracle runs
+    in integer arithmetic and every closed form is a terminating decimal that
+    ``exact_derivatives`` evaluates on the same shape without rounding.
     """
     if exact:
-        entries = [Fraction(int(n), 1000) for n in rng.integers(-2000, 2001, size=6)]
-        c = Fraction(int(rng.integers(-949, 950)), 1000)
+        entries = [Decimal(n).scaleb(-3) for n in rng.integers(-2000, 2001, size=6).tolist()]
+        c = Decimal(int(rng.integers(-949, 950))).scaleb(-3)
     else:
         entries = list(rng.uniform(-2.0, 2.0, size=6))
         c = float(rng.uniform(-0.95, 0.95))
@@ -332,11 +332,11 @@ def random_frame_shape(case: CaseId, rng: np.random.Generator, exact: bool) -> F
     return FrameShape(A=a, kappa1=case.kappa1, kappa2=case.kappa2, C=c)
 
 
-#: Every operation in this context is exact or raises.  On the 1/1000 grid of
-#: ``random_frame_shape`` (|a_ij| <= 2, |C| < 0.95) the closed forms divide
-#: only by 2, 4 and 8; the longest value, in the order-10 form, has 18
-#: fractional digits and magnitude below 10^4, so at most 22 significant
-#: digits, well inside the precision.
+#: Every operation in this context is exact or raises.  On the exact draws of
+#: ``random_frame_shape`` (Decimals n/1000, |a_ij| <= 2, |C| < 0.95) the closed
+#: forms divide only by 2, 4 and 8; the longest value, in the order-10 form,
+#: has 18 fractional digits and magnitude below 10^4, so at most 22
+#: significant digits, well inside the precision.
 EXACT_DECIMAL = decimal.Context(
     prec=50,
     traps=[decimal.Inexact, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
@@ -344,21 +344,17 @@ EXACT_DECIMAL = decimal.Context(
 
 
 def exact_derivatives(fs: FrameShape, orders: Sequence[int]) -> tuple[dict[int, Decimal], dict[int, Fraction]]:
-    """Closed-form and oracle derivatives of det Q at l = 0 for an exact shape.
+    """Closed-form and oracle derivatives of det Q at l = 0 for a Decimal shape.
 
-    The oracle ``detq_derivatives`` runs on the Fraction shape itself.  The
-    closed forms and their invariants run on a Decimal copy of it, in
-    ``EXACT_DECIMAL``: a shape off a terminating-decimal grid raises
-    ``decimal.Inexact`` instead of being rounded.
+    The oracle ``detq_derivatives`` and the closed forms with their
+    invariants both run on ``fs`` itself, the closed forms in
+    ``EXACT_DECIMAL``: a shape whose closed forms are not exact in 50 digits
+    raises ``decimal.Inexact`` instead of being rounded.
     """
     oracle = detq_derivatives(fs, fs.case, orders)
     with decimal.localcontext(EXACT_DECIMAL):
-        a = tuple(tuple(Decimal(x.numerator) / x.denominator for x in row) for row in fs.A)
-        c = Decimal(fs.C.numerator) / fs.C.denominator
-        ds = FrameShape(A=a, kappa1=fs.kappa1, kappa2=fs.kappa2, C=c)
-        cp = ds.case
-        H, rho, H12, H13 = ds.H, ds.rho, ds.H12, ds.H13
-        closed = {k: detq_derivative_formula(k, cp, H=H, rho=rho, H12=H12, H13=H13) for k in orders}
+        H, rho, H12, H13 = fs.H, fs.rho, fs.H12, fs.H13
+        closed = {k: detq_derivative_formula(k, fs.case, H=H, rho=rho, H12=H12, H13=H13) for k in orders}
     return closed, oracle
 
 

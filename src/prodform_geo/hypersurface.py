@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
+from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -42,6 +44,22 @@ ORTHONORMAL_TOL = 1e-8
 
 #: largest |A_ij - A_ji| accepted in a shape matrix
 SYMMETRY_TOL = 1e-8
+
+
+def is_finite(x) -> bool:
+    """Finiteness in x's own type: ints and Fractions always are, and a Decimal NaN is never compared."""
+    if isinstance(x, float):  # numpy's float64 too
+        return math.isfinite(x)
+    if isinstance(x, Decimal):
+        return x.is_finite()
+    return isinstance(x, (int, Fraction)) or math.isfinite(x)
+
+
+def at_most(x, bound: float) -> bool:
+    """x <= bound, with an exact x compared to the exact value of ``bound`` in its own type."""
+    if isinstance(x, Decimal):
+        return x <= Decimal(bound)
+    return x <= (Fraction(bound) if isinstance(x, (int, Fraction)) else bound)
 
 
 @dataclass(frozen=True)
@@ -190,26 +208,24 @@ class ShapeInvariants:
     """Curvature invariants of a symmetric 3 x 3 shape matrix at an angle value.
 
     Subclasses provide ``A``, ``kappa1``, ``kappa2`` and ``C``.  ``A`` is read
-    as ``A[i][j]``, so an ndarray and a tuple of Fraction rows both work and
-    each invariant stays in the entries' field.  The invariants are computed
-    on access.  The scalar curvature is always recomputed from the trace
-    identity, never accepted as an independent input, so (A, C, rho) stay
-    consistent.
+    as ``A[i][j]``, so an ndarray and a tuple of Fraction or Decimal rows all
+    work and each invariant stays in the entries' ring.  The invariants are
+    computed on access.  The scalar curvature is always recomputed from the
+    trace identity, never accepted as an independent input, so (A, C, rho)
+    stay consistent.
     """
 
     def _set_shape(self, a) -> None:
         """Store ``a`` as ``A`` once it is known to be a finite symmetric 3 x 3 matrix."""
         if len(a) != 3 or any(len(row) != 3 for row in a):
             raise GeometryError("shape matrix must be 3 x 3")
-        for i in range(3):
-            for j in range(i, 3):
-                x, y = a[i][j], a[j][i]
-                # each comparison is false for NaN; x == y skips the slow
-                # comparison of a Fraction with the float tolerance
-                if not (-math.inf < x < math.inf and (x == y or abs(x - y) <= SYMMETRY_TOL)):
-                    raise GeometryError(
-                        f"shape matrix must be finite and symmetric within {SYMMETRY_TOL:g}"
-                    )
+        # all entries are judged finite before a comparison can trap on a Decimal NaN
+        upper, lower = (a[0][1], a[0][2], a[1][2]), (a[1][0], a[2][0], a[2][1])
+        if not (
+            all(map(is_finite, (*a[0], *a[1], *a[2])))
+            and (upper == lower or all(x == y or at_most(abs(x - y), SYMMETRY_TOL) for x, y in zip(upper, lower)))
+        ):
+            raise GeometryError(f"shape matrix must be finite and symmetric within {SYMMETRY_TOL:g}")
         object.__setattr__(self, "A", a)
 
     @property

@@ -5,8 +5,8 @@ operator into A_l = -Q'(l) Q(l)^{-1}, where Q collects the Jacobi-field
 components in a frame adapted to the product splitting.  The determinant of Q
 has a short closed expansion whose l-derivatives at 0 are polynomial in the
 curvature invariants; this module provides the closed forms, an exact integer
-Leibniz oracle for those derivatives, and a truncated-power-series engine that
-the tests use as its reference.
+recurrence oracle for those derivatives, and a truncated-power-series engine
+that the tests use as its reference.
 
 The two stability functions solve f'' + delta f = 0 with (f(0), f'(0)) equal
 to (0, 1) and (1, 0) respectively, so S' = C and C' = -delta S.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -30,7 +31,8 @@ from .ambient import (
     product_transport,
     product_velocity,
 )
-from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, gram_schmidt, shape_operator, unit_normal, angle_of_normal
+from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, angle_of_normal, gram_schmidt, shape_operator, unit_normal
+from .hypersurface import at_most, is_finite
 from .spaceform import GeometryError, KAPPAS, complex_structure, tangent_frame, zero_vector
 
 #: the adapted frame refuses points closer than this to C^2 = 1
@@ -145,25 +147,20 @@ def stability_series(delta, order: int = SERIES_ORDER) -> tuple[TaylorSeries, Ta
 
     S: l - delta l^3/3! + delta^2 l^5/5! - ...,
     C: 1 - delta l^2/2! + delta^2 l^4/4! - ...
-    Exact when ``delta`` is a Fraction.
+    Each coefficient is a power of -delta over a factorial in the ring of
+    ``delta``: exact for an int or a Fraction, rounded for a Decimal or a float.
     """
     s = [0] * (order + 1)
     c = [0] * (order + 1)
-    # (-delta)^m, staying in the coefficient field of delta
-    power = 1 if isinstance(delta, (int, Fraction)) else 1.0
+    # (-delta)^m from 1 in delta's ring (Decimal(0) ** 0 raises); an int delta starts a Fraction
+    power = Fraction(1) if isinstance(delta, int) else delta * 0 + 1
     for m in range(order // 2 + 1):
         if 2 * m <= order:
-            c[2 * m] = _divide_exact(power, math.factorial(2 * m))
+            c[2 * m] = power / math.factorial(2 * m)
         if 2 * m + 1 <= order:
-            s[2 * m + 1] = _divide_exact(power, math.factorial(2 * m + 1))
+            s[2 * m + 1] = power / math.factorial(2 * m + 1)
         power = power * (-delta)
     return TaylorSeries(s), TaylorSeries(c)
-
-
-def _divide_exact(num, den: int):
-    if isinstance(num, (int, Fraction)):
-        return Fraction(num, den)
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +174,12 @@ class CaseParams:
 
     kappa1: int
     kappa2: int
-    C: object  # float or Fraction
+    C: object  # float, Fraction or Decimal
 
     def __post_init__(self):
         if self.kappa1 not in KAPPAS or self.kappa2 not in KAPPAS:
             raise GeometryError(f"curvature tags must be in {KAPPAS}")
-        if not math.isfinite(self.C) or abs(self.C) > 1 + 1e-12:
+        if not (is_finite(self.C) and at_most(abs(self.C), 1 + 1e-12)):
             raise GeometryError(f"angle value must lie in [-1, 1], got {self.C!r}")
 
     @property
@@ -211,7 +208,7 @@ class FrameShape(ShapeInvariants):
         # plain floats: an overflow in the closed forms gives inf or nan, not a numpy warning
         return cls(A=rec.A.tolist(), kappa1=rec.kappa1, kappa2=rec.kappa2, C=rec.C)
 
-    @property
+    @cached_property
     def case(self) -> CaseParams:
         return CaseParams(self.kappa1, self.kappa2, self.C)
 
@@ -340,64 +337,54 @@ def detq_taylor(fs: FrameShape, cp: CaseParams, order: int = SERIES_ORDER) -> Ta
 def detq_derivatives(fs: FrameShape, cp: CaseParams, orders: Iterable[int]) -> dict[int, Fraction]:
     """Exact k-th derivatives of det Q at l = 0, for the requested orders only.
 
-    Each product (p + q l) X Y of the closed expansion is differentiated with
-    the Leibniz rule, using that the derivatives at 0 of the stability pair
-    are powers of -delta: S^(2m+1) = C^(2m) = (-delta)^m, all others 0.  The
-    six entries of the shape matrix, read from its upper triangle as in
-    ``q_matrix``, are put on one integer denominator e and both deltas on one
-    denominator d, so every term is a Python int and order k has the
-    denominator e^3 d^(k // 2).  Float inputs are taken at their exact value
-    ``Fraction(x)``.  Agrees exactly with ``detq_taylor`` and uses none of the
-    closed derivative forms.
+    The closed expansion is det Q = g + l h, with g and h combinations of the
+    products X Y of the stability pairs (X = C or S at delta1, Y = C or S at
+    delta2).  Each product solves f'''' + 2 (delta1 + delta2) f'' +
+    (delta1 - delta2)^2 f = 0, whose characteristic roots add a root of
+    r^2 = -delta1 to one of r^2 = -delta2, so the derivatives at 0 follow
+    from the first four by a two-term recurrence, and (det Q)^(k) = g^(k) +
+    k h^(k-1).  The upper triangle of the shape matrix, as in ``q_matrix``,
+    and C are read exactly through ``as_integer_ratio()`` (int, float,
+    Fraction and Decimal all have it); the six entries share one integer
+    denominator e and both deltas one denominator d, so every term is a
+    Python int and order k has the denominator e^3 d^(k // 2).  Agrees
+    exactly with ``detq_taylor`` and uses none of the closed derivative forms.
     """
     orders = list(orders)
     if any(k < 0 for k in orders):
         raise ValueError(f"derivative orders must be non-negative, got {orders}")
     a = fs.A
-    upper = [Fraction(a[i][j]) for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
-    e = math.lcm(*(x.denominator for x in upper))
-    a11, a22, a33, a12, a13, a23 = (x.numerator * (e // x.denominator) for x in upper)
+    upper = [a[i][j].as_integer_ratio() for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+    e = math.lcm(*(den for _, den in upper))
+    a11, a22, a33, a12, a13, a23 = (num * (e // den) for num, den in upper)
     h12 = a11 * a22 - a12 * a12
     h13 = a11 * a33 - a13 * a13
     h23 = a22 * a33 - a23 * a23
     det = a11 * h23 - a12 * (a12 * a33 - a23 * a13) + a13 * (a12 * a23 - a22 * a13)
-    # (s_x, s_y, e^3 p, e^3 q) for each product (p + q l) X Y of the expansion,
-    # with X = S_delta1 if s_x else C_delta1 and Y = S_delta2 if s_y else C_delta2
-    e2 = e * e
-    terms = (
-        (0, 0, e2 * e, -a11 * e2),
-        (1, 0, -a22 * e2, h12 * e),
-        (0, 1, -a33 * e2, h13 * e),
-        (1, 1, h23 * e, -det),
-    )
 
     # delta1 = kappa1 (1 + C) / 2 and delta2 = kappa2 (1 - C) / 2 over d = 2 den(C)
-    c = Fraction(cp.C)
-    d = 2 * c.denominator
-    u = -cp.kappa1 * (c.denominator + c.numerator)  # d * (-delta1)
-    v = -cp.kappa2 * (c.denominator - c.numerator)  # d * (-delta2)
-    top = max(orders, default=0) // 2
-    u_pow = [u**i for i in range(top + 1)]
-    v_pow = [v**i for i in range(top + 1)]
-    d_pow = [d**i for i in range(top + 1)]
+    cn, cd = cp.C.as_integer_ratio()
+    d = 2 * cd
+    u = -cp.kappa1 * (cd + cn)  # d * (-delta1)
+    v = -cp.kappa2 * (cd - cn)  # d * (-delta2)
 
-    def product(n: int, s_x: int, s_y: int, k: int) -> int:
-        """n-th derivative at 0 of X Y, times d^(k // 2)."""
-        m, odd = divmod(n - s_x - s_y, 2)
-        if m < 0 or odd:
-            return 0
-        total = sum(math.comb(n, 2 * i + s_x) * u_pow[i] * v_pow[m - i] for i in range(m + 1))
-        return total * d_pow[k // 2 - m]
+    def scaled_derivatives(c1c2: int, s1c2: int, c1s2: int, s1s2: int) -> list[int]:
+        """d^(n // 2) times the n-th derivative at 0 of c1c2 C1 C2 + s1c2 S1 C2 + c1s2 C1 S2 + s1s2 S1 S2."""
+        # at 0: C = 1, C' = 0, C'' = -delta, C''' = 0 and S = 0, S' = 1, S'' = 0, S''' = -delta
+        f = [c1c2, s1c2 + c1s2, c1c2 * (u + v) + 2 * d * s1s2, s1c2 * (u + 3 * v) + c1s2 * (3 * u + v)]
+        for n in range(4, max(orders, default=0) + 1):
+            f.append(2 * (u + v) * f[n - 2] - (u - v) ** 2 * f[n - 4])
+        return f
 
-    # d^k/dl^k [(p + q l) X Y] = p (X Y)^(k) + k q (X Y)^(k-1)
-    out = {}
-    for k in orders:
-        num = sum(
-            p * product(k, s_x, s_y, k) + k * q * product(k - 1, s_x, s_y, k)
-            for s_x, s_y, p, q in terms
-        )
-        out[k] = Fraction(num, e2 * e * d_pow[k // 2])
-    return out
+    # e^3 g and e^3 h: the terms of ``detq_closed_form`` without and with a factor l
+    e2 = e * e
+    g = scaled_derivatives(e2 * e, -a22 * e2, -a33 * e2, h23 * e)
+    h = scaled_derivatives(-a11 * e2, h12 * e, h13 * e, -det)
+    # k h^(k-1) is scaled by d^((k - 1) // 2), one power of d short of d^(k // 2) for even k
+    return {
+        k: Fraction(g[k] + (k * h[k - 1] * d ** (1 - k % 2) if k else 0), e2 * e * d ** (k // 2))
+        for k in orders
+    }
 
 
 # ---------------------------------------------------------------------------

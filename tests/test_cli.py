@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from prodform_geo.ambient import (
     random_product_point,
     random_product_tangent,
 )
-from prodform_geo.classify import ConstancyPolynomial, gallery_specs
+from prodform_geo.classify import CaseId, ConstancyPolynomial, gallery_specs
 from prodform_geo.spaceform import GeometryError
 from prodform_geo.cli import (
     CASES,
@@ -331,6 +333,21 @@ class TestDeterminism:
         a = render_json(run(make_config(command="detq", case="s2r2", samples=10, seed=1)))
         b = render_json(run(make_config(command="detq", case="s2r2", samples=10, seed=2)))
         assert a != b
+
+
+class TestExactDraw:
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_same_values_and_stream_as_fraction_draw(self, case):
+        # the draw as it was when the exact shapes were Fractions
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(1000):
+            fs = cli.random_frame_shape(case, rng, exact=True)
+            a11, a22, a33, a12, a13, a23 = (Fraction(int(n), 1000) for n in reference.integers(-2000, 2001, size=6))
+            c = Fraction(int(reference.integers(-949, 950)), 1000)
+            assert all(isinstance(x, Decimal) for row in fs.A for x in row) and isinstance(fs.C, Decimal)
+            assert [[Fraction(x) for x in row] for row in fs.A] == [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
+            assert Fraction(fs.C) == c
+        assert rng.uniform() == reference.uniform()
 
 
 class TestReportFormats:

@@ -1,6 +1,7 @@
 import decimal
 import math
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from prodform_geo.classify import (
     case_alphas,
 )
 from prodform_geo.cli import exact_derivatives, random_frame_shape
-from prodform_geo.hypersurface import ORTHONORMAL_TOL, angle_of_normal, unit_normal
+from prodform_geo.hypersurface import ORTHONORMAL_TOL, SYMMETRY_TOL, angle_of_normal, unit_normal
 from prodform_geo.jacobi import (
     FRAME_EPS,
     CaseParams,
@@ -53,6 +54,12 @@ def random_exact_shape(case, rng, den=100):
     a11, a22, a33, a12, a13, a23 = entries
     a = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
     return FrameShape(A=a, kappa1=case.kappa1, kappa2=case.kappa2, C=c)
+
+
+def as_fractions(fs):
+    """The same shape with every entry and C at its exact value as a Fraction."""
+    a = tuple(tuple(Fraction(x) for x in row) for row in fs.A)
+    return FrameShape(A=a, kappa1=fs.kappa1, kappa2=fs.kappa2, C=Fraction(fs.C))
 
 
 class TestTaylorSeries:
@@ -111,6 +118,28 @@ class TestStabilityFunctions:
         assert c.coeffs[2] == Fraction(-1, 4)  # -delta/2!
         assert c.coeffs[4] == Fraction(1, 96)  # delta^2/4!
 
+    @pytest.mark.parametrize("delta", ["0.5", "-1.25", "0", "-0"])
+    def test_series_stays_decimal(self, delta):
+        # each coefficient is the exact one rounded once, by the division
+        # by its factorial, in the default context
+        s, c = stability_series(Decimal(delta), order=8)
+        s_exact, c_exact = stability_series(Fraction(delta), order=8)
+        for got, exact, slots in ((s, s_exact, range(1, 9, 2)), (c, c_exact, range(0, 9, 2))):
+            for k in slots:
+                assert isinstance(got.coeffs[k], Decimal)
+                assert got.coeffs[k] == Decimal(exact.coeffs[k].numerator) / exact.coeffs[k].denominator
+
+    @pytest.mark.parametrize("delta", [-1.3, -0.2, 0.0, -0.0, 0.4, 1.7])
+    def test_float_series_unchanged(self, delta):
+        s, c = stability_series(delta, order=12)
+        power = 1.0  # the float start the power had before it followed delta's ring
+        for m in range(7):
+            assert c.coeffs[2 * m] == power / math.factorial(2 * m)
+            if 2 * m + 1 <= 12:
+                assert s.coeffs[2 * m + 1] == power / math.factorial(2 * m + 1)
+            power = power * (-delta)
+        assert all(type(x) is float for x in s.coeffs[1::2] + c.coeffs[::2])
+
 
 class TestCaseParams:
     def test_deltas_follow_angle(self):
@@ -144,6 +173,102 @@ class TestFrameShape:
     def test_non_finite_entry_rejected(self, a):
         with pytest.raises(GeometryError):
             FrameShape(A=a, kappa1=1, kappa2=-1, C=0.2)
+
+    def test_case_built_once(self):
+        fs = FrameShape(A=((1, 0, 0), (0, 1, 0), (0, 0, 1)), kappa1=1, kappa2=-1, C=Decimal("0.2"))
+        assert fs.case is fs.case
+        assert replace(fs, C=Decimal("0.3")).case.C == Decimal("0.3")
+
+
+NUMBER_TYPES = [float, np.float64, Fraction, Decimal]
+
+
+def old_shape_accepted(a):
+    """The finite-and-symmetric test before each entry was judged in its own type."""
+    for i in range(3):
+        for j in range(i, 3):
+            x, y = a[i][j], a[j][i]
+            if not (-math.inf < x < math.inf and (x == y or abs(x - y) <= SYMMETRY_TOL)):
+                return False
+    return True
+
+
+def old_angle_accepted(c):
+    """The angle test of CaseParams before it compared C in its own type."""
+    return math.isfinite(c) and abs(c) <= 1 + 1e-12
+
+
+class TestValidationAcrossNumberTypes:
+    """Shapes and angle values are accepted or rejected as before, in every number type."""
+
+    @staticmethod
+    def matrix(num, a00, a01, a10):
+        zero, one = num("0"), num("1")
+        return ((num(a00), num(a01), zero), (num(a10), one, zero), (zero, zero, one))
+
+    def shape(self, num, *entries):
+        return FrameShape(A=self.matrix(num, *entries), kappa1=1, kappa2=-1, C=num("0.2"))
+
+    @pytest.mark.parametrize("num", NUMBER_TYPES)
+    @pytest.mark.parametrize(
+        "a00, a01, a10",
+        [
+            ("1e300", "0", "0"),
+            ("1e400", "0", "0"),  # a float infinity, a huge exact number
+            ("-1e400", "2", "2"),
+            ("0.5", "0", "1e-8"),
+            ("0.5", "0", "0.9e-8"),
+            ("0.5", "0", "1.1e-8"),
+            ("0.5", "1e-8", "0"),
+            # just below and just above the binary value 1.0000000000000000209e-8
+            # of the float tolerance: a float parse rounds both onto it
+            ("0.5", "0", "1.00000000000000002e-8"),
+            ("0.5", "0", "1.00000000000000003e-8"),
+            ("0.5", "-1.00000000000000003e-8", "0"),
+        ],
+    )
+    def test_finite_decisions_unchanged(self, num, a00, a01, a10):
+        a = self.matrix(num, a00, a01, a10)
+        if old_shape_accepted(a):
+            assert self.shape(num, a00, a01, a10).A == a
+        else:
+            with pytest.raises(GeometryError):
+                self.shape(num, a00, a01, a10)
+
+    @pytest.mark.parametrize(
+        "num, bad",
+        [(num, bad) for num in (float, np.float64) for bad in ("nan", "inf", "-inf")]
+        # a Decimal NaN traps in an ordering comparison, and a signaling one in ==
+        + [(Decimal, bad) for bad in ("NaN", "sNaN", "-sNaN", "Infinity", "-Infinity")],
+    )
+    @pytest.mark.parametrize("where", [("bad", "0", "0"), ("0", "bad", "bad"), ("0", "0", "bad"), ("0", "bad", "0")])
+    def test_non_finite_rejected(self, num, bad, where):
+        with pytest.raises(GeometryError):
+            self.shape(num, *(bad if w == "bad" else w for w in where))
+
+    @pytest.mark.parametrize("num", NUMBER_TYPES)
+    @pytest.mark.parametrize(
+        "c", ["0.949", "-1", "1.000000000001", "1.0000000000010001", "1.00000000000101", "-1.5", "1e300"]
+    )
+    def test_angle_decisions_unchanged(self, num, c):
+        if old_angle_accepted(num(c)):
+            assert CaseParams(1, -1, num(c)).C == num(c)
+        else:
+            with pytest.raises(GeometryError):
+                CaseParams(1, -1, num(c))
+
+    @pytest.mark.parametrize("num", [float, np.float64, Decimal])
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_rejected(self, num, c):
+        with pytest.raises(GeometryError):
+            CaseParams(1, -1, num(c))
+
+    @pytest.mark.parametrize("c", ["sNaN", "1e400", "-1e400"])
+    def test_exact_angle_out_of_float_range_rejected(self, c):
+        # float(Decimal("sNaN")) raises and 1e400 overflows a float, so neither
+        # has a float-era decision to compare with
+        with pytest.raises(GeometryError):
+            CaseParams(1, -1, Decimal(c))
 
 
 class TestAdaptedFrame:
@@ -419,14 +544,17 @@ class TestDetqDerivatives:
 
     def test_float_entries_taken_exactly(self):
         fs = random_frame_shape(CaseId.S2xH2, np.random.default_rng(16), exact=False)
-        exact = FrameShape(
-            A=tuple(tuple(Fraction(x) for x in row) for row in fs.A),
-            kappa1=fs.kappa1,
-            kappa2=fs.kappa2,
-            C=Fraction(fs.C),
-        )
         got = detq_derivatives(fs, fs.case, range(13))
-        assert {k: Fraction(v) for k, v in got.items()} == series_derivatives(exact)
+        assert {k: Fraction(v) for k, v in got.items()} == series_derivatives(as_fractions(fs))
+
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_decimal_shape_equals_its_fractions(self, case):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            fs = random_frame_shape(case, rng, exact=True)
+            exact = as_fractions(fs)
+            got = detq_derivatives(fs, fs.case, range(13))
+            assert got == detq_derivatives(exact, exact.case, range(13)) == series_derivatives(exact)
 
     def test_requested_orders_only(self):
         fs = random_exact_shape(CaseId.S2xR2, np.random.default_rng(17))
@@ -517,7 +645,7 @@ class TestDecimalClosedForms:
         for _ in range(200):
             self.assert_exact(random_frame_shape(case, rng, exact=True), case)
 
-    @pytest.mark.parametrize("c", [Fraction(949, 1000), Fraction(-949, 1000)])
+    @pytest.mark.parametrize("c", [Decimal("0.949"), Decimal("-0.949")])
     @pytest.mark.parametrize("case", list(CaseId))
     def test_extreme_grid_angle(self, case, c):
         rng = np.random.default_rng(19)
@@ -526,13 +654,14 @@ class TestDecimalClosedForms:
 
     @pytest.mark.parametrize("case", list(CaseId))
     def test_zero_shape(self, case):
-        zero = ((Fraction(0),) * 3,) * 3
-        self.assert_exact(FrameShape(A=zero, kappa1=case.kappa1, kappa2=case.kappa2, C=Fraction(1, 5)), case)
+        zero = ((Decimal(0),) * 3,) * 3
+        self.assert_exact(FrameShape(A=zero, kappa1=case.kappa1, kappa2=case.kappa2, C=Decimal("0.2")), case)
 
     def test_off_grid_entry_raises_inexact(self):
+        # a 30-digit entry is exact as a Decimal, but its square in rho needs 60 digits
         fs = random_frame_shape(CaseId.S2xH2, np.random.default_rng(20), exact=True)
         a = [list(row) for row in fs.A]
-        a[0][0] = Fraction(1, 3)
+        a[0][0] = Decimal("0." + "3" * 30)
         with pytest.raises(decimal.Inexact):
             exact_derivatives(replace(fs, A=tuple(map(tuple, a))), (1, 2))
 
