@@ -96,8 +96,8 @@ def curvature_tensor(x: ProductVector, y: ProductVector, z: ProductVector, w: Pr
     The expression is kept literal so tests exercise this exact form rather
     than a rearrangement.
     """
-    k1 = x.base.kappa1
-    k2 = x.base.kappa2
+    k1 = x.first.kappa
+    k2 = x.second.kappa
     pw = product_structure(w)
     pz = product_structure(z)
     pw_plus_w, pz_plus_z = pw + w, pz + z

@@ -19,18 +19,14 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .ambient import (
-    ProductPoint,
-    ProductVector,
-    ambient_frame,
-    product_metric,
-    product_structure,
-)
+from .ambient import ProductPoint, ProductVector, product_metric, product_structure
 from .spaceform import (
     DegeneratePointError,
     GeometryError,
     ModelVector,
+    _require_same_base,
     form,
+    tangent_frame,
     tangent_project,
 )
 
@@ -105,6 +101,11 @@ def tangent_basis(imm: Immersion, u: np.ndarray) -> tuple[ProductVector, Product
     extrapolated central differences of the chart with components projected
     onto the factor tangent spaces.
     """
+    return _tangents(imm, u)[0]
+
+
+def _tangents(imm: Immersion, u: np.ndarray) -> tuple[tuple[ProductVector, ProductVector, ProductVector], np.ndarray]:
+    """``tangent_basis`` at u with its Gram matrix, which the rank check computes."""
     u = np.asarray(u, dtype=float)
     if imm.jacobian is not None:
         basis = imm.jacobian(u)
@@ -121,17 +122,35 @@ def tangent_basis(imm: Immersion, u: np.ndarray) -> tuple[ProductVector, Product
                 )
             )
         basis = tuple(vectors)
-    _check_rank(basis, u)
-    return basis
+    return basis, _check_rank(basis, u)
 
 
-def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> None:
-    gram = np.array([[product_metric(a, b) for b in basis] for a in basis])
+def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> np.ndarray:
+    """The Gram matrix of ``basis``, once its smallest singular value is at least RANK_TOL."""
+    for t in basis[1:]:
+        _require_same_base(t.first, basis[0].first)
+        _require_same_base(t.second, basis[0].second)
+    # product_metric on raw coordinates; both factor forms are bitwise symmetric
+    k1, k2 = basis[0].first.kappa, basis[0].second.kappa
+    coords = [(t.first.coords, t.second.coords) for t in basis]
+    gram = np.empty((3, 3))
+    for i, (x, y) in enumerate(coords):
+        for j in range(i + 1):
+            gram[i, j] = gram[j, i] = form(k1, x, coords[j][0]) + form(k2, y, coords[j][1])
     smallest = min(np.linalg.eigvalsh(gram))
     if smallest < RANK_TOL**2:
         raise DegeneratePointError(
             f"immersion is degenerate at u={u.tolist()} (sigma_min ~ {math.sqrt(max(smallest, 0.0)):.3e})"
         )
+    return gram
+
+
+def _zero_pairing(kappa: int, x: np.ndarray) -> float:
+    """form(kappa, x, 0): +0.0 from np.dot, and the Lorentz pairing's own signed zero."""
+    if kappa != -1:
+        return 0.0
+    x0, x1, x2 = x.tolist()
+    return -x0 * 0.0 + x1 * 0.0 + x2 * 0.0
 
 
 def _det3(a):
@@ -162,13 +181,20 @@ def unit_normal(
     """
     if basis is None:
         basis = tangent_basis(imm, u)
-    p = basis[0].base
-    frame = ambient_frame(p)
-    m = np.array([[product_metric(t, f) for f in frame] for t in basis])
+    p1, p2 = basis[0].first.base, basis[0].second.base
+    k1, k2 = p1.kappa, p2.kappa
+    a, ja = tangent_frame(p1)
+    b, jb = tangent_frame(p2)
+    # product_metric against the legs (a, 0), (Ja, 0), (0, b), (0, Jb) of
+    # ambient_frame, with each zero leg's term the signed zero it adds
+    rows = []
+    for t in basis:
+        x, y = t.first.coords, t.second.coords
+        z1, z2 = _zero_pairing(k1, x), _zero_pairing(k2, y)
+        rows.append([form(k1, x, e.coords) + z2 for e in (a, ja)] + [z1 + form(k2, y, e.coords) for e in (b, jb)])
 
     # cofactor expansion: det(e1, e2, e3, n) = |n|^2 > 0 by construction
     cols = [0, 1, 2, 3]
-    rows = m.tolist()
     n = np.empty(4)
     for j in cols:
         keep = [c for c in cols if c != j]
@@ -176,8 +202,8 @@ def unit_normal(
     n /= np.linalg.norm(n)
 
     normal = ProductVector(
-        frame[0].first.scale(n[0]) + frame[1].first.scale(n[1]),
-        frame[2].second.scale(n[2]) + frame[3].second.scale(n[3]),
+        ModelVector(p1, n[0] * a.coords + n[1] * ja.coords),
+        ModelVector(p2, n[2] * b.coords + n[3] * jb.coords),
     )
     if hint is not None and product_metric(normal, hint) < 0.0:
         normal = -normal
@@ -316,7 +342,7 @@ def shape_operator(
             points[key] = imm.chart(v)
         return points[key]
 
-    tangents = tangent_basis(replace(imm, chart=chart), u)
+    tangents, tangent_gram = _tangents(replace(imm, chart=chart), u)
     n = unit_normal(imm, u, hint=hint, basis=tangents)
     if basis is None:
         basis = gram_schmidt(tangents)
@@ -325,10 +351,8 @@ def shape_operator(
         _check_orthonormal(basis, n)
 
     gram = np.array([[product_metric(a, b) for b in tangents] for a in basis])
-    coeff = np.linalg.solve(
-        np.array([[product_metric(a, b) for b in tangents] for a in tangents]).T,
-        gram.T,
-    ).T  # coeff[i] expresses basis[i] in the coordinate tangents
+    # coeff[i] expresses basis[i] in the coordinate tangents
+    coeff = np.linalg.solve(tangent_gram, gram.T).T
 
     p = n.base
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prodform_geo import hypersurface, jacobi
-from prodform_geo.ambient import ProductPoint, ProductVector, product_metric
+from prodform_geo.ambient import ProductPoint, ProductVector, ambient_frame, product_metric
 from prodform_geo.classify import (
     ExampleSpec,
     FAMILY_CURVE_X_FACTOR,
@@ -13,6 +13,7 @@ from prodform_geo.classify import (
     FAMILY_PSI,
     build_example,
     build_perturbed_psi,
+    gallery_specs,
 )
 from prodform_geo.hypersurface import (
     Immersion,
@@ -29,6 +30,7 @@ from prodform_geo.spaceform import (
     DegeneratePointError,
     GeometryError,
     ModelPoint,
+    ModelVector,
     zero_vector,
 )
 
@@ -57,6 +59,72 @@ def counting(fn, calls):
         return fn(*args, **kwargs)
 
     return counted
+
+
+def frame_unit_normal(imm, u, hint=None):
+    """The unit normal from product_metric against ambient_frame, kept as the bitwise reference."""
+    basis = tangent_basis(imm, u)
+    frame = ambient_frame(basis[0].base)
+    m = np.array([[product_metric(t, f) for f in frame] for t in basis])
+    cols = [0, 1, 2, 3]
+    rows = m.tolist()
+    n = np.empty(4)
+    for j in cols:
+        keep = [c for c in cols if c != j]
+        n[j] = (-1.0) ** (j + 1) * hypersurface._det3([[row[c] for c in keep] for row in rows])
+    n /= np.linalg.norm(n)
+    normal = ProductVector(
+        frame[0].first.scale(n[0]) + frame[1].first.scale(n[1]),
+        frame[2].second.scale(n[2]) + frame[3].second.scale(n[3]),
+    )
+    if hint is not None and product_metric(normal, hint) < 0.0:
+        normal = -normal
+    return normal
+
+
+def assert_same_bits(n, ref):
+    """Equal factor coordinates, down to the sign of each zero."""
+    assert n.first.coords.tobytes() == ref.first.coords.tobytes()
+    assert n.second.coords.tobytes() == ref.second.coords.tobytes()
+
+
+def flat_jacobian_immersion(vectors, points=None):
+    """A flat x flat immersion whose jacobian is the given (first, second) coordinate pairs,
+    the k-th pair based at ``points[k]`` (the origin of both factors by default)."""
+    points = points or [(np.zeros(2), np.zeros(2))] * 3
+
+    def chart(u):
+        return ProductPoint(ModelPoint(0, points[0][0]), ModelPoint(0, points[0][1]))
+
+    def jacobian(u):
+        return tuple(
+            ProductVector(ModelVector(ModelPoint(0, p), x), ModelVector(ModelPoint(0, q), y))
+            for (p, q), (x, y) in zip(points, vectors)
+        )
+
+    return Immersion(kappa1=0, kappa2=0, chart=chart, jacobian=jacobian)
+
+
+def geodesic_times_hyperbolic_plane(c=-0.5):
+    """H^2 x H^2: a geodesic of the first factor times the graph chart of the second."""
+    s = math.sqrt(1.0 - c * c)
+
+    def points(u):
+        t, a, b = u
+        p = np.array([math.cosh(t), c * math.sinh(t), -s * math.sinh(t)])
+        q = np.array([math.sqrt(1.0 + a * a + b * b), a, b])
+        return ModelPoint(-1, p), ModelPoint(-1, q)
+
+    def jacobian(u):
+        t, a, b = u
+        p, q = points(u)
+        return (
+            ProductVector(ModelVector(p, [math.sinh(t), c * math.cosh(t), -s * math.cosh(t)]), zero_vector(q)),
+            ProductVector(zero_vector(p), ModelVector(q, [a / q.coords[0], 1.0, 0.0])),
+            ProductVector(zero_vector(p), ModelVector(q, [b / q.coords[0], 0.0, 1.0])),
+        )
+
+    return Immersion(kappa1=-1, kappa2=-1, chart=lambda u: ProductPoint(*points(u)), jacobian=jacobian)
 
 
 GRID = [
@@ -109,6 +177,28 @@ class TestTangentBasis:
         # shape operator must reach it
         for build in (tangent_basis, unit_normal, shape_operator):
             with pytest.raises(DegeneratePointError):
+                build(imm, np.zeros(3))
+
+    def test_degenerate_jacobian_reports_sigma_min(self):
+        a, b = 0.6, 0.8
+        imm = flat_jacobian_immersion(
+            [((a, b), (0.0, 0.0)), ((-b, a), (0.0, 0.0)), ((0.0, 0.0), (3e-7 * a, 3e-7 * b))]
+        )
+        message = r"^immersion is degenerate at u=\[0\.5, 0\.0, -0\.5\] \(sigma_min ~ 3\.000e-07\)$"
+        for build in (tangent_basis, unit_normal, shape_operator):
+            with pytest.raises(DegeneratePointError, match=message):
+                build(imm, np.array([0.5, 0.0, -0.5]))
+
+    @pytest.mark.parametrize("factor", [0, 1])
+    @pytest.mark.parametrize("moved", [1, 2])
+    def test_jacobian_at_different_base_points_rejected(self, factor, moved):
+        points = [[np.zeros(2), np.zeros(2)] for _ in range(3)]
+        points[moved][factor] = np.array([0.0, 1e-6])
+        imm = flat_jacobian_immersion(
+            [((1.0, 0.0), (0.0, 0.0)), ((0.0, 1.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))], points
+        )
+        for build in (tangent_basis, unit_normal, shape_operator):
+            with pytest.raises(GeometryError, match="^vectors live at different base points$"):
                 build(imm, np.zeros(3))
 
 
@@ -172,6 +262,27 @@ class TestUnitNormal:
         n = unit_normal(imm, u)
         flipped = unit_normal(imm, u, hint=-n)
         assert np.array_equal(flipped.first.coords, -n.first.coords)
+
+    @pytest.mark.parametrize("spec", gallery_specs(), ids=lambda spec: build_example(spec).name)
+    def test_gallery_normals_match_frame_reference_bitwise(self, spec):
+        imm = build_example(spec)
+        for u in imm.grid(3):
+            assert_same_bits(unit_normal(imm, u), frame_unit_normal(imm, u))
+
+    # a chart with no jacobian, psi at C = 1 - 2c = 0.9999999, and a chart
+    # where a zero leg adds the Lorentz pairing's -0.0 to another -0.0
+    @pytest.mark.parametrize(
+        "imm",
+        [build_perturbed_psi(), psi_immersion(c=5e-8), geodesic_times_hyperbolic_plane()],
+        ids=["perturbed", "psi-C~1", "H2xH2"],
+    )
+    def test_normals_match_frame_reference_bitwise(self, imm):
+        for u in imm.grid(3):
+            ref = frame_unit_normal(imm, u)
+            assert_same_bits(unit_normal(imm, u), ref)
+            flipped = frame_unit_normal(imm, u, hint=-ref)
+            assert np.array_equal(flipped.first.coords, -ref.first.coords)
+            assert_same_bits(unit_normal(imm, u, hint=-ref), flipped)
 
 
 class TestAngleFunction:
@@ -277,8 +388,9 @@ class TestShapeOperator:
 
     def test_one_unit_normal_call_per_shape(self, monkeypatch):
         # one tangent basis and one unit normal per shape, also in the flow
-        # frame; jacobi binds unit_normal at import, so both names are counted
-        calls = {"tangent_basis": [], "unit_normal": []}
+        # frame; tangent_basis and shape_operator both build the basis through
+        # _tangents, and jacobi binds unit_normal at import, so both names are counted
+        calls = {"_tangents": [], "unit_normal": []}
         for name, seen in calls.items():
             monkeypatch.setattr(hypersurface, name, counting(getattr(hypersurface, name), seen))
         monkeypatch.setattr(jacobi, "unit_normal", hypersurface.unit_normal)
@@ -287,7 +399,7 @@ class TestShapeOperator:
                 seen.clear()
             shape(psi_immersion(), GRID[1])
             assert {name: len(seen) for name, seen in calls.items()} == {
-                "tangent_basis": 1,
+                "_tangents": 1,
                 "unit_normal": 1,
             }, shape.__name__
 
