@@ -43,6 +43,7 @@ from .jacobi import (
     detq_derivative_formula,
     detq_derivatives,
     detq_taylor,
+    formula_orders,
     parallel_immersion,
     parallel_shape,
     q_matrix,

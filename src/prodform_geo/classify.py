@@ -24,6 +24,7 @@ from .jacobi import (
     CaseParams,
     FocalPointError,
     detq_derivative_formula,
+    formula_orders,
     frame_shape_at,
     horner,
     parallel_mean_curvature,
@@ -74,32 +75,16 @@ class AlphaRecord:
 def case_alphas(case: CaseId, C, rho, H12, H13) -> AlphaRecord:
     """Evaluate the three (or four) constant combinations of a case.
 
-    These are the closed forms of the derivative orders 2, 4, 6 specialized
-    to the case's curvature pair; the sphere-times-hyperbolic case needs the
-    order-10 expression as a fourth value.
+    These are the closed forms of the derivative orders 2, 4 and 6, and 10
+    in the sphere-times-hyperbolic case, at the case's curvature pair.
     """
-    c = C
-    if case is CaseId.S2xH2:
-        a1 = rho + c
-        a2 = -1 - 2 * c * c + (4 - 4 * c) * H12 - (4 + 4 * c) * H13 - 2 * c * rho
-        a3 = (
-            c
-            + 4 * c**3
-            + (-4 - 12 * c + 16 * c * c) * H12
-            + (-4 + 12 * c + 16 * c * c) * H13
-            + (4 * c * c - 1) * rho
+    cp = CaseParams(case.kappa1, case.kappa2, C)
+    return AlphaRecord(
+        *(
+            detq_derivative_formula(k, cp, rho=rho, H12=H12, H13=H13)
+            for k in formula_orders(case.kappa1, case.kappa2)[1:]
         )
-        a4 = detq_derivative_formula(10, CaseParams(1, -1, c), rho=rho, H12=H12, H13=H13)
-        return AlphaRecord(a1, a2, a3, a4)
-    if case is CaseId.S2xR2:
-        a1 = (c - 3) / 2 + rho
-        a2 = -((1 + c) * (-5 + 3 * c + 4 * rho + 16 * H13)) / 4
-        a3 = ((1 + c) ** 2 * (6 * rho + 48 * H13 + 5 * c - 7)) / 8
-        return AlphaRecord(a1, a2, a3)
-    a1 = (3 - c) / 2 + rho
-    a2 = -((1 + c) * (-5 + 3 * c - 4 * rho - 16 * H13)) / 4
-    a3 = ((1 + c) ** 2 * (6 * rho + 48 * H13 - 5 * c + 7)) / 8
-    return AlphaRecord(a1, a2, a3)
+    )
 
 
 @dataclass(frozen=True)
@@ -115,7 +100,7 @@ def invariants_from_alphas(case: CaseId, ar: AlphaRecord, C) -> SolvedInvariants
     Inverts the relations of :func:`case_alphas`; the sphere-times-hyperbolic
     case recovers all of (rho, H12, H13), the flat-factor cases (rho, H13).
     """
-    c = C
+    c = CaseParams(case.kappa1, case.kappa2, C).C
     a1, a2, a3 = ar.alpha1, ar.alpha2, ar.alpha3
     if case is CaseId.S2xH2:
         _require_nonzero(1 - c, "1-C")
@@ -203,6 +188,8 @@ def solve_polynomial(coefficients: Sequence[float], lo: float = -1.0, hi: float 
     coeffs = [float(x) for x in coefficients]
     if len(coeffs) > 4:
         raise GeometryError("only polynomials of degree <= 3 are supported")
+    if not all(math.isfinite(x) for x in coeffs):
+        raise GeometryError(f"coefficients must be finite, got {tuple(coeffs)!r}")
     scale = max(abs(x) for x in coeffs) if coeffs else 0.0
     if scale == 0.0:
         raise GeometryError("all coefficients vanish")
@@ -308,6 +295,7 @@ def _cubic_roots(coeffs: Sequence[float]) -> list[tuple[float, int]]:
 FAMILY_CURVE_X_FACTOR = "curve_x_factor"
 FAMILY_FACTOR_X_CURVE = "factor_x_curve"
 FAMILY_PSI = "psi"
+FAMILIES = (FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE, FAMILY_PSI)
 
 
 @dataclass(frozen=True)
@@ -330,7 +318,7 @@ class ExampleSpec:
     X0: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.family not in (FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE, FAMILY_PSI):
+        if self.family not in FAMILIES:
             raise GeometryError(f"unknown example family {self.family!r}")
         for name in ("k", "c", "V0", "W0", "X0"):
             if not np.all(np.isfinite(getattr(self, name))):

@@ -42,8 +42,8 @@ from .ambient import (
 from .classify import (
     CaseId,
     ExampleSpec,
+    FAMILIES,
     FAMILY_CURVE_X_FACTOR,
-    FAMILY_FACTOR_X_CURVE,
     FAMILY_PSI,
     PERTURBED_AMPLITUDE,
     build_example,
@@ -62,6 +62,7 @@ from .jacobi import (
     detq_closed_form,
     detq_derivative_formula,
     detq_derivatives,
+    formula_orders,
     parallel_mean_curvature,
     parallel_shape,
     q_matrix,
@@ -69,7 +70,7 @@ from .jacobi import (
 )
 from .spaceform import GeometryError, random_tangent, zero_vector
 
-CASES = ("s2h2", "s2r2", "h2r2")
+CASES = tuple(case.value for case in CaseId)
 
 DEFAULT_TOLS = {
     "identities": 1e-12,
@@ -102,7 +103,7 @@ class RunConfig:
     k: float = 1.0
 
     def validate(self) -> None:
-        if self.command not in ("identities", "detq", "cases", "gallery", "flow"):
+        if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.case is not None and self.case not in CASES:
             raise ConfigError(f"--case must be one of {CASES}, got {self.case!r}")
@@ -120,11 +121,7 @@ class RunConfig:
             raise ConfigError("--l values must be finite")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"--format must be json or csv, got {self.fmt!r}")
-        if self.family is not None and self.family not in (
-            FAMILY_PSI,
-            FAMILY_CURVE_X_FACTOR,
-            FAMILY_FACTOR_X_CURVE,
-        ):
+        if self.family is not None and self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
         if not 0.0 < self.c < 1.0:
             raise ConfigError("--c must lie strictly between 0 and 1")
@@ -362,7 +359,7 @@ def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
     tol = cfg.tolerance("detq")
     tol_matrix = cfg.tolerance("detq_matrix")
     for case in cfg.selected_cases():
-        orders = (1, 2, 4, 6, 10) if case is CaseId.S2xH2 else (1, 2, 4, 6)
+        orders = formula_orders(case.kappa1, case.kappa2)
         rng = np.random.default_rng(cfg.seed)
         tag = case.value
         derivative_trackers = {
@@ -538,6 +535,16 @@ def run_flow(cfg: RunConfig, report: VerificationReport) -> None:
     )
 
 
+#: each command and the function that runs it, in the order of the module docstring
+COMMANDS = {
+    "identities": run_identities,
+    "detq": run_detq,
+    "cases": run_cases,
+    "gallery": run_gallery,
+    "flow": run_flow,
+}
+
+
 # ---------------------------------------------------------------------------
 # report output
 # ---------------------------------------------------------------------------
@@ -619,7 +626,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="prodform-geo",
         description="Verification harness for product space-form hypersurface identities.",
     )
-    parser.add_argument("command", choices=["identities", "detq", "cases", "gallery", "flow"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", help="flat key = value config file; flags win")
     parser.add_argument("--case", choices=list(CASES))
     parser.add_argument("--samples", type=int)
@@ -629,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--l", dest="l_values", help="comma-separated flow distances")
     parser.add_argument("--out", help="report path")
     parser.add_argument("--format", dest="fmt", choices=["json", "csv"])
-    parser.add_argument("--family", choices=[FAMILY_PSI, FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE])
+    parser.add_argument("--family", choices=list(FAMILIES))
     parser.add_argument("--c", type=float, help="strip constant of the ruled example")
     parser.add_argument("--k", type=float, help="curve curvature for the product families")
     return parser
@@ -669,14 +676,7 @@ def run(cfg: RunConfig) -> VerificationReport:
     """Dispatch one configured run and return its report."""
     cfg.validate()
     report = VerificationReport(seed=cfg.seed, config=_config_echo(cfg))
-    dispatch = {
-        "identities": run_identities,
-        "detq": run_detq,
-        "cases": run_cases,
-        "gallery": run_gallery,
-        "flow": run_flow,
-    }
-    dispatch[cfg.command](cfg, report)
+    COMMANDS[cfg.command](cfg, report)
     return report
 
 

@@ -86,16 +86,9 @@ class TaylorSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, k: int):
-        return self.coeffs[k] if k <= self.order else 0
-
     def __add__(self, other: "TaylorSeries") -> "TaylorSeries":
         n = min(self.order, other.order)
         return TaylorSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "TaylorSeries") -> "TaylorSeries":
-        n = min(self.order, other.order)
-        return TaylorSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
 
     def __mul__(self, other: "TaylorSeries") -> "TaylorSeries":
         n = min(self.order, other.order)
@@ -109,14 +102,6 @@ class TaylorSeries:
                     out[i + j] += a * b
         return TaylorSeries(out)
 
-    def scale(self, a) -> "TaylorSeries":
-        return TaylorSeries([a * c for c in self.coeffs])
-
-    def differentiate(self) -> "TaylorSeries":
-        if self.order == 0:
-            return TaylorSeries([0 * self.coeffs[0]])
-        return TaylorSeries([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def derivative_at_zero(self, k: int):
         """k-th derivative at 0, i.e. k! times the k-th coefficient."""
         if k > self.order:
@@ -125,9 +110,6 @@ class TaylorSeries:
 
     def __call__(self, x):
         return horner(self.coeffs, x)
-
-    def __repr__(self) -> str:
-        return f"TaylorSeries({self.coeffs!r})"
 
 
 def horner(coeffs: Sequence, x):
@@ -391,24 +373,27 @@ def detq_derivatives(fs: FrameShape, cp: CaseParams, orders: Iterable[int]) -> d
 # closed-form derivatives of det Q at l = 0
 # ---------------------------------------------------------------------------
 
-FORMULA_ORDERS = (1, 2, 4, 6, 10)
+
+def formula_orders(kappa1: int, kappa2: int) -> tuple[int, ...]:
+    """The derivative orders with a closed form: 1, 2, 4 and 6, and 10 at (+1, -1) only."""
+    return (1, 2, 4, 6) + ((10,) if (kappa1, kappa2) == (1, -1) else ())
 
 
 def detq_derivative_formula(k: int, cp: CaseParams, H=None, rho=None, H12=None, H13=None):
     """Closed form of the k-th derivative of det Q at l = 0.
 
-    Available for k in {1, 2, 4, 6} at any curvature pair and k = 10 only for
-    (kappa1, kappa2) = (1, -1).  Orders without a closed counterpart are
-    rejected rather than reconstructed from the series.  The expressions are
-    polynomial, so Fraction inputs are evaluated exactly.
+    Available for the orders of ``formula_orders`` at the case's curvature
+    pair.  Other orders are rejected rather than reconstructed from the
+    series.  The expressions are polynomial, so Fraction inputs are evaluated
+    exactly.
     """
     k1, k2, c = cp.kappa1, cp.kappa2, cp.C
+    if k not in formula_orders(k1, k2):
+        raise UnsupportedCaseError(f"no closed form for derivative order {k} at the pair ({k1}, {k2})")
     if k == 1:
         if H is None:
             raise GeometryError("k = 1 needs the mean curvature H")
         return -H
-    if k not in FORMULA_ORDERS:
-        raise UnsupportedCaseError(f"no closed form for derivative order {k}")
     if any(v is None for v in (rho, H12, H13)):
         raise GeometryError(f"k = {k} needs rho, H12 and H13")
     if k == 2:
@@ -436,10 +421,6 @@ def detq_derivative_formula(k: int, cp: CaseParams, H=None, rho=None, H12=None, 
             ) / 8
         )
     # k == 10
-    if (k1, k2) != (1, -1):
-        raise UnsupportedCaseError(
-            f"the order-10 closed form only exists for the (+1, -1) pair, got ({k1}, {k2})"
-        )
     c2 = c * c
     c3 = c2 * c
     c4 = c2 * c2

@@ -78,6 +78,14 @@ class TestInvariantsFromAlphas:
         with pytest.raises(GeometryError, match=r"1\+C"):
             invariants_from_alphas(CaseId.S2xR2, AlphaRecord(1.0, 1.0, 1.0), -1.0)
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf, 1.5, -1.5])
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_angle_outside_its_range_rejected(self, case, C):
+        with pytest.raises(GeometryError, match="angle value"):
+            invariants_from_alphas(case, AlphaRecord(1.0, 1.0, 1.0, 1.0), C)
+        with pytest.raises(GeometryError, match="angle value"):
+            case_alphas(case, C, 0.5, 0.5, 0.5)
+
     @pytest.mark.parametrize("case", list(CaseId))
     def test_reverse_round_trip_from_alphas(self, case):
         # start from the combinations, solve, re-evaluate; the flat-factor
@@ -202,6 +210,13 @@ class TestSolvePolynomial:
     def test_all_zero_coefficients_rejected(self):
         with pytest.raises(GeometryError):
             solve_polynomial((0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            solve_polynomial((1.0, bad, 0.0, 1.0))
+        with pytest.raises(GeometryError, match="finite"):
+            constancy_polynomial(CaseId.S2xR2, AlphaRecord(bad, 0.0, 0.0)).roots_in_angle()
 
 
 class TestConstantCurvatureCurves:

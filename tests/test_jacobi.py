@@ -15,7 +15,6 @@ from prodform_geo.classify import (
     FAMILY_FACTOR_X_CURVE,
     FAMILY_PSI,
     build_example,
-    case_alphas,
 )
 from prodform_geo.cli import exact_derivatives, random_frame_shape
 from prodform_geo.hypersurface import ORTHONORMAL_TOL, SYMMETRY_TOL, angle_of_normal, unit_normal
@@ -33,6 +32,7 @@ from prodform_geo.jacobi import (
     detq_derivatives,
     detq_taylor,
     flow_frame,
+    formula_orders,
     frame_shape_at,
     parallel_immersion,
     parallel_mean_curvature,
@@ -68,10 +68,6 @@ class TestTaylorSeries:
         alternating = TaylorSeries([Fraction((-1) ** k) for k in range(9)])
         product = one_plus * alternating
         assert product.coeffs == [Fraction(1)] + [Fraction(0)] * 8
-
-    def test_differentiate(self):
-        s = TaylorSeries([Fraction(1), Fraction(2), Fraction(3)])
-        assert s.differentiate().coeffs == [Fraction(2), Fraction(6)]
 
     def test_derivative_at_zero(self):
         s = TaylorSeries([Fraction(5), Fraction(0), Fraction(1, 2), Fraction(1, 6)])
@@ -613,21 +609,16 @@ class TestDerivativeFormulas:
         with pytest.raises(UnsupportedCaseError):
             detq_derivative_formula(10, cp, rho=1.0, H12=0.0, H13=0.0)
 
-    @pytest.mark.parametrize("case", list(CaseId))
-    def test_specializations_equal_case_combinations(self, case):
-        # the alpha combinations of each case are the general displays
-        # specialized to that curvature pair
-        rng = np.random.default_rng(12)
-        for _ in range(40):
-            c = Fraction(int(rng.integers(-90, 91)), 100)
-            rho = Fraction(int(rng.integers(-300, 301)), 100)
-            h12 = Fraction(int(rng.integers(-300, 301)), 100)
-            h13 = Fraction(int(rng.integers(-300, 301)), 100)
-            cp = CaseParams(case.kappa1, case.kappa2, c)
-            ar = case_alphas(case, c, rho, h12, h13)
-            assert detq_derivative_formula(2, cp, rho=rho, H12=h12, H13=h13) == ar.alpha1
-            assert detq_derivative_formula(4, cp, rho=rho, H12=h12, H13=h13) == ar.alpha2
-            assert detq_derivative_formula(6, cp, rho=rho, H12=h12, H13=h13) == ar.alpha3
+    @pytest.mark.parametrize(
+        "kappas, orders",
+        [((1, -1), (1, 2, 4, 6, 10)), ((1, 0), (1, 2, 4, 6)), ((-1, 0), (1, 2, 4, 6))],
+    )
+    def test_formula_orders(self, kappas, orders):
+        assert formula_orders(*kappas) == orders
+        cp = CaseParams(*kappas, 0.1)
+        for k in set(range(-1, 13)) - set(orders):
+            with pytest.raises(UnsupportedCaseError):
+                detq_derivative_formula(k, cp, H=1.0, rho=1.0, H12=0.0, H13=0.0)
 
 
 class TestDecimalClosedForms:

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from prodform_geo.classify import CaseId
+from prodform_geo.classify import (
+    CaseId,
+    SolvedInvariants,
+    case_alphas,
+    constancy_polynomial,
+    invariants_from_alphas,
+)
 from prodform_geo.cli import exact_derivatives
 from prodform_geo.jacobi import FrameShape
 
@@ -27,3 +33,21 @@ def test_closed_forms_equal_oracle_on_the_grid(case, numerators, c):
     orders = (1, 2, 4, 6, 10) if case is CaseId.S2xH2 else (1, 2, 4, 6)
     closed, oracle = exact_derivatives(fs, orders)
     assert {k: Fraction(v) for k, v in closed.items()} == oracle
+
+
+@pytest.mark.parametrize("case", list(CaseId))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.integers(-999, 999),
+    invariants=st.lists(st.integers(-3000, 3000), min_size=3, max_size=3),
+)
+def test_case_system_round_trip_and_cubic_on_the_grid(case, c, invariants):
+    """Solving a case system gives back its invariants, and its cubic vanishes at C, exactly."""
+    C = Fraction(c, 1000)
+    rho, H12, H13 = (Fraction(m, 1000) for m in invariants)
+    ar = case_alphas(case, C, rho, H12, H13)
+    want = SolvedInvariants(rho=rho, H13=H13, H12=H12 if case is CaseId.S2xH2 else None)
+    assert invariants_from_alphas(case, ar, C) == want
+    poly = constancy_polynomial(case, ar)
+    assert poly.evaluate_at_angle(C) == 0
+    assert any(poly.coefficients)
