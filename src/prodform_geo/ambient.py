@@ -15,8 +15,12 @@ import numpy as np
 from .spaceform import (
     ModelPoint,
     ModelVector,
+    _require_same_base,
+    _tangent_check,
+    _zero_pairing,
     complex_structure,
     exp_map,
+    form,
     geodesic_velocity,
     metric,
     parallel_transport,
@@ -94,23 +98,53 @@ def curvature_tensor(x: ProductVector, y: ProductVector, z: ProductVector, w: Pr
                + kappa2/4 {<X,PW-W><Y,PZ-Z> - <X,PZ-Z><Y,PW-W>}.
 
     The expression is kept literal so tests exercise this exact form rather
-    than a rearrangement.
+    than a rearrangement: eight product metrics, with PW +- W and PZ +- Z on
+    factor coordinates (``_sum_and_difference``).  ``reference_curvature_tensor``
+    in tests/test_ambient.py keeps the vector arithmetic that this equals bit
+    for bit.
     """
+    # the base pairs the eight product_metric calls would check
+    for u, v in ((x, w), (y, z), (x, z), (y, w)):
+        _require_same_base(u.first, v.first)
+        _require_same_base(u.second, v.second)
     k1 = x.first.kappa
     k2 = x.second.kappa
-    pw = product_structure(w)
-    pz = product_structure(z)
-    pw_plus_w, pz_plus_z = pw + w, pz + z
-    pw_minus_w, pz_minus_z = pw - w, pz - z
+
+    def pairing(u: ProductVector, halves) -> float:
+        # product_metric(u, V) for V given by the halves of _sum_and_difference
+        (a, b), (c, d) = (u.first.coords, u.second.coords), halves
+        return (_zero_pairing(k1, a) if c is None else form(k1, a, c)) + (
+            _zero_pairing(k2, b) if d is None else form(k2, b, d)
+        )
+
+    pw_plus_w, pw_minus_w = _sum_and_difference(w)
+    pz_plus_z, pz_minus_z = _sum_and_difference(z)
     term1 = (
-        product_metric(x, pw_plus_w) * product_metric(y, pz_plus_z)
-        - product_metric(x, pz_plus_z) * product_metric(y, pw_plus_w)
+        pairing(x, pw_plus_w) * pairing(y, pz_plus_z)
+        - pairing(x, pz_plus_z) * pairing(y, pw_plus_w)
     )
     term2 = (
-        product_metric(x, pw_minus_w) * product_metric(y, pz_minus_z)
-        - product_metric(x, pz_minus_z) * product_metric(y, pw_minus_w)
+        pairing(x, pw_minus_w) * pairing(y, pz_minus_z)
+        - pairing(x, pz_minus_z) * pairing(y, pw_minus_w)
     )
     return k1 / 4.0 * term1 + k2 / 4.0 * term2
+
+
+def _sum_and_difference(w: ProductVector) -> tuple[tuple, tuple]:
+    """Factor coordinates of PW + W = (W1+W1, (-W2)+W2) and PW - W =
+    (W1-W1, (-W2)-W2) as vector arithmetic gives them, None for a half
+    that is +0.0 in every entry.
+
+    W1-W1 is such a half.  If W2 is settled, -W2 is its negated coordinates,
+    so (-W2)+W2 is one too, and (-W2)-W2 = -(W2+W2), whose check is the
+    negated check of W2+W2.  An unsettled W2 takes the vector arithmetic.
+    """
+    w1, w2 = w.first, w.second
+    doubled = _tangent_check(w1.base, w1.coords + w1.coords)[0]
+    if w2._settled:
+        return (doubled, None), (None, -_tangent_check(w2.base, w2.coords + w2.coords)[0])
+    minus_w2 = -w2
+    return (doubled, (minus_w2 + w2).coords), (None, (minus_w2 - w2).coords)
 
 
 def product_exp(p: ProductPoint, x: ProductVector, l: float) -> ProductPoint:

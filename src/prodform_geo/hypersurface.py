@@ -25,6 +25,7 @@ from .spaceform import (
     GeometryError,
     ModelVector,
     _require_same_base,
+    _zero_pairing,
     form,
     tangent_frame,
     tangent_project,
@@ -143,14 +144,6 @@ def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> np.ndarray:
             f"immersion is degenerate at u={u.tolist()} (sigma_min ~ {math.sqrt(max(smallest, 0.0)):.3e})"
         )
     return gram
-
-
-def _zero_pairing(kappa: int, x: np.ndarray) -> float:
-    """form(kappa, x, 0): +0.0 from np.dot, and the Lorentz pairing's own signed zero."""
-    if kappa != -1:
-        return 0.0
-    x0, x1, x2 = x.tolist()
-    return -x0 * 0.0 + x1 * 0.0 + x2 * 0.0
 
 
 def _det3(a):

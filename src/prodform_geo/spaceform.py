@@ -23,7 +23,7 @@ CONSTRAINT_TOL = 1e-8
 ROUNDOFF_TOL = 64.0 * float(np.finfo(float).eps)
 
 #: sphere defects summed in Python floats at or below this (times the scale)
-#: are accepted without the ambient form; see ModelVector.__post_init__
+#: are accepted without the ambient form; see _tangent_check
 FILTER_TOL = 32.0 * float(np.finfo(float).eps)
 
 
@@ -112,53 +112,67 @@ class ModelPoint:
         object.__setattr__(self, "_scale", max(1.0, abs(x0), abs(x1), abs(x2)))
 
 
-@dataclass(frozen=True)
+def _tangent_check(base: ModelPoint, coords) -> tuple[np.ndarray, bool]:
+    """Tangent coordinates at ``base`` and whether they are the given ones.
+
+    Violations above ``CONSTRAINT_TOL`` are rejected, smaller ones above
+    ``ROUNDOFF_TOL`` are projected away.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != base.coords.shape:
+        raise GeometryError("vector and base point dimensions differ")
+    xs = coords.tolist()
+    if not all(map(math.isfinite, xs)):
+        raise GeometryError(f"tangent vector coordinates must be finite, got {xs}")
+    kappa = base.kappa
+    if kappa == 0:
+        return coords, True
+    # the maximum of Python floats is exact, so the scale is the one a numpy
+    # reduction would give, bit for bit
+    x0, x1, x2 = xs
+    scale = max(1.0, abs(x0), abs(x1), abs(x2)) * base._scale
+    p0, p1, p2 = base._xs
+    if kappa == -1:
+        # lorentz_form(base.coords, coords), on the floats already at hand
+        t = -p0 * x0 + p1 * x1 + p2 * x2
+    else:
+        # A floating-point filter (Shewchuk 1997): two evaluations of a
+        # 3-term dot product differ by at most 2 gamma_3 sum|p_i x_i|
+        # <= 9 eps scale (Higham 2002, 3.1), so at or below FILTER_TOL
+        # the np.dot defect is below ROUNDOFF_TOL and the vector is
+        # accepted either way; every other case takes the np.dot defect.
+        t = p0 * x0 + p1 * x1 + p2 * x2
+        if not abs(t) <= FILTER_TOL * scale:
+            t = euclid_form(base.coords, coords)
+    if abs(t) > CONSTRAINT_TOL * scale:
+        raise GeometryError(f"vector is not tangent at its base point (defect {t!r})")
+    # defects at roundoff level are left alone so that negation,
+    # scaling and addition of tangent vectors stay bitwise exact
+    if abs(t) <= ROUNDOFF_TOL * scale:
+        return coords, True
+    # <p, p> = kappa on the quadric, so 1/<p,p> = kappa
+    return coords - kappa * t * base.coords, False
+
+
+@dataclass(frozen=True, init=False)
 class ModelVector:
     """Tangent vector at a :class:`ModelPoint`.
 
-    Construction enforces tangency: violations above ``CONSTRAINT_TOL`` are
-    rejected, smaller ones are projected away.
+    Construction enforces tangency through ``_tangent_check``.  A vector it
+    left unchanged is settled and negates without a second check: rounding
+    to nearest is symmetric under a change of sign (Higham 2002, 2.2), so
+    the defect of -c is exactly -t, at the same scale, and every decision of
+    the check comes out the same.
     """
 
     base: ModelPoint
     coords: np.ndarray
 
-    def __post_init__(self):
-        base = self.base
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != base.coords.shape:
-            raise GeometryError("vector and base point dimensions differ")
-        xs = coords.tolist()
-        if not all(map(math.isfinite, xs)):
-            raise GeometryError(f"tangent vector coordinates must be finite, got {xs}")
-        kappa = base.kappa
-        if kappa != 0:
-            # the maximum of Python floats is exact, so the scale is the one a
-            # numpy reduction would give, bit for bit
-            x0, x1, x2 = xs
-            scale = max(1.0, abs(x0), abs(x1), abs(x2)) * base._scale
-            if kappa == -1:
-                t = lorentz_form(base.coords, coords)
-            else:
-                p0, p1, p2 = base._xs
-                # A floating-point filter (Shewchuk 1997): two evaluations of a
-                # 3-term dot product differ by at most 2 gamma_3 sum|p_i x_i|
-                # <= 9 eps scale (Higham 2002, 3.1), so at or below FILTER_TOL
-                # the np.dot defect is below ROUNDOFF_TOL and the vector is
-                # accepted either way; every other case takes the np.dot defect.
-                t = p0 * x0 + p1 * x1 + p2 * x2
-                if not abs(t) <= FILTER_TOL * scale:
-                    t = euclid_form(base.coords, coords)
-            if abs(t) > CONSTRAINT_TOL * scale:
-                raise GeometryError(
-                    f"vector is not tangent at its base point (defect {t!r})"
-                )
-            # defects at roundoff level are left alone so that negation,
-            # scaling and addition of tangent vectors stay bitwise exact
-            if abs(t) > ROUNDOFF_TOL * scale:
-                # <p, p> = kappa on the quadric, so 1/<p,p> = kappa
-                coords = coords - kappa * t * base.coords
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, base: ModelPoint, coords):
+        coords, settled = _tangent_check(base, coords)
+        # the instance dict of a frozen dataclass, written directly; _settled
+        # is not a field, so equality, repr and hashing ignore it
+        self.__dict__.update(base=base, coords=coords, _settled=settled)
 
     @property
     def kappa(self) -> int:
@@ -173,7 +187,11 @@ class ModelVector:
         return ModelVector(self.base, self.coords - other.coords)
 
     def __neg__(self) -> "ModelVector":
-        return ModelVector(self.base, -self.coords)
+        if not self._settled:
+            return ModelVector(self.base, -self.coords)
+        v = object.__new__(ModelVector)
+        v.__dict__.update(self.__dict__, coords=-self.coords)
+        return v
 
     def scale(self, a: float) -> "ModelVector":
         return ModelVector(self.base, a * self.coords)
@@ -202,6 +220,14 @@ def metric(u: ModelVector, v: ModelVector) -> float:
     """
     _require_same_base(u, v)
     return form(u.kappa, u.coords, v.coords)
+
+
+def _zero_pairing(kappa: int, x: np.ndarray) -> float:
+    """form(kappa, x, 0): +0.0 from np.dot, and the Lorentz pairing's own signed zero."""
+    if kappa != -1:
+        return 0.0
+    x0, x1, x2 = x.tolist()
+    return -x0 * 0.0 + x1 * 0.0 + x2 * 0.0
 
 
 def zero_vector(p: ModelPoint) -> ModelVector:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from prodform_geo.ambient import (
     random_product_tangent,
     zero_product_vector,
 )
-from prodform_geo.spaceform import ModelPoint, ModelVector, random_tangent, zero_vector
+from prodform_geo.spaceform import (
+    KAPPAS,
+    GeometryError,
+    ModelPoint,
+    ModelVector,
+    random_tangent,
+    zero_vector,
+)
 
 PAIRS = [(1, -1), (1, 0), (-1, 0)]
 
@@ -173,7 +181,25 @@ def reference_curvature_tensor(x, y, z, w):
     return k1 / 4.0 * term1 + k2 / 4.0 * term2
 
 
-@pytest.mark.parametrize("kappas", PAIRS)
+def _bits(r: float) -> bytes:
+    return struct.pack("<d", r)
+
+
+def _unsettled(v: ProductVector) -> ProductVector:
+    """v with a normal defect of 1e-12 times the scale added to each curved
+    factor, between ROUNDOFF_TOL and CONSTRAINT_TOL, so that its check projects."""
+    factors = []
+    for f in (v.first, v.second):
+        if f.kappa != 0:
+            scale = max(1.0, float(np.max(np.abs(f.coords)))) * max(1.0, float(np.max(np.abs(f.base.coords))))
+            f = ModelVector(f.base, f.coords + 1e-12 * scale * f.base.coords)
+            assert not f._settled
+        factors.append(f)
+    return ProductVector(*factors)
+
+
+# the three cases first, then every other pair of curvatures
+@pytest.mark.parametrize("kappas", PAIRS + [(k1, k2) for k1 in KAPPAS for k2 in KAPPAS if (k1, k2) not in PAIRS])
 def test_curvature_tensor_matches_reference(kappas):
     rng = np.random.default_rng(12)
     for _ in range(40):
@@ -183,8 +209,73 @@ def test_curvature_tensor_matches_reference(kappas):
         a = ProductVector(random_tangent(p.first, rng), zero_vector(p.second))
         b = ProductVector(zero_vector(p.first), random_tangent(p.second, rng))
         ja, jb = complex_structures(a)[0], complex_structures(b)[0]
-        for args in ((x, y, z, w), (a, ja, ja, a), (b, jb, jb, b), (a, b, b, a), (x, b, a, w)):
-            assert curvature_tensor(*args) == reference_curvature_tensor(*args)
+        for x_, y_, z_, w_ in ((x, y, z, w), (a, ja, ja, a), (b, jb, jb, b), (a, b, b, a), (x, b, a, w)):
+            for args in ((x_, y_, z_, w_), (x_, y_, _unsettled(z_), _unsettled(w_))):
+                assert _bits(curvature_tensor(*args)) == _bits(reference_curvature_tensor(*args))
+
+
+@pytest.mark.parametrize("kappas", PAIRS)
+def test_curvature_tensor_rejects_mixed_points_as_the_reference_does(kappas):
+    rng = np.random.default_rng(13)
+    p, q = (random_product_point(*kappas, rng) for _ in range(2))
+    x, y, z = (random_product_tangent(p, rng) for _ in range(3))
+    # w at another point, or at another point of the second factor only
+    for elsewhere in (q, ProductPoint(p.first, q.second)):
+        w = random_product_tangent(elsewhere, rng)
+        with pytest.raises(GeometryError) as got:
+            curvature_tensor(x, y, z, w)
+        with pytest.raises(GeometryError) as want:
+            reference_curvature_tensor(x, y, z, w)
+        assert str(got.value) == str(want.value)
+
+
+def test_curvature_tensor_checks_the_four_base_pairs_of_the_reference():
+    # flat points in steps of 0.6e-9 along the cycle of checked pairs x-w, w-y,
+    # y-z, z-x; points one step apart are the same point within 1e-9
+    rng = np.random.default_rng(14)
+    cycle = "xwyz"
+    origin = ModelPoint(0, [0.0, 0.0])
+
+    def vectors_at(steps, factor):
+        out = []
+        for name in "xyzw":
+            shifted = ModelPoint(0, [0.6e-9 * steps[name], 0.0])
+            points = (shifted, origin) if factor == 0 else (origin, shifted)
+            out.append(ProductVector(*(ModelVector(q, rng.normal(size=2)) for q in points)))
+        return out
+
+    for factor in (0, 1):
+        # only the pair closing the cycle, three steps apart, is not the same point
+        for r in range(4):
+            args = vectors_at({cycle[(i + r) % 4]: i for i in range(4)}, factor)
+            with pytest.raises(GeometryError) as got:
+                curvature_tensor(*args)
+            with pytest.raises(GeometryError) as want:
+                reference_curvature_tensor(*args)
+            assert str(got.value) == str(want.value)
+        # x and y two steps apart are never paired, so nothing is raised
+        args = vectors_at({"x": 0, "w": 1, "z": 1, "y": 2}, factor)
+        assert _bits(curvature_tensor(*args)) == _bits(reference_curvature_tensor(*args))
+
+
+def test_curvature_tensor_builds_vectors_only_for_an_unsettled_second_factor(monkeypatch):
+    rng = np.random.default_rng(15)
+    p = random_product_point(1, -1, rng)
+    x, y, z, w = (random_product_tangent(p, rng) for _ in range(4))
+    unsettled = _unsettled(w)
+    built = []
+    original = ModelVector.__init__
+
+    def counting(self, base, coords):
+        built.append(base)
+        original(self, base, coords)
+
+    monkeypatch.setattr(ModelVector, "__init__", counting)
+    curvature_tensor(x, y, z, w)
+    assert built == []
+    # -W2, (-W2) + W2 and (-W2) - W2, as ModelVector arithmetic
+    curvature_tensor(x, y, z, unsettled)
+    assert built == [p.second] * 3
 
 
 class TestProductExp:

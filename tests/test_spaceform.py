@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -432,3 +433,99 @@ class TestSphereTangencyFilter:
             defective = w + 2.0 * ROUNDOFF_TOL * scale * p.coords
             assert not np.array_equal(ModelVector(p, defective).coords, defective)
         assert len(calls) == len(points)
+
+
+def negation_candidates(p, rng):
+    """Vectors at p: defect_candidates, and for a pole of the quadric or the
+    flat origin, coordinates with -0.0 entries."""
+    out = defect_candidates(p, rng)
+    if p.kappa == 0 or np.count_nonzero(p.coords) == 1:
+        dim = p.coords.size
+        out += [np.full(dim, -0.0), np.array([-0.0, 1.5, -0.0][:dim]), np.array([-2.5, -0.0, -0.0][:dim])]
+    return out
+
+
+class TestSettledNegation:
+    """A vector whose check left its coordinates as given is settled and
+    negates without a second check; the result must be what the check gives."""
+
+    POINTS = {
+        -1: [hyper_point(1.0, 0.0, 0.0)],
+        0: [ModelPoint(0, [0.0, 0.0])],
+        1: [sphere_point(0.0, 0.0, 1.0), sphere_point(1.0, 0.0, 0.0)],
+    }
+
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    def test_negation_is_the_checked_negation(self, kappa, monkeypatch):
+        rng = np.random.default_rng(90 + kappa)
+        points = self.POINTS[kappa] + [random_point(kappa, rng) for _ in range(40)]
+        original = spaceform._tangent_check
+        calls = []
+
+        def counting(base, coords):
+            calls.append(coords)
+            return original(base, coords)
+
+        monkeypatch.setattr(spaceform, "_tangent_check", counting)
+        seen = set()
+        for p in points:
+            for coords in negation_candidates(p, rng):
+                try:
+                    v = ModelVector(p, coords)
+                except GeometryError:
+                    continue
+                assert v._settled == np.array_equal(v.coords, coords)
+                want = ModelVector(p, -v.coords)
+                calls.clear()
+                minus = -v
+                checks = len(calls)
+                assert minus.base is p
+                assert minus.coords.tobytes() == want.coords.tobytes()
+                if v._settled:
+                    assert checks == 0
+                    assert minus._settled
+                    assert (-minus).coords.tobytes() == v.coords.tobytes()
+                else:
+                    # an unsettled vector negates through the check
+                    assert checks == 1
+                seen.add(v._settled)
+        assert seen == ({True} if kappa == 0 else {True, False})
+
+    @pytest.mark.parametrize("kappa", [-1, 1])
+    def test_defects_below_roundoff_stay_settled(self, kappa):
+        rng = np.random.default_rng(95 + kappa)
+        for _ in range(100):
+            p = random_point(kappa, rng)
+            w = random_tangent(p, rng, scale=10.0 ** rng.uniform(-3, 3)).coords
+            scale = max(1.0, float(np.max(np.abs(w)))) * max(1.0, float(np.max(np.abs(p.coords))))
+            t = form(kappa, p.coords, w)
+            # defects just under ROUNDOFF_TOL, and on both sides of FILTER_TOL
+            for factor in (0.3, 0.45, 0.55, 0.9):
+                # <p, p> = kappa, so w + d p has defect t + kappa d
+                coords = w + kappa * (factor * ROUNDOFF_TOL * scale - t) * p.coords
+                v = ModelVector(p, coords)
+                assert v._settled and v.coords.tobytes() == coords.tobytes()
+                assert (-v).coords.tobytes() == ModelVector(p, -coords).coords.tobytes()
+                assert (-(-v)).coords.tobytes() == v.coords.tobytes()
+
+    def test_fields_and_repr_are_unchanged(self):
+        p = sphere_point(0.0, 0.0, 1.0)
+        v = ModelVector(p, [1.0, -0.0, 0.0])
+        assert [f.name for f in dataclasses.fields(ModelVector)] == ["base", "coords"]
+        for u in (v, -v):
+            assert repr(u) == f"ModelVector(base={p!r}, coords={u.coords!r})"
+
+
+@pytest.mark.parametrize("kappa", [-1, 0, 1])
+def test_zero_pairing_is_the_form_with_zero(kappa):
+    rng = np.random.default_rng(99)
+    dim = 2 if kappa == 0 else 3
+    rows = [-np.arange(1.0, dim + 1.0), np.full(dim, -0.0), np.full(dim, 0.0)]
+    rows += [rng.normal(size=dim) for _ in range(20)] + [-np.abs(rng.normal(size=dim)) for _ in range(20)]
+    for x in rows:
+        want = form(kappa, x, np.zeros(dim))
+        got = spaceform._zero_pairing(kappa, x)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
+        if kappa != -1:
+            # np.dot of all-negative coordinates with zeros is +0.0, not -0.0
+            assert math.copysign(1.0, got) == 1.0
