@@ -13,6 +13,7 @@ from .spaceform import (
     lorentz_cross,
     metric,
     parallel_transport,
+    stability_functions,
 )
 from .ambient import (
     ProductPoint,
@@ -47,7 +48,6 @@ from .jacobi import (
     parallel_immersion,
     parallel_shape,
     q_matrix,
-    stability_functions,
 )
 from .classify import (
     AlphaRecord,

@@ -21,15 +21,16 @@ import numpy as np
 from .ambient import ProductPoint, ProductVector
 from .hypersurface import Immersion, ShapeRecord
 from .jacobi import (
+    FOCAL_TOL,
     CaseParams,
-    FocalPointError,
+    detq_closed_form,
     detq_derivative_formula,
     formula_orders,
     frame_shape_at,
     horner,
     parallel_mean_curvature,
 )
-from .spaceform import KAPPAS, GeometryError, ModelPoint, ModelVector, zero_vector
+from .spaceform import KAPPAS, GeometryError, ModelPoint, ModelVector, stability_functions, tangent_frame, zero_vector
 
 
 class CaseId(enum.Enum):
@@ -109,14 +110,11 @@ def invariants_from_alphas(case: CaseId, ar: AlphaRecord, C) -> SolvedInvariants
         h12 = -(4 * a1 * c * c - (2 * a1 - 4 * a2 - 2) * c + a1 - a2 + a3 - 1) / (8 * (1 - c))
         h13 = -(4 * a1 * c * c + (2 * a1 + 4 * a2 + 2) * c + a1 + a2 + a3 + 1) / (8 * (1 + c))
         return SolvedInvariants(rho=rho, H13=h13, H12=h12)
-    if case is CaseId.S2xR2:
-        _require_nonzero(1 + c, "1+C")
-        rho = a1 + (3 - c) / 2
-        h13 = -((1 + c) ** 2 + 4 * a1 * (1 + c) + 4 * a2) / (16 * (1 + c))
-        return SolvedInvariants(rho=rho, H13=h13)
+    # the flat-factor cases are mirror images under kappa1 -> -kappa1
+    k1 = case.kappa1
     _require_nonzero(1 + c, "1+C")
-    rho = a1 + (c - 3) / 2
-    h13 = ((1 + c) ** 2 - 4 * a1 * (1 + c) + 4 * a2) / (16 * (1 + c))
+    rho = a1 + k1 * (3 - c) / 2
+    h13 = -(k1 * (1 + c) ** 2 + 4 * a1 * (1 + c) + 4 * k1 * a2) / (16 * (1 + c))
     return SolvedInvariants(rho=rho, H13=h13)
 
 
@@ -150,7 +148,8 @@ def constancy_polynomial(case: CaseId, ar: AlphaRecord) -> ConstancyPolynomial:
 
     Sphere-times-hyperbolic: 16 a2 C^3 + (16 a1 + 12 a3) C^2 + (4 a2 + 4) C
     - a1 - 2 a3 - a4 in the variable C (the C and C^3 coefficients cannot
-    both vanish).  The flat-factor cases are monic cubics in 1 + C.
+    both vanish).  The flat-factor cases are monic cubics in 1 + C, mirror
+    images under kappa1 -> -kappa1.
     """
     a1, a2, a3 = ar.alpha1, ar.alpha2, ar.alpha3
     if case is CaseId.S2xH2:
@@ -160,9 +159,8 @@ def constancy_polynomial(case: CaseId, ar: AlphaRecord) -> ConstancyPolynomial:
             coefficients=(-a1 - 2 * a3 - ar.alpha4, 4 * a2 + 4, 16 * a1 + 12 * a3, 16 * a2),
             variable="C",
         )
-    if case is CaseId.S2xR2:
-        return ConstancyPolynomial(coefficients=(8 * a3, 12 * a2, 6 * a1, 1), variable="1+C")
-    return ConstancyPolynomial(coefficients=(-8 * a3, 12 * a2, -6 * a1, 1), variable="1+C")
+    k1 = case.kappa1
+    return ConstancyPolynomial(coefficients=(8 * k1 * a3, 12 * a2, 6 * k1 * a1, 1), variable="1+C")
 
 
 # ---------------------------------------------------------------------------
@@ -359,51 +357,32 @@ def constant_curvature_curve(kappa: int, k: float) -> tuple[Callable, Callable]:
     Flat plane: lines and circles of radius 1/k.  Sphere: great and small
     circles.  Hyperbolic plane: geodesics (k = 0), equidistants (k < 1), the
     horocycle (k = 1) and circles (k > 1), all on the hyperboloid.
+
+    One formula covers them all: with (S, C) the stability pair at
+    delta = kappa + k^2, gamma' = C T0 + S W and gamma = p0 + S T0 + I W,
+    where W = -kappa p0 + k J T0 and I = (1 - C)/delta (t^2/2 at delta = 0).
+    The curve starts at p0, the origin or (1, 0, 0), along the first leg T0
+    of its ``tangent_frame``, and turns towards J T0: <gamma'', J gamma'> = k.
     """
     if k < 0.0:
         raise GeometryError("curve curvature must be nonnegative")
-    if kappa == 0:
-        if k == 0.0:
-            return (lambda t: np.array([t, 0.0]), lambda t: np.array([1.0, 0.0]))
-        radius = 1.0 / k
-        return (
-            lambda t: np.array([radius * math.cos(k * t), radius * math.sin(k * t)]),
-            lambda t: np.array([-math.sin(k * t), math.cos(k * t)]),
-        )
-    if kappa == 1:
-        rho = 1.0 / math.sqrt(1.0 + k * k)
-        z0 = k * rho
-        return (
-            lambda t: np.array([rho * math.cos(t / rho), rho * math.sin(t / rho), z0]),
-            lambda t: np.array([-math.sin(t / rho), math.cos(t / rho), 0.0]),
-        )
-    if k == 0.0:
-        return (
-            lambda t: np.array([math.cosh(t), math.sinh(t), 0.0]),
-            lambda t: np.array([math.sinh(t), math.cosh(t), 0.0]),
-        )
-    if k < 1.0:
-        d = math.atanh(k)
-        w = 1.0 / math.cosh(d)
-        return (
-            lambda t: np.array(
-                [math.cosh(d) * math.cosh(w * t), math.cosh(d) * math.sinh(w * t), math.sinh(d)]
-            ),
-            lambda t: np.array([math.sinh(w * t), math.cosh(w * t), 0.0]),
-        )
-    if k == 1.0:
-        return (
-            lambda t: np.array([(2.0 + t * t) / 2.0, t, t * t / 2.0]),
-            lambda t: np.array([t, 1.0, t]),
-        )
-    rho = math.atanh(1.0 / k)
-    w = 1.0 / math.sinh(rho)
-    return (
-        lambda t: np.array(
-            [math.cosh(rho), math.sinh(rho) * math.cos(w * t), math.sinh(rho) * math.sin(w * t)]
-        ),
-        lambda t: np.array([0.0, -math.sin(w * t), math.cos(w * t)]),
-    )
+    p0 = ModelPoint(kappa, [1.0, 0.0, 0.0] if kappa else [0.0, 0.0])
+    t0, jt0 = tangent_frame(p0)
+    w0 = -kappa * p0.coords + k * jt0.coords
+    delta = kappa + k * k
+    # (p0, T0, W) coordinate by coordinate, in Python floats
+    columns = list(zip(p0.coords.tolist(), t0.coords.tolist(), w0.tolist()))
+
+    def gamma(t: float) -> np.ndarray:
+        s, c = stability_functions(delta, t)
+        i = (1.0 - c) / delta if delta else t * t / 2.0
+        return np.array([p + s * a + i * w for p, a, w in columns])
+
+    def dgamma(t: float) -> np.ndarray:
+        s, c = stability_functions(delta, t)
+        return np.array([c * a + s * w for _, a, w in columns])
+
+    return gamma, dgamma
 
 
 def _factor_chart(kappa: int) -> tuple[Callable, Callable, Callable]:
@@ -441,16 +420,19 @@ def build_example(spec: ExampleSpec) -> Immersion:
     curve_first = spec.family == FAMILY_CURVE_X_FACTOR
 
     def chart(u: np.ndarray) -> ProductPoint:
-        pc = ModelPoint(curve_kappa, gamma(u[0]))
-        pf = ModelPoint(factor_kappa, chart2(u[1], u[2]))
+        # Python floats: numpy scalar arithmetic is slower and rounds the same
+        t, a, b = u.tolist()
+        pc = ModelPoint(curve_kappa, gamma(t))
+        pf = ModelPoint(factor_kappa, chart2(a, b))
         return ProductPoint(pc, pf) if curve_first else ProductPoint(pf, pc)
 
     def jacobian(u: np.ndarray):
-        pc = ModelPoint(curve_kappa, gamma(u[0]))
-        pf = ModelPoint(factor_kappa, chart2(u[1], u[2]))
-        tc = ModelVector(pc, dgamma(u[0]))
-        ta = ModelVector(pf, d2a(u[1], u[2]))
-        tb = ModelVector(pf, d2b(u[1], u[2]))
+        t, a, b = u.tolist()
+        pc = ModelPoint(curve_kappa, gamma(t))
+        pf = ModelPoint(factor_kappa, chart2(a, b))
+        tc = ModelVector(pc, dgamma(t))
+        ta = ModelVector(pf, d2a(a, b))
+        tb = ModelVector(pf, d2b(a, b))
         zc = zero_vector(pc)
         zf = zero_vector(pf)
         if curve_first:
@@ -596,8 +578,8 @@ class IsoparametricReport:
 
     ``records`` holds the flow-frame shape record of each grid point,
     ``principal_values`` its ascending principal curvatures and ``h_values``
-    its H(l) for each entry of ``l_samples``, in order, with None at a focal
-    point.  The statistics summarize them:
+    its H(l) for each entry of ``l_samples``, in order, with None at or
+    beyond a focal point.  The statistics summarize them:
     ``mean_curvature`` maps each distinct l to its H values over the
     non-focal points.
     """
@@ -628,8 +610,9 @@ def isoparametric_report(
     """Measure the angle, principal curvatures and flow H(l) over a grid.
 
     Each grid point gets one flow-frame shape record, and H(l) comes from
-    the det Q closed form of its frame shape; a focal point gives None and
-    the walk continues.  The report holds measurements only: the checks
+    the det Q closed form of its frame shape.  A sample whose closed det Q
+    is below ``FOCAL_TOL`` lies at or beyond a focal point: it gives None
+    and the walk continues.  The report holds measurements only: the checks
     and their tolerances belong to the caller.
     """
     if grid is None:
@@ -644,11 +627,13 @@ def isoparametric_report(
         records.append(rec)
         hs: list[Optional[float]] = []
         for l in l_samples:
-            try:
+            # det Q(0) = 1, so a closed det Q below FOCAL_TOL, of either
+            # sign, means the flow has reached or crossed a focal point
+            if detq_closed_form(fs, cp, l) < FOCAL_TOL:
+                hs.append(None)
+            else:
                 hs.append(parallel_mean_curvature(fs, cp, l))
                 h_of_l[l].append(hs[-1])
-            except FocalPointError:
-                hs.append(None)
         h_values.append(tuple(hs))
 
     principals = tuple(tuple(float(k) for k in rec.principal_curvatures()) for rec in records)

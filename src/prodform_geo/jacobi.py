@@ -6,10 +6,8 @@ components in a frame adapted to the product splitting.  The determinant of Q
 has a short closed expansion whose l-derivatives at 0 are polynomial in the
 curvature invariants; this module provides the closed forms, an exact integer
 recurrence oracle for those derivatives, and a truncated-power-series engine
-that the tests use as its reference.
-
-The two stability functions solve f'' + delta f = 0 with (f(0), f'(0)) equal
-to (0, 1) and (1, 0) respectively, so S' = C and C' = -delta S.
+that the tests use as its reference.  The stability pair (S_delta, C_delta)
+of the Jacobi blocks is ``spaceform.stability_functions``.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .ambient import (
 )
 from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, angle_of_normal, gram_schmidt, shape_operator, unit_normal
 from .hypersurface import at_most, is_finite
-from .spaceform import GeometryError, KAPPAS, complex_structure, tangent_frame, zero_vector
+from .spaceform import GeometryError, KAPPAS, complex_structure, stability_functions, tangent_frame, zero_vector
 
 #: the adapted frame refuses points closer than this to C^2 = 1
 FRAME_EPS = 1e-6
@@ -196,25 +194,8 @@ class FrameShape(ShapeInvariants):
 
 
 # ---------------------------------------------------------------------------
-# stability functions and the Q matrix
+# the Q matrix
 # ---------------------------------------------------------------------------
-
-
-def stability_functions(delta: float, l: float) -> tuple[float, float]:
-    """Evaluate (S_delta, C_delta) at l, branching on the sign of delta."""
-    delta = float(delta)
-    if delta == 0.0:
-        return l, 1.0
-    if delta < 0.0:
-        r = math.sqrt(-delta)
-        try:
-            return math.sinh(l * r) / r, math.cosh(l * r)
-        except OverflowError:
-            raise GeometryError(
-                f"flow distance l = {l!r} overflows the stability functions at delta = {delta!r}"
-            ) from None
-    r = math.sqrt(delta)
-    return math.sin(l * r) / r, math.cos(l * r)
 
 
 def q_matrix(fs: FrameShape, cp: CaseParams, l: float) -> np.ndarray:

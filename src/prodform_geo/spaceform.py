@@ -5,6 +5,12 @@ The sphere and the hyperbolic plane are handled in their standard embeddings
 directly in R^2.  Geodesics, parallel transport and the rotation operator J
 are all closed form, so long flows stay on-manifold up to a cheap
 re-projection.
+
+The stability pair (S, C) solves f'' + delta f = 0 with (f(0), f'(0)) equal
+to (0, 1) and (1, 0), so S' = C and C' = -delta S.  It gives the Jacobi
+fields of the parallel flow and every curve of constant geodesic curvature
+k, whose unit tangent solves T'' + (kappa + k^2) T = 0; the geodesic from p
+with velocity v is C p + S v at delta = kappa <v, v>.
 """
 
 from __future__ import annotations
@@ -266,66 +272,65 @@ def _renormalized(kappa: int, coords: np.ndarray) -> np.ndarray:
     return coords / math.sqrt(_quadric_value(kappa, coords))
 
 
+def stability_functions(delta: float, l: float) -> tuple[float, float]:
+    """Evaluate (S_delta, C_delta) at l, branching on the sign of delta."""
+    delta = float(delta)
+    if delta == 0.0:
+        return l, 1.0
+    if delta < 0.0:
+        r = math.sqrt(-delta)
+        try:
+            return math.sinh(l * r) / r, math.cosh(l * r)
+        except OverflowError:
+            raise GeometryError(
+                f"flow distance l = {l!r} overflows the stability functions at delta = {delta!r}"
+            ) from None
+    r = math.sqrt(delta)
+    return math.sin(l * r) / r, math.cos(l * r)
+
+
+def _geodesic(p: ModelPoint, v: ModelVector, l: float, velocity: bool = False):
+    """End point C p + S v at delta = kappa <v, v>, and the velocity -delta S p + C v if asked.
+
+    The velocity comes as raw coordinates, None unless asked for; a zero
+    velocity stays at p, with velocity v.  The end point is re-projected onto
+    the quadric to suppress drift in long flows.
+    """
+    _require_vector_at(p, v)
+    vv = max(form(p.kappa, v.coords, v.coords), 0.0)
+    if vv == 0.0:
+        return p, v.coords.copy()
+    delta = p.kappa * vv
+    s, c = stability_functions(delta, l)
+    q = ModelPoint(p.kappa, _renormalized(p.kappa, c * p.coords + s * v.coords))
+    return q, (-delta * s * p.coords + c * v.coords) if velocity else None
+
+
 def exp_map(p: ModelPoint, v: ModelVector, l: float) -> ModelPoint:
     """Point at arc parameter ``l`` along the geodesic from p with velocity v.
 
-    The velocity may have any norm, including zero (which returns p).  The
-    result is re-projected onto the quadric to suppress drift in long flows.
+    The velocity may have any norm, including zero (which returns p).
     """
-    _require_vector_at(p, v)
-    if p.kappa == 0:
-        return ModelPoint(0, p.coords + l * v.coords)
-    m = v.norm()
-    if m == 0.0:
-        return p
-    t = l * m
-    if p.kappa == 1:
-        coords = math.cos(t) * p.coords + (math.sin(t) / m) * v.coords
-    else:
-        coords = math.cosh(t) * p.coords + (math.sinh(t) / m) * v.coords
-    return ModelPoint(p.kappa, _renormalized(p.kappa, coords))
+    return _geodesic(p, v, l)[0]
 
 
 def geodesic_velocity(p: ModelPoint, v: ModelVector, l: float) -> ModelVector:
     """Velocity of the geodesic at parameter ``l``; same norm as v for all l."""
-    _require_vector_at(p, v)
-    q = exp_map(p, v, l)
-    if p.kappa == 0:
-        return ModelVector(q, v.coords.copy())
-    m = v.norm()
-    if m == 0.0:
-        return zero_vector(q)
-    t = l * m
-    if p.kappa == 1:
-        coords = -m * math.sin(t) * p.coords + math.cos(t) * v.coords
-    else:
-        coords = m * math.sinh(t) * p.coords + math.cosh(t) * v.coords
-    return ModelVector(q, coords)
+    return ModelVector(*_geodesic(p, v, l, velocity=True))
 
 
 def parallel_transport(p: ModelPoint, v: ModelVector, l: float, w: ModelVector) -> ModelVector:
     """Transport ``w`` from p along the geodesic with initial velocity v.
 
-    Closed form: the component along the geodesic direction rides with the
-    velocity, the orthogonal component is constant in embedding coordinates.
+    Closed form: the component beta v of w along the geodesic, with
+    beta = <w, v>/<v, v>, rides with the velocity, and the orthogonal
+    component w - beta v is constant in embedding coordinates.
     """
-    _require_vector_at(p, v)
     _require_vector_at(p, w)
-    q = exp_map(p, v, l)
-    if p.kappa == 0:
-        return ModelVector(q, w.coords.copy())
-    m = v.norm()
-    if m == 0.0:
-        return ModelVector(q, w.coords.copy())
-    u = v.coords / m
-    a = form(p.kappa, w.coords, u)
-    perp = w.coords - a * u
-    t = l * m
-    if p.kappa == 1:
-        along = -math.sin(t) * p.coords + math.cos(t) * u
-    else:
-        along = math.sinh(t) * p.coords + math.cosh(t) * u
-    return ModelVector(q, a * along + perp)
+    q, velocity = _geodesic(p, v, l, velocity=True)
+    vv = form(p.kappa, v.coords, v.coords)
+    beta = form(p.kappa, w.coords, v.coords) / vv if vv > 0.0 else 0.0
+    return ModelVector(q, beta * velocity + (w.coords - beta * v.coords))
 
 
 def _require_vector_at(p: ModelPoint, v: ModelVector) -> None:

@@ -21,7 +21,7 @@ from prodform_geo.classify import (
     isoparametric_report,
     solve_polynomial,
 )
-from prodform_geo.spaceform import GeometryError, lorentz_form
+from prodform_geo.spaceform import GeometryError, ModelPoint, ModelVector, complex_structure, form, lorentz_form
 
 
 class TestCaseAlphas:
@@ -239,6 +239,17 @@ class TestConstantCurvatureCurves:
         for t in (-1.3, 0.0, 2.1):
             assert abs(form(kappa, gamma(t), gamma(t)) - kappa) < 1e-12
 
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
+    def test_turns_towards_j_by_k(self, kappa, k):
+        # <gamma'', J gamma'> = k, with gamma'' a central difference of dgamma
+        gamma, dgamma = constant_curvature_curve(kappa, k)
+        h = 1e-4
+        for t in (-1.3, 0.0, 0.7, 2.1):
+            accel = (dgamma(t + h) - dgamma(t - h)) / (2.0 * h)
+            j_velocity = complex_structure(ModelVector(ModelPoint(kappa, gamma(t)), dgamma(t)))
+            assert abs(form(kappa, accel, j_velocity.coords) - k) < 1e-6
+
     def test_negative_curvature_rejected(self):
         with pytest.raises(GeometryError):
             constant_curvature_curve(0, -1.0)
@@ -347,13 +358,14 @@ class TestIsoparametricReport:
         assert rep.angle.max_dev > 1e-3
 
     def test_focal_samples_are_left_out_of_h_statistics(self):
-        # a curvature-2 circle focalizes at distance 1/2 on one side
+        # a curvature-2 circle focalizes at distance 1/2 on one side; past
+        # that point the closed det Q = 1 + 2 l is negative, and still focal
         imm = build_example(
             ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=1, kappa2=0, k=2.0)
         )
-        rep = isoparametric_report(imm, grid=imm.grid(2), l_samples=(0.5, -0.5, 0.1))
-        assert [[h is None for h in hs] for hs in rep.h_values] == [[False, True, False]] * 2**3
-        assert rep.focal_events == 2**3
+        rep = isoparametric_report(imm, grid=imm.grid(2), l_samples=(0.5, -0.5, -0.7, 0.1))
+        assert [[h is None for h in hs] for hs in rep.h_values] == [[False, True, True, False]] * 2**3
+        assert rep.focal_events == 2 * 2**3
         assert set(rep.mean_curvature) == {0.5, 0.1}
 
     def test_perturbed_strip_constant_above_one_rejected(self):

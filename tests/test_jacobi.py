@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from prodform_geo import spaceform
 from prodform_geo.ambient import product_metric
 from prodform_geo.classify import (
     CaseId,
@@ -80,6 +81,9 @@ class TestTaylorSeries:
 
 
 class TestStabilityFunctions:
+    def test_defined_once_in_spaceform(self):
+        assert stability_functions is spaceform.stability_functions
+
     def test_zero_branch(self):
         assert stability_functions(0.0, 3.0) == (3.0, 1.0)
 
@@ -442,13 +446,22 @@ class TestParallelImmersion:
             ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=1, kappa2=0, k=1.0)
         )
         u = np.array([0.1, -0.2, 0.5])
+        # the unit circle starts at the origin along (1, 0) and turns towards
+        # J(1, 0) = (0, 1), about that point
+        centre = np.array([0.0, 1.0])
         radii = []
         for l in (0.15, -0.15):
             q = parallel_immersion(imm, l).chart(u)
-            radii.append(float(np.linalg.norm(q.second.coords)))
+            radii.append(float(np.linalg.norm(q.second.coords - centre)))
         # the two opposite flows bracket the unit circle by exactly +-0.15
         assert abs(sum(radii) - 2.0) < 1e-12
         assert abs(abs(radii[0] - radii[1]) - 0.3) < 1e-12
+
+    def test_overflowing_flow_is_a_geometry_error(self):
+        # the normal's hyperbolic part has norm sqrt(0.75), and cosh(866) overflows
+        chart = parallel_immersion(build_example(ExampleSpec(family=FAMILY_PSI, c=0.25)), 1000.0).chart
+        with pytest.raises(GeometryError, match="l = 1000.0"):
+            chart(np.array([0.1, -0.2, 0.5]))
 
     def test_angle_invariant_under_flow(self):
         specs = (

@@ -218,6 +218,25 @@ class TestParallelTransport:
         assert np.max(np.abs(moved.coords - geodesic_velocity(p, v, l).coords)) < 1e-12
 
 
+class TestGeodesicOverflow:
+    """cosh(1000) is past the largest float: the geodesics say so with a GeometryError."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda p, v: exp_map(p, v, 1000.0),
+            lambda p, v: geodesic_velocity(p, v, 1000.0),
+            lambda p, v: parallel_transport(p, v, 1000.0, v),
+        ],
+        ids=["exp_map", "geodesic_velocity", "parallel_transport"],
+    )
+    def test_hyperboloid_overflow_is_a_geometry_error(self, run):
+        p = hyper_point(1, 0, 0)
+        v = ModelVector(p, [0.0, 1.0, 0.0])
+        with pytest.raises(GeometryError, match="l = 1000.0"):
+            run(p, v)
+
+
 class TestConstraintEnforcement:
     def test_small_tangency_defect_projected(self):
         p = sphere_point(1, 0, 0)
