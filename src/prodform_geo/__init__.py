@@ -35,11 +35,9 @@ from .hypersurface import (
 from .jacobi import (
     CaseParams,
     FocalPointError,
-    FrameDegenerateError,
     FrameShape,
     TaylorSeries,
     UnsupportedCaseError,
-    adapted_frame,
     detq_closed_form,
     detq_derivative_formula,
     detq_derivatives,

@@ -75,10 +75,6 @@ def product_metric(x: ProductVector, y: ProductVector) -> float:
     return metric(x.first, y.first) + metric(x.second, y.second)
 
 
-def zero_product_vector(p: ProductPoint) -> ProductVector:
-    return ProductVector(zero_vector(p.first), zero_vector(p.second))
-
-
 def product_structure(x: ProductVector) -> ProductVector:
     """P(X1, X2) = (X1, -X2); an involutive, metric-preserving symmetry."""
     return ProductVector(x.first, -x.second)

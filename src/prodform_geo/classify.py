@@ -223,9 +223,10 @@ def solve_polynomial(coefficients: Sequence[float], lo: float = -1.0, hi: float 
     ]
 
 
-def _newton_polish(coeffs: Sequence[float], x: float, iterations: int = 3) -> float:
+def _newton_polish(coeffs: Sequence[float], x: float) -> float:
+    """At most three Newton steps on the polynomial, stopped by a zero derivative or an overflow."""
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    for _ in range(iterations):
+    for _ in range(3):
         d = horner(deriv, x)
         if d == 0.0:
             break
@@ -298,12 +299,11 @@ FAMILIES = (FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE, FAMILY_PSI)
 
 @dataclass(frozen=True)
 class ExampleSpec:
-    """Parameters of one classified example hypersurface.
+    """Parameters of one classified example hypersurface, up to ambient isometry.
 
     Families: a constant-curvature curve times a full factor (either order),
     or the ruled hypersurface over a horocycle in the hyperbolic-times-flat
-    product, built from a strip constant 0 < c < 1 and an orthonormal flat
-    pair (V0, W0).
+    product, built from a strip constant 0 < c < 1.
     """
 
     family: str
@@ -311,15 +311,12 @@ class ExampleSpec:
     kappa2: int = 0
     k: float = 1.0
     c: float = 0.25
-    V0: tuple[float, float] = (1.0, 0.0)
-    W0: tuple[float, float] = (0.0, 1.0)
-    X0: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise GeometryError(f"unknown example family {self.family!r}")
-        for name in ("k", "c", "V0", "W0", "X0"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name in ("k", "c"):
+            if not math.isfinite(getattr(self, name)):
                 raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("kappa1", "kappa2"):
             if getattr(self, name) not in KAPPAS:
@@ -329,15 +326,6 @@ class ExampleSpec:
                 raise GeometryError("the ruled example lives in the hyperbolic-times-flat product")
             if not 0.0 < self.c < 1.0:
                 raise GeometryError(f"the strip constant must satisfy 0 < c < 1, got {self.c}")
-            v0 = np.asarray(self.V0, dtype=float)
-            w0 = np.asarray(self.W0, dtype=float)
-            # each comparison is false for NaN
-            if not (
-                abs(v0 @ v0 - 1.0) <= 1e-12
-                and abs(w0 @ w0 - 1.0) <= 1e-12
-                and abs(v0 @ w0) <= 1e-12
-            ):
-                raise GeometryError("V0 and W0 must be orthonormal in the flat factor")
         else:
             if self.kappa1 == self.kappa2:
                 raise GeometryError("example families require distinct curvatures")
@@ -410,41 +398,30 @@ def build_example(spec: ExampleSpec) -> Immersion:
     """Immersion of a classified example, with its analytic jacobian."""
     if spec.family == FAMILY_PSI:
         return _build_psi(spec)
-    if spec.family == FAMILY_CURVE_X_FACTOR:
-        curve_kappa, factor_kappa = spec.kappa1, spec.kappa2
-    else:
-        curve_kappa, factor_kappa = spec.kappa2, spec.kappa1
+    curve_first = spec.family == FAMILY_CURVE_X_FACTOR
+
+    def ordered(curve_part, factor_part) -> tuple:
+        """The (first, second) factor order of the family; a swap is its own inverse."""
+        return (curve_part, factor_part) if curve_first else (factor_part, curve_part)
+
+    curve_kappa, factor_kappa = ordered(spec.kappa1, spec.kappa2)
     gamma, dgamma = constant_curvature_curve(curve_kappa, spec.k)
     chart2, d2a, d2b = _factor_chart(factor_kappa)
-
-    curve_first = spec.family == FAMILY_CURVE_X_FACTOR
 
     def chart(u: np.ndarray) -> ProductPoint:
         # Python floats: numpy scalar arithmetic is slower and rounds the same
         t, a, b = u.tolist()
-        pc = ModelPoint(curve_kappa, gamma(t))
-        pf = ModelPoint(factor_kappa, chart2(a, b))
-        return ProductPoint(pc, pf) if curve_first else ProductPoint(pf, pc)
+        return ProductPoint(*ordered(ModelPoint(curve_kappa, gamma(t)), ModelPoint(factor_kappa, chart2(a, b))))
 
     def jacobian(u: np.ndarray):
         t, a, b = u.tolist()
-        pc = ModelPoint(curve_kappa, gamma(t))
-        pf = ModelPoint(factor_kappa, chart2(a, b))
-        tc = ModelVector(pc, dgamma(t))
-        ta = ModelVector(pf, d2a(a, b))
-        tb = ModelVector(pf, d2b(a, b))
-        zc = zero_vector(pc)
-        zf = zero_vector(pf)
-        if curve_first:
-            return (
-                ProductVector(tc, zf),
-                ProductVector(zc, ta),
-                ProductVector(zc, tb),
-            )
+        p = chart(u)
+        pc, pf = ordered(p.first, p.second)
+        zc, zf = zero_vector(pc), zero_vector(pf)
         return (
-            ProductVector(zf, tc),
-            ProductVector(ta, zc),
-            ProductVector(tb, zc),
+            ProductVector(*ordered(ModelVector(pc, dgamma(t)), zf)),
+            ProductVector(*ordered(zc, ModelVector(pf, d2a(a, b)))),
+            ProductVector(*ordered(zc, ModelVector(pf, d2b(a, b)))),
         )
 
     return Immersion(
@@ -464,44 +441,41 @@ def horocycle_with_normal(r: float) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _ruled_point(t: float, r: float, s: float, c: float) -> ProductPoint:
+    """The ruled example at strip constant c: the horocycle flowed t sqrt(c), times (s, t sqrt(1 - c))."""
+    g, n = horocycle_with_normal(r)
+    sc = math.sqrt(c)
+    p = math.cosh(t * sc) * g + math.sinh(t * sc) * n
+    return ProductPoint(ModelPoint(-1, p), ModelPoint(0, np.array([s, t * math.sqrt(1.0 - c)])))
+
+
 def _build_psi(spec: ExampleSpec) -> Immersion:
     c = spec.c
     sc = math.sqrt(c)
-    s1c = math.sqrt(1.0 - c)
-    v0 = np.asarray(spec.V0, dtype=float)
-    w0 = np.asarray(spec.W0, dtype=float)
-    x0 = np.asarray(spec.X0, dtype=float)
-
-    def chart(u: np.ndarray) -> ProductPoint:
-        t, r, s = u
-        g, n = horocycle_with_normal(r)
-        p = math.cosh(t * sc) * g + math.sinh(t * sc) * n
-        q = x0 + s * v0 + t * s1c * w0
-        return ProductPoint(ModelPoint(-1, p), ModelPoint(0, q))
 
     def jacobian(u: np.ndarray):
         t, r, s = u
+        point = _ruled_point(t, r, s, c)
+        p, q = point.first, point.second
         g, n = horocycle_with_normal(r)
         ch, sh = math.cosh(t * sc), math.sinh(t * sc)
-        p = ModelPoint(-1, ch * g + sh * n)
-        q = ModelPoint(0, x0 + s * v0 + t * s1c * w0)
         # both the horocycle and its normal differentiate to (r, 1, r)
         dgdr = np.array([r, 1.0, r])
         dt = ProductVector(
             ModelVector(p, sc * (sh * g + ch * n)),
-            ModelVector(q, s1c * w0),
+            ModelVector(q, np.array([0.0, math.sqrt(1.0 - c)])),
         )
         dr = ProductVector(
             ModelVector(p, (ch + sh) * dgdr),
             zero_vector(q),
         )
-        ds = ProductVector(zero_vector(p), ModelVector(q, v0))
+        ds = ProductVector(zero_vector(p), ModelVector(q, np.array([1.0, 0.0])))
         return dt, dr, ds
 
     return Immersion(
         kappa1=-1,
         kappa2=0,
-        chart=chart,
+        chart=lambda u: _ruled_point(*u, c),
         jacobian=jacobian,
         name=spec.label(),
     )
@@ -511,7 +485,7 @@ def _build_psi(spec: ExampleSpec) -> Immersion:
 PERTURBED_AMPLITUDE = 0.1
 
 
-def build_perturbed_psi(c: float = 0.25, amplitude: float = PERTURBED_AMPLITUDE) -> Immersion:
+def build_perturbed_psi(c: float = 0.25) -> Immersion:
     """Negative control: the ruled example with c replaced by c(1 + a sin r).
 
     Still lands on the product manifold but is not isoparametric; its angle
@@ -520,37 +494,29 @@ def build_perturbed_psi(c: float = 0.25, amplitude: float = PERTURBED_AMPLITUDE)
 
     def chart(u: np.ndarray) -> ProductPoint:
         t, r, s = u
-        cr = c * (1.0 + amplitude * math.sin(r))
+        cr = c * (1.0 + PERTURBED_AMPLITUDE * math.sin(r))
         if not 0.0 <= cr <= 1.0:
             raise GeometryError(
-                f"perturbed strip constant c(1 + {amplitude!r} sin r) = {cr!r} at r = {float(r)!r} "
+                f"perturbed strip constant c(1 + {PERTURBED_AMPLITUDE!r} sin r) = {cr!r} at r = {float(r)!r} "
                 f"leaves [0, 1] for c = {c!r}"
             )
-        g, n = horocycle_with_normal(r)
-        p = math.cosh(t * math.sqrt(cr)) * g + math.sinh(t * math.sqrt(cr)) * n
-        q = s * np.array([1.0, 0.0]) + t * math.sqrt(1.0 - cr) * np.array([0.0, 1.0])
-        return ProductPoint(ModelPoint(-1, p), ModelPoint(0, q))
+        return _ruled_point(t, r, s, cr)
 
     return Immersion(kappa1=-1, kappa2=0, chart=chart, name=f"psi-perturbed(c={c:g})")
 
 
-def gallery_specs(curvatures: Sequence[float] = (0.0, 0.5, 1.0, 2.0)) -> list[ExampleSpec]:
+#: the curve curvatures k of the gallery's curve examples
+GALLERY_CURVATURES = (0.0, 0.5, 1.0, 2.0)
+
+
+def gallery_specs() -> list[ExampleSpec]:
     """The classified examples over all mixed curvature pairs."""
-    specs = []
-    for case in CaseId:
-        for k in curvatures:
-            specs.append(
-                ExampleSpec(
-                    family=FAMILY_CURVE_X_FACTOR, kappa1=case.kappa1, kappa2=case.kappa2, k=k
-                )
-            )
-            specs.append(
-                ExampleSpec(
-                    family=FAMILY_FACTOR_X_CURVE, kappa1=case.kappa1, kappa2=case.kappa2, k=k
-                )
-            )
-    specs.append(ExampleSpec(family=FAMILY_PSI))
-    return specs
+    return [
+        ExampleSpec(family=family, kappa1=case.kappa1, kappa2=case.kappa2, k=k)
+        for case in CaseId
+        for k in GALLERY_CURVATURES
+        for family in (FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE)
+    ] + [ExampleSpec(family=FAMILY_PSI)]
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +571,8 @@ class IsoparametricReport:
 def isoparametric_report(
     imm: Immersion,
     grid: Optional[Sequence[np.ndarray]] = None,
-    l_samples: Sequence[float] = (-0.2, -0.1, 0.1, 0.2),
+    *,
+    l_samples: Sequence[float],
 ) -> IsoparametricReport:
     """Measure the angle, principal curvatures and flow H(l) over a grid.
 

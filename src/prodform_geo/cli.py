@@ -16,7 +16,9 @@ Reports are written atomically and are byte-identical for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import decimal
+import io
 import json
 import math
 import os
@@ -580,23 +582,20 @@ CSV_COLUMNS = ("u1", "u2", "u3", "l", "H", "C", "k1", "k2", "k3")
 
 
 def render_csv(report: VerificationReport) -> str:
+    """Rows of the flow dump, or one row per check; a field with a comma is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     if report.rows:
-        lines = [",".join(CSV_COLUMNS)]
+        writer.writerow(CSV_COLUMNS)
         for row in report.rows:
-            lines.append(
-                ",".join(
-                    "" if row[col] is None else f"{float(row[col]):.17g}"
-                    for col in CSV_COLUMNS
-                )
-            )
+            writer.writerow("" if row[col] is None else f"{float(row[col]):.17g}" for col in CSV_COLUMNS)
     else:
-        lines = ["name,samples,max_abs_err,max_rel_err,pass"]
+        writer.writerow(("name", "samples", "max_abs_err", "max_rel_err", "pass"))
         for check in report.checks:
-            lines.append(
-                f"{check.name},{check.samples},{check.max_abs_err:.17g},"
-                f"{check.max_rel_err:.17g},{int(check.passed)}"
+            writer.writerow(
+                (check.name, check.samples, f"{check.max_abs_err:.17g}", f"{check.max_rel_err:.17g}", int(check.passed))
             )
-    return "\n".join(lines) + "\n"
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Parametrized hypersurfaces of a product of model spaces.
 
-An :class:`Immersion` is a map from a box in R^3 into the product, optionally
+An :class:`Immersion` is a map from the box [-1, 1]^3 into the product, optionally
 with an analytic jacobian.  From it we derive tangent frames, the unit normal
 (by a generalized cross product in an orthonormal ambient frame), the product
 angle function C = <PN, N>, the shape operator from the second fundamental
@@ -61,28 +61,18 @@ def at_most(x, bound: float) -> bool:
 
 @dataclass(frozen=True)
 class Immersion:
-    """Map from a parameter box in R^3 into the product manifold."""
+    """Map from the parameter box [-1, 1]^3 into the product manifold."""
 
     kappa1: int
     kappa2: int
     chart: Callable[[np.ndarray], ProductPoint]
-    domain: tuple[tuple[float, float], tuple[float, float], tuple[float, float]] = (
-        (-1.0, 1.0),
-        (-1.0, 1.0),
-        (-1.0, 1.0),
-    )
     jacobian: Optional[Callable[[np.ndarray], tuple[ProductVector, ProductVector, ProductVector]]] = None
     name: str = ""
 
     def grid(self, n: int = 5) -> list[np.ndarray]:
         """Regular n x n x n sample of the parameter box."""
-        axes = [np.linspace(lo, hi, n) for lo, hi in self.domain]
-        return [
-            np.array([a, b, c])
-            for a in axes[0]
-            for b in axes[1]
-            for c in axes[2]
-        ]
+        axis = np.linspace(-1.0, 1.0, n)
+        return [np.array([a, b, c]) for a in axis for b in axis for c in axis]
 
 
 def _richardson(difference: Callable[[float], np.ndarray]) -> np.ndarray:

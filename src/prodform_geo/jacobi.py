@@ -1,4 +1,4 @@
-"""Parallel-hypersurface flow: adapted frame, Jacobi blocks, det Q machinery.
+"""Parallel-hypersurface flow: flow frame, Jacobi blocks, det Q machinery.
 
 Flowing a hypersurface distance l along its normal geodesics turns the shape
 operator into A_l = -Q'(l) Q(l)^{-1}, where Q collects the Jacobi-field
@@ -33,17 +33,13 @@ from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, angle_of_norm
 from .hypersurface import at_most, is_finite
 from .spaceform import GeometryError, KAPPAS, complex_structure, stability_functions, tangent_frame, zero_vector
 
-#: the adapted frame refuses points closer than this to C^2 = 1
+#: flow_frame uses the adapted frame where 1 - C^2 >= FRAME_EPS, the legs for C^2 = 1 closer in
 FRAME_EPS = 1e-6
 
 #: below this |det Q| the flow has hit a focal point
 FOCAL_TOL = 1e-10
 
 SERIES_ORDER = 12
-
-
-class FrameDegenerateError(GeometryError):
-    """The adapted frame is undefined where C^2 is too close to 1."""
 
 
 class FocalPointError(GeometryError):
@@ -416,32 +412,15 @@ def detq_derivative_formula(k: int, cp: CaseParams, H=None, rho=None, H12=None, 
 
 
 # ---------------------------------------------------------------------------
-# adapted frame and the flow of immersions
+# the flow frame and the flow of immersions
 # ---------------------------------------------------------------------------
-
-
-def adapted_frame(
-    n: ProductVector, c: float, v: ProductVector
-) -> tuple[ProductVector, ProductVector, ProductVector]:
-    """Orthonormal tangent frame (V/|V|, (J1+J2)N/sqrt(2(1+C)), (J1-J2)N/sqrt(2(1-C))).
-
-    Defined only away from C^2 = 1; the second and third legs split the
-    normal's rotations between the factors.
-    """
-    if 1.0 - c * c < FRAME_EPS:
-        raise FrameDegenerateError(f"adapted frame undefined at C = {c!r}")
-    j1n, j2n = complex_structures(n)
-    e1 = v.scale(1.0 / math.sqrt(1.0 - c * c))
-    e2 = (j1n + j2n).scale(1.0 / math.sqrt(2.0 * (1.0 + c)))
-    e3 = (j1n - j2n).scale(1.0 / math.sqrt(2.0 * (1.0 - c)))
-    return e1, e2, e3
 
 
 def flow_frame(n: ProductVector) -> tuple[ProductVector, ProductVector, ProductVector]:
     """Frame at the unit normal n that diagonalizes the Jacobi blocks, also at C^2 = 1.
 
     The angle value C and the tangent part V come from n through
-    ``angle_of_normal``.  Away from the degenerate values this is the adapted
+    ``angle_of_normal``.  Where 1 - C^2 >= ``FRAME_EPS`` this is the adapted
     frame.  At C = 1 the normal lies in the first factor: the curvature block
     acts on (J N1, 0) while the whole second factor is flat, so any
     orthonormal pair there fills the two zero-frequency slots (and
@@ -452,7 +431,14 @@ def flow_frame(n: ProductVector) -> tuple[ProductVector, ProductVector, ProductV
     """
     c, v = angle_of_normal(n)
     if 1.0 - c * c >= FRAME_EPS:
-        return adapted_frame(n, c, v)
+        # the adapted frame (V/|V|, (J1+J2)N/sqrt(2(1+C)), (J1-J2)N/sqrt(2(1-C))):
+        # its second and third legs split the normal's rotations between the factors
+        j1n, j2n = complex_structures(n)
+        return (
+            v.scale(1.0 / math.sqrt(1.0 - c * c)),
+            (j1n + j2n).scale(1.0 / math.sqrt(2.0 * (1.0 + c))),
+            (j1n - j2n).scale(1.0 / math.sqrt(2.0 * (1.0 - c))),
+        )
     p = n.base
     if c > 0.0:
         jn1 = complex_structure(n.first)
@@ -498,8 +484,6 @@ def parallel_immersion(imm: Immersion, l: float) -> Immersion:
         kappa1=imm.kappa1,
         kappa2=imm.kappa2,
         chart=chart,
-        domain=imm.domain,
-        jacobian=None,
         name=label,
     )
 

@@ -17,7 +17,6 @@ from prodform_geo.ambient import (
     product_velocity,
     random_product_point,
     random_product_tangent,
-    zero_product_vector,
 )
 from prodform_geo.spaceform import (
     KAPPAS,
@@ -121,7 +120,7 @@ class TestCurvatureTensor:
         rng = np.random.default_rng(6)
         p = random_product_point(1, -1, rng)
         y, z, w = (random_product_tangent(p, rng) for _ in range(3))
-        assert curvature_tensor(zero_product_vector(p), y, z, w) == 0.0
+        assert curvature_tensor(ProductVector(zero_vector(p.first), zero_vector(p.second)), y, z, w) == 0.0
 
     @pytest.mark.parametrize("kappas", PAIRS)
     def test_first_factor_sectional_value(self, kappas):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prodform_geo import classify
 from prodform_geo.classify import (
     AlphaRecord,
     CaseId,
@@ -21,7 +22,11 @@ from prodform_geo.classify import (
     isoparametric_report,
     solve_polynomial,
 )
+from prodform_geo.cli import RunConfig
 from prodform_geo.spaceform import GeometryError, ModelPoint, ModelVector, complex_structure, form, lorentz_form
+
+#: the l samples of a default gallery run
+L_VALUES = RunConfig(command="gallery").l_values
 
 
 class TestCaseAlphas:
@@ -281,21 +286,12 @@ class TestBuildExample:
         with pytest.raises(GeometryError):
             ExampleSpec(family=FAMILY_PSI, c=0.0)
 
-    def test_psi_requires_orthonormal_flat_pair(self):
-        with pytest.raises(GeometryError):
-            ExampleSpec(family=FAMILY_PSI, V0=(1.0, 0.0), W0=(1.0, 0.0))
-        with pytest.raises(GeometryError):
-            ExampleSpec(family=FAMILY_PSI, V0=(2.0, 0.0))
-
     @pytest.mark.parametrize(
         "family, field, value",
         [
             (FAMILY_CURVE_X_FACTOR, "k", math.nan),
             (FAMILY_FACTOR_X_CURVE, "k", math.inf),
             (FAMILY_PSI, "c", math.nan),
-            (FAMILY_PSI, "V0", (math.nan, 0.0)),
-            (FAMILY_PSI, "W0", (0.0, math.inf)),
-            (FAMILY_PSI, "X0", (math.inf, 0.0)),
         ],
     )
     def test_non_finite_parameter_rejected(self, family, field, value):
@@ -320,6 +316,29 @@ class TestBuildExample:
         with pytest.raises(GeometryError):
             ExampleSpec(family="spiral")
 
+    def test_control_without_perturbation_is_psi(self, monkeypatch):
+        monkeypatch.setattr(classify, "PERTURBED_AMPLITUDE", 0.0)
+        psi = build_example(ExampleSpec(family=FAMILY_PSI, c=0.25))
+        control = build_perturbed_psi(0.25)
+        for u in psi.grid(3):
+            p, q = psi.chart(u), control.chart(u)
+            assert np.array_equal(p.first.coords, q.first.coords)
+            assert np.array_equal(p.second.coords, q.second.coords)
+
+    @pytest.mark.parametrize("kappas", [(1, -1), (1, 0), (-1, 0)])
+    def test_factor_order_only_swaps_the_factors(self, kappas):
+        k1, k2 = kappas
+        for k in (0.0, 0.5, 1.0, 2.0):
+            first = build_example(ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=k1, kappa2=k2, k=k))
+            second = build_example(ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=k2, kappa2=k1, k=k))
+            for u in first.grid(3):
+                p, q = first.chart(u), second.chart(u)
+                assert np.array_equal(p.first.coords, q.second.coords)
+                assert np.array_equal(p.second.coords, q.first.coords)
+                for x, y in zip(first.jacobian(u), second.jacobian(u)):
+                    assert np.array_equal(x.first.coords, y.second.coords)
+                    assert np.array_equal(x.second.coords, y.first.coords)
+
     def test_psi_lands_on_product(self):
         imm = build_example(ExampleSpec(family=FAMILY_PSI, c=0.7))
         for u in imm.grid(3):
@@ -338,7 +357,7 @@ class TestIsoparametricReport:
         imm = build_example(
             ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=1, kappa2=0, k=1.0)
         )
-        rep = isoparametric_report(imm, grid=imm.grid(3))
+        rep = isoparametric_report(imm, grid=imm.grid(3), l_samples=L_VALUES)
         assert _max_deviation(rep) <= 1e-5
         assert rep.focal_events == 0
         assert abs(abs(rep.angle.mean) - 1.0) < 1e-12
@@ -347,14 +366,14 @@ class TestIsoparametricReport:
 
     def test_psi_passes_with_expected_angle(self):
         imm = build_example(ExampleSpec(family=FAMILY_PSI, c=0.25))
-        rep = isoparametric_report(imm, grid=imm.grid(3))
+        rep = isoparametric_report(imm, grid=imm.grid(3), l_samples=L_VALUES)
         assert _max_deviation(rep) <= 1e-5
         assert rep.focal_events == 0
         assert abs(rep.angle.mean - 0.5) < 1e-8
         assert rep.angle.max_dev < 1e-8
 
     def test_perturbed_psi_fails(self):
-        rep = isoparametric_report(build_perturbed_psi(0.25))
+        rep = isoparametric_report(build_perturbed_psi(0.25), l_samples=L_VALUES)
         assert rep.angle.max_dev > 1e-3
 
     def test_focal_samples_are_left_out_of_h_statistics(self):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -376,6 +377,15 @@ class TestReportFormats:
         assert header == "u1,u2,u3,l,H,C,k1,k2,k3"
         first = text.splitlines()[1].split(",")
         assert len(first) == 9
+
+    def test_csv_check_rows_keep_names_with_commas(self):
+        # curve example names such as curve(k=0,first)x(1,-1) hold commas
+        report = run(make_config(command="gallery", grid=2))
+        header, *rows = csv.reader(render_csv(report).splitlines())
+        assert header == ["name", "samples", "max_abs_err", "max_rel_err", "pass"]
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[0] for row in rows] == [check["name"] for check in json.loads(render_json(report))["checks"]]
+        assert any("," in row[0] for row in rows)
 
 
 class TestEntryPoint:

@@ -45,7 +45,6 @@ def psi_without_jacobian(c=0.25):
         kappa1=analytic.kappa1,
         kappa2=analytic.kappa2,
         chart=analytic.chart,
-        domain=analytic.domain,
         jacobian=None,
         name="psi-fd",
     )

@@ -23,11 +23,9 @@ from prodform_geo.jacobi import (
     FRAME_EPS,
     CaseParams,
     FocalPointError,
-    FrameDegenerateError,
     FrameShape,
     TaylorSeries,
     UnsupportedCaseError,
-    adapted_frame,
     detq_closed_form,
     detq_derivative_formula,
     detq_derivatives,
@@ -281,7 +279,7 @@ class TestAdaptedFrame:
 
     def test_orthonormal_gram_matrix(self):
         n, c, v = self._psi_frame(0.25)
-        frame = adapted_frame(n, c, v)
+        frame = flow_frame(n)
         gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
 
@@ -296,7 +294,7 @@ class TestAdaptedFrame:
 
     def test_tangent_to_hypersurface(self):
         n, c, v = self._psi_frame(0.25)
-        for e in adapted_frame(n, c, v):
+        for e in flow_frame(n):
             assert abs(product_metric(e, n)) < 1e-10
 
     def test_degenerate_angle_rejected(self):
@@ -304,9 +302,8 @@ class TestAdaptedFrame:
             ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=0, k=1.0)
         )
         n = unit_normal(imm, np.zeros(3))
-        c, v = angle_of_normal(n)
-        with pytest.raises(FrameDegenerateError):
-            adapted_frame(n, c, v)
+        c, _ = angle_of_normal(n)
+        assert 1.0 - c * c < FRAME_EPS
         # the flow frame covers the degenerate case and stays orthonormal
         frame = flow_frame(n)
         gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
