@@ -26,8 +26,6 @@ from .spaceform import (
     parallel_transport,
     random_point,
     random_tangent,
-    tangent_frame,
-    zero_vector,
 )
 
 
@@ -167,27 +165,10 @@ def product_transport(p: ProductPoint, x: ProductVector, l: float, w: ProductVec
     )
 
 
-def ambient_frame(p: ProductPoint) -> tuple[ProductVector, ProductVector, ProductVector, ProductVector]:
-    """Orthonormal frame (a,0), (Ja,0), (0,b), (0,Jb) of the ambient tangent space."""
-    a1, a2 = tangent_frame(p.first)
-    b1, b2 = tangent_frame(p.second)
-    z1 = zero_vector(p.first)
-    z2 = zero_vector(p.second)
-    return (
-        ProductVector(a1, z2),
-        ProductVector(a2, z2),
-        ProductVector(z1, b1),
-        ProductVector(z1, b2),
-    )
-
-
 def random_product_point(kappa1: int, kappa2: int, rng: np.random.Generator) -> ProductPoint:
     return ProductPoint(random_point(kappa1, rng), random_point(kappa2, rng))
 
 
-def random_product_tangent(p: ProductPoint, rng: np.random.Generator, scale: float = 1.0) -> ProductVector:
-    return ProductVector(
-        random_tangent(p.first, rng, scale),
-        random_tangent(p.second, rng, scale),
-    )
+def random_product_tangent(p: ProductPoint, rng: np.random.Generator) -> ProductVector:
+    return ProductVector(random_tangent(p.first, rng), random_tangent(p.second, rng))
 

@@ -21,14 +21,12 @@ import numpy as np
 from .ambient import ProductPoint, ProductVector
 from .hypersurface import Immersion, ShapeRecord
 from .jacobi import (
-    FOCAL_TOL,
     CaseParams,
-    detq_closed_form,
     detq_derivative_formula,
+    flow_mean_curvature,
     formula_orders,
     frame_shape_at,
     horner,
-    parallel_mean_curvature,
 )
 from .spaceform import KAPPAS, GeometryError, ModelPoint, ModelVector, stability_functions, tangent_frame, zero_vector
 
@@ -570,20 +568,18 @@ class IsoparametricReport:
 
 def isoparametric_report(
     imm: Immersion,
-    grid: Optional[Sequence[np.ndarray]] = None,
+    grid: Sequence[np.ndarray],
     *,
     l_samples: Sequence[float],
 ) -> IsoparametricReport:
     """Measure the angle, principal curvatures and flow H(l) over a grid.
 
     Each grid point gets one flow-frame shape record, and H(l) comes from
-    the det Q closed form of its frame shape.  A sample whose closed det Q
-    is below ``FOCAL_TOL`` lies at or beyond a focal point: it gives None
-    and the walk continues.  The report holds measurements only: the checks
+    one evaluation of the det Q closed form of its frame shape
+    (``flow_mean_curvature``).  A sample at or beyond a focal point gives
+    None and the walk continues.  The report holds measurements only: the checks
     and their tolerances belong to the caller.
     """
-    if grid is None:
-        grid = imm.grid(5)
     l_samples = tuple(float(l) for l in l_samples)
 
     records: list[ShapeRecord] = []
@@ -592,16 +588,11 @@ def isoparametric_report(
     for u in grid:
         fs, cp, rec = frame_shape_at(imm, u)
         records.append(rec)
-        hs: list[Optional[float]] = []
-        for l in l_samples:
-            # det Q(0) = 1, so a closed det Q below FOCAL_TOL, of either
-            # sign, means the flow has reached or crossed a focal point
-            if detq_closed_form(fs, cp, l) < FOCAL_TOL:
-                hs.append(None)
-            else:
-                hs.append(parallel_mean_curvature(fs, cp, l))
-                h_of_l[l].append(hs[-1])
-        h_values.append(tuple(hs))
+        hs = tuple(flow_mean_curvature(fs, cp, l) for l in l_samples)
+        for l, h in zip(l_samples, hs):
+            if h is not None:
+                h_of_l[l].append(h)
+        h_values.append(hs)
 
     principals = tuple(tuple(float(k) for k in rec.principal_curvatures()) for rec in records)
 

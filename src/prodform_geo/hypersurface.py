@@ -69,7 +69,7 @@ class Immersion:
     jacobian: Optional[Callable[[np.ndarray], tuple[ProductVector, ProductVector, ProductVector]]] = None
     name: str = ""
 
-    def grid(self, n: int = 5) -> list[np.ndarray]:
+    def grid(self, n: int) -> list[np.ndarray]:
         """Regular n x n x n sample of the parameter box."""
         axis = np.linspace(-1.0, 1.0, n)
         return [np.array([a, b, c]) for a in axis for b in axis for c in axis]
@@ -168,8 +168,8 @@ def unit_normal(
     k1, k2 = p1.kappa, p2.kappa
     a, ja = tangent_frame(p1)
     b, jb = tangent_frame(p2)
-    # product_metric against the legs (a, 0), (Ja, 0), (0, b), (0, Jb) of
-    # ambient_frame, with each zero leg's term the signed zero it adds
+    # product_metric against the legs (a, 0), (Ja, 0), (0, b), (0, Jb) of the
+    # ambient frame, with each zero leg's term the signed zero it adds
     rows = []
     for t in basis:
         x, y = t.first.coords, t.second.coords

@@ -13,8 +13,9 @@ of the Jacobi blocks is ``spaceform.stability_functions``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -224,31 +225,40 @@ def q_matrix_prime(fs: FrameShape, cp: CaseParams, l: float) -> np.ndarray:
     )
 
 
-def detq_closed_form(fs: FrameShape, cp: CaseParams, l: float) -> float:
-    """Closed expansion of det Q(l) in the curvature invariants."""
-    s1, c1 = stability_functions(cp.delta1, l)
-    s2, c2 = stability_functions(cp.delta2, l)
+def _detq_terms(fs: FrameShape, s1, c1, s2, c2) -> tuple:
+    """The four (g, h, X, Y) of the closed expansion det Q(l) = sum (g + l h) X Y.
+
+    X Y runs over C1 C2, S1 C2, C1 S2 and S1 S2; the stability pairs may be values or series.
+    """
     a = fs.A
     return (
-        (1.0 - l * a[0][0]) * c1 * c2
-        + (-a[1][1] + l * fs.H12) * s1 * c2
-        + (-a[2][2] + l * fs.H13) * c1 * s2
-        + (fs.H23 - l * fs.K) * s1 * s2
+        (1, -a[0][0], c1, c2),
+        (-a[1][1], fs.H12, s1, c2),
+        (-a[2][2], fs.H13, c1, s2),
+        (fs.H23, -fs.K, s1, s2),
     )
 
 
-def detq_closed_form_dl(fs: FrameShape, cp: CaseParams, l: float) -> float:
-    """l-derivative of the closed det Q expansion."""
+def _detq_and_slope(fs: FrameShape, cp: CaseParams, l: float) -> tuple[float, float]:
+    """det Q(l) and its l-derivative from one evaluation of the closed expansion."""
     d1 = float(cp.delta1)
     d2 = float(cp.delta2)
     s1, c1 = stability_functions(d1, l)
     s2, c2 = stability_functions(d2, l)
-    a = fs.A
-    t1 = -a[0][0] * c1 * c2 + (1.0 - l * a[0][0]) * (-d1 * s1 * c2 - d2 * c1 * s2)
-    t2 = fs.H12 * s1 * c2 + (-a[1][1] + l * fs.H12) * (c1 * c2 - d2 * s1 * s2)
-    t3 = fs.H13 * c1 * s2 + (-a[2][2] + l * fs.H13) * (-d1 * s1 * s2 + c1 * c2)
-    t4 = -fs.K * s1 * s2 + (fs.H23 - l * fs.K) * (c1 * s2 + s1 * c2)
-    return t1 + t2 + t3 + t4
+    # (X Y)' of the four products, from S' = C and C' = -delta S
+    slopes = (-d1 * s1 * c2 - d2 * c1 * s2, c1 * c2 - d2 * s1 * s2, -d1 * s1 * s2 + c1 * c2, c1 * s2 + s1 * c2)
+    # -0.0 + t == t for every float t (0.0 + -0.0 is 0.0), so these folds are ((t1 + t2) + t3) + t4
+    value = slope = -0.0
+    for (g, h, x, y), xy_slope in zip(_detq_terms(fs, s1, c1, s2, c2), slopes):
+        f = g + l * h
+        value += f * x * y
+        slope += h * x * y + f * xy_slope
+    return value, slope
+
+
+def detq_closed_form(fs: FrameShape, cp: CaseParams, l: float) -> float:
+    """Closed expansion of det Q(l) in the curvature invariants."""
+    return _detq_and_slope(fs, cp, l)[0]
 
 
 def parallel_shape(q: np.ndarray, q_prime: np.ndarray) -> np.ndarray:
@@ -259,16 +269,30 @@ def parallel_shape(q: np.ndarray, q_prime: np.ndarray) -> np.ndarray:
     return -q_prime @ np.linalg.inv(q)
 
 
-def parallel_mean_curvature(fs: FrameShape, cp: CaseParams, l: float) -> float:
-    """Mean curvature H(l) = -(det Q)'/det Q of the parallel hypersurface."""
-    det = detq_closed_form(fs, cp, l)
-    if abs(det) < FOCAL_TOL:
-        raise FocalPointError(f"det Q = {det:.3e}: focal point reached")
-    h = -detq_closed_form_dl(fs, cp, l) / det
+def _mean_curvature(det: float, slope: float, l: float) -> float:
+    h = -slope / det
     # an overflowed det Q makes H nan, or finite and meaningless
     if not (math.isfinite(det) and math.isfinite(h)):
         raise GeometryError(f"det Q or H is not finite at flow distance l = {l!r}, too large for floats")
     return h
+
+
+def parallel_mean_curvature(fs: FrameShape, cp: CaseParams, l: float) -> float:
+    """Mean curvature H(l) = -(det Q)'/det Q of the parallel map; a focal point, |det Q| < FOCAL_TOL, raises."""
+    det, slope = _detq_and_slope(fs, cp, l)
+    if abs(det) < FOCAL_TOL:
+        raise FocalPointError(f"det Q = {det:.3e}: focal point reached")
+    return _mean_curvature(det, slope, l)
+
+
+def flow_mean_curvature(fs: FrameShape, cp: CaseParams, l: float) -> Optional[float]:
+    """H(l) along the flow from l = 0, or None at or beyond a focal point."""
+    det, slope = _detq_and_slope(fs, cp, l)
+    # det Q(0) = 1, so a det Q below FOCAL_TOL, of either sign, means the
+    # flow has reached or crossed a focal point
+    if det < FOCAL_TOL:
+        return None
+    return _mean_curvature(det, slope, l)
 
 
 def detq_taylor(fs: FrameShape, cp: CaseParams, order: int = SERIES_ORDER) -> TaylorSeries:
@@ -280,17 +304,7 @@ def detq_taylor(fs: FrameShape, cp: CaseParams, order: int = SERIES_ORDER) -> Ta
     """
     s1, c1 = stability_series(cp.delta1, order)
     s2, c2 = stability_series(cp.delta2, order)
-    a = fs.A
-
-    def lin(a0, a1) -> TaylorSeries:
-        return TaylorSeries([a0, a1], order)
-
-    return (
-        lin(1, -a[0][0]) * c1 * c2
-        + lin(-a[1][1], fs.H12) * s1 * c2
-        + lin(-a[2][2], fs.H13) * c1 * s2
-        + lin(fs.H23, -fs.K) * s1 * s2
-    )
+    return reduce(operator.add, [TaylorSeries([g, h], order) * x * y for g, h, x, y in _detq_terms(fs, s1, c1, s2, c2)])
 
 
 def detq_derivatives(fs: FrameShape, cp: CaseParams, orders: Iterable[int]) -> dict[int, Fraction]:
@@ -439,32 +453,28 @@ def flow_frame(n: ProductVector) -> tuple[ProductVector, ProductVector, ProductV
             (j1n + j2n).scale(1.0 / math.sqrt(2.0 * (1.0 + c))),
             (j1n - j2n).scale(1.0 / math.sqrt(2.0 * (1.0 - c))),
         )
-    p = n.base
-    if c > 0.0:
-        jn1 = complex_structure(n.first)
-        b1, b2 = tangent_frame(p.second)
-        e1 = ProductVector(zero_vector(p.first), b1)
-        e3 = ProductVector(zero_vector(p.first), b2)
-        if c != 1.0:  # at C = 1 exactly the legs are unit and tangent already
-            jn1 = jn1.scale(1.0 / math.sqrt((1.0 + c) / 2.0))
-            e1, e3 = gram_schmidt([e - n.scale(product_metric(e, n)) for e in (e1, e3)])
-        e2 = ProductVector(jn1, zero_vector(p.second))
-    else:
-        jn2 = complex_structure(n.second)
-        a1, a2 = tangent_frame(p.first)
-        e1 = ProductVector(a1, zero_vector(p.second))
-        e2 = ProductVector(a2, zero_vector(p.second))
-        if c != -1.0:
-            jn2 = jn2.scale(1.0 / math.sqrt((1.0 - c) / 2.0))
-            e1, e2 = gram_schmidt([e - n.scale(product_metric(e, n)) for e in (e1, e2)])
-        e3 = ProductVector(zero_vector(p.first), jn2)
-    return e1, e2, e3
+    normal_first = c > 0.0
+
+    # the (first, second) order of a (normal's factor, other factor) pair; a swap is its own inverse
+    def ordered(normal_part, flat_part) -> tuple:
+        return (normal_part, flat_part) if normal_first else (flat_part, normal_part)
+
+    p_normal, p_flat = ordered(n.first.base, n.second.base)
+    jn = complex_structure(ordered(n.first, n.second)[0])
+    e1, e_flat = (ProductVector(*ordered(zero_vector(p_normal), b)) for b in tangent_frame(p_flat))
+    if abs(c) != 1.0:  # at C = +-1 exactly the legs are unit and tangent already
+        jn = jn.scale(1.0 / math.sqrt((1.0 + abs(c)) / 2.0))
+        e1, e_flat = gram_schmidt([e - n.scale(product_metric(e, n)) for e in (e1, e_flat)])
+    e_normal = ProductVector(*ordered(jn, zero_vector(p_flat)))
+    # J N1 is the second leg of the adapted frame at C -> 1, J N2 the third at C -> -1
+    return (e1, *ordered(e_normal, e_flat))
 
 
 def frame_shape_at(imm: Immersion, u: np.ndarray) -> tuple[FrameShape, CaseParams, ShapeRecord]:
     """Shape data at a parameter value, expressed in the flow frame of its normal."""
     rec = shape_operator(imm, u, basis=flow_frame)
-    return FrameShape.from_record(rec), CaseParams(imm.kappa1, imm.kappa2, rec.C), rec
+    fs = FrameShape.from_record(rec)
+    return fs, fs.case, rec
 
 
 def parallel_immersion(imm: Immersion, l: float) -> Immersion:

@@ -372,6 +372,6 @@ def random_point(kappa: int, rng: np.random.Generator) -> ModelPoint:
     return ModelPoint(-1, np.array([math.sqrt(1.0 + y @ y), y[0], y[1]]))
 
 
-def random_tangent(p: ModelPoint, rng: np.random.Generator, scale: float = 1.0) -> ModelVector:
+def random_tangent(p: ModelPoint, rng: np.random.Generator) -> ModelVector:
     dim = 2 if p.kappa == 0 else 3
-    return ModelVector(p, tangent_project(p, scale * rng.normal(size=dim)))
+    return ModelVector(p, tangent_project(p, rng.normal(size=dim)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prodform_geo import classify
+from prodform_geo import classify, jacobi
 from prodform_geo.classify import (
     AlphaRecord,
     CaseId,
@@ -373,8 +373,30 @@ class TestIsoparametricReport:
         assert rep.angle.max_dev < 1e-8
 
     def test_perturbed_psi_fails(self):
-        rep = isoparametric_report(build_perturbed_psi(0.25), l_samples=L_VALUES)
+        imm = build_perturbed_psi(0.25)
+        rep = isoparametric_report(imm, imm.grid(5), l_samples=L_VALUES)
         assert rep.angle.max_dev > 1e-3
+
+    def test_one_expansion_evaluation_per_sample(self, monkeypatch):
+        # each (point, l) evaluates S and C of both factors once and reads K once
+        stability_calls, k_reads = [], []
+        original_stability, original_k = jacobi.stability_functions, jacobi.FrameShape.K
+
+        def counted_stability(*args):
+            stability_calls.append(args)
+            return original_stability(*args)
+
+        def counted_k(fs):
+            k_reads.append(fs)
+            return original_k.fget(fs)
+
+        monkeypatch.setattr(jacobi, "stability_functions", counted_stability)
+        monkeypatch.setattr(jacobi.FrameShape, "K", property(counted_k))
+        imm = build_example(ExampleSpec(family=FAMILY_PSI, c=0.25))
+        rep = isoparametric_report(imm, imm.grid(2), l_samples=(0.1, -0.2, 0.5, 1.0))
+        assert rep.focal_events == 0
+        assert len(stability_calls) == 2 * 2**3 * 4
+        assert len(k_reads) == 2**3 * 4
 
     def test_focal_samples_are_left_out_of_h_statistics(self):
         # a curvature-2 circle focalizes at distance 1/2 on one side; past

@@ -296,10 +296,9 @@ def reference_identities(cfg):
             trackers["j1_squared"].record_abs(reference_vector_gap(complex_structures(j1x)[0], -x))
             trackers["j2_squared"].record_abs(reference_vector_gap(complex_structures(j2x)[1], -x))
 
-            a = cli._unit_first_factor(p, rng)
+            a, b = cli._unit_factor_vectors(p, rng)
             ja = complex_structures(a)[0]
             trackers["sectional_first"].record(curvature_tensor(a, ja, ja, a), float(case.kappa1))
-            b = cli._unit_second_factor(p, rng)
             jb = complex_structures(b)[0]
             trackers["sectional_second"].record(curvature_tensor(b, jb, jb, b), float(case.kappa2))
             trackers["sectional_mixed"].record(curvature_tensor(a, b, b, a), 0.0)
@@ -434,6 +433,17 @@ class TestEntryPoint:
         assert "error: " in captured.err and f"l = {float(argv[-1])!r}" in captured.err
         assert "[PASS]" not in captured.err and captured.out == ""
         assert os.listdir(tmp_path) == []
+
+    def test_horocycle_false_focal_crossing_stays_focal(self, tmp_path):
+        # the closed det Q of the horocycle example passes below FOCAL_TOL by
+        # l = 14.5 and stays there: each sample beyond l = 0 is focal
+        out = tmp_path / "r.json"
+        argv = ["flow", "--case", "h2r2", "--family", "curve_x_factor", "--k", "1", "--grid", "2"]
+        assert main([*argv, "--l", "14.5,15,20", "--out", str(out)]) == 0
+        body = json.loads(out.read_text())
+        assert [row["H"] is None for row in body["rows"]] == [False, True, True, True] * 2**3
+        (dump,) = body["checks"]
+        assert dump["name"].endswith(".flow_dump") and dump["max_abs_err"] == 24.0
 
     def test_negative_control_below_strip_limit_passes(self, capsys):
         assert main(["gallery", "--family", "psi", "--c", "0.9", "--grid", "2"]) == 0

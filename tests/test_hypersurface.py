@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prodform_geo import hypersurface, jacobi
-from prodform_geo.ambient import ProductPoint, ProductVector, ambient_frame, product_metric
+from prodform_geo.ambient import ProductPoint, ProductVector, product_metric, random_product_point
 from prodform_geo.classify import (
     ExampleSpec,
     FAMILY_CURVE_X_FACTOR,
@@ -31,6 +31,7 @@ from prodform_geo.spaceform import (
     GeometryError,
     ModelPoint,
     ModelVector,
+    tangent_frame,
     zero_vector,
 )
 
@@ -58,6 +59,29 @@ def counting(fn, calls):
         return fn(*args, **kwargs)
 
     return counted
+
+
+def ambient_frame(p):
+    """Orthonormal frame (a,0), (Ja,0), (0,b), (0,Jb) of the ambient tangent space."""
+    a1, a2 = tangent_frame(p.first)
+    b1, b2 = tangent_frame(p.second)
+    z1 = zero_vector(p.first)
+    z2 = zero_vector(p.second)
+    return (
+        ProductVector(a1, z2),
+        ProductVector(a2, z2),
+        ProductVector(z1, b1),
+        ProductVector(z1, b2),
+    )
+
+
+def test_ambient_frame_is_orthonormal():
+    rng = np.random.default_rng(15)
+    for kappas in [(1, -1), (1, 0), (-1, 0)]:
+        p = random_product_point(*kappas, rng)
+        frame = ambient_frame(p)
+        gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
 
 def frame_unit_normal(imm, u, hint=None):

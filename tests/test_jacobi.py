@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prodform_geo import spaceform
-from prodform_geo.ambient import product_metric
+from prodform_geo import jacobi, spaceform
+from prodform_geo.ambient import ProductVector, product_metric
 from prodform_geo.classify import (
     CaseId,
     ExampleSpec,
@@ -18,7 +18,7 @@ from prodform_geo.classify import (
     build_example,
 )
 from prodform_geo.cli import exact_derivatives, random_frame_shape
-from prodform_geo.hypersurface import ORTHONORMAL_TOL, SYMMETRY_TOL, angle_of_normal, unit_normal
+from prodform_geo.hypersurface import ORTHONORMAL_TOL, SYMMETRY_TOL, angle_of_normal, gram_schmidt, unit_normal
 from prodform_geo.jacobi import (
     FRAME_EPS,
     CaseParams,
@@ -42,7 +42,7 @@ from prodform_geo.jacobi import (
     stability_series,
     transported_frame,
 )
-from prodform_geo.spaceform import GeometryError
+from prodform_geo.spaceform import GeometryError, complex_structure, tangent_frame, zero_vector
 
 
 def random_exact_shape(case, rng, den=100):
@@ -321,6 +321,62 @@ class TestAdaptedFrame:
         assert max(abs(product_metric(e, n)) for e in frame) < 1e-12
 
 
+def reference_degenerate_flow_frame(n):
+    """``flow_frame`` where 1 - C^2 < FRAME_EPS, as written with one branch per sign of C."""
+    c, _ = angle_of_normal(n)
+    p = n.base
+    if c > 0.0:
+        jn1 = complex_structure(n.first)
+        b1, b2 = tangent_frame(p.second)
+        e1 = ProductVector(zero_vector(p.first), b1)
+        e3 = ProductVector(zero_vector(p.first), b2)
+        if c != 1.0:
+            jn1 = jn1.scale(1.0 / math.sqrt((1.0 + c) / 2.0))
+            e1, e3 = gram_schmidt([e - n.scale(product_metric(e, n)) for e in (e1, e3)])
+        e2 = ProductVector(jn1, zero_vector(p.second))
+    else:
+        jn2 = complex_structure(n.second)
+        a1, a2 = tangent_frame(p.first)
+        e1 = ProductVector(a1, zero_vector(p.second))
+        e2 = ProductVector(a2, zero_vector(p.second))
+        if c != -1.0:
+            jn2 = jn2.scale(1.0 / math.sqrt((1.0 - c) / 2.0))
+            e1, e2 = gram_schmidt([e - n.scale(product_metric(e, n)) for e in (e1, e2)])
+        e3 = ProductVector(zero_vector(p.first), jn2)
+    return e1, e2, e3
+
+
+def frame_bytes(frame):
+    return [(e.first.coords.tobytes(), e.second.coords.tobytes()) for e in frame]
+
+
+class TestFlowFrameDegenerateBranch:
+    """The one C -> +-1 branch equals the two mirrored branches it replaced, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec, angle",
+        [
+            (ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=-1, k=1.0), 1.0),
+            (ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=-1, kappa2=0, k=0.5), -1.0),
+        ],
+    )
+    def test_exact_degenerate_angle(self, spec, angle):
+        imm = build_example(spec)
+        for u in imm.grid(3):
+            n = unit_normal(imm, u)
+            assert angle_of_normal(n)[0] == angle
+            assert frame_bytes(flow_frame(n)) == frame_bytes(reference_degenerate_flow_frame(n))
+
+    @pytest.mark.parametrize("strip", [1e-7, 0.9999999])
+    def test_near_degenerate_strip(self, strip):
+        imm = build_example(ExampleSpec(family=FAMILY_PSI, c=strip))
+        for u in imm.grid(3):
+            n = unit_normal(imm, u)
+            c = angle_of_normal(n)[0]
+            assert 0.0 < 1.0 - c * c < FRAME_EPS and (c > 0.0) == (strip < 0.5)
+            assert frame_bytes(flow_frame(n)) == frame_bytes(reference_degenerate_flow_frame(n))
+
+
 class TestQMatrix:
     def test_identity_at_zero(self):
         rng = np.random.default_rng(0)
@@ -367,14 +423,83 @@ class TestDetqClosedForm:
             assert abs(detq_closed_form(fs, cp, l) - expected) < 1e-14
 
     def test_derivative_matches_divided_difference(self):
-        from prodform_geo.jacobi import detq_closed_form_dl
-
         rng = np.random.default_rng(4)
         fs = random_frame_shape(CaseId.S2xH2, rng, exact=False)
         cp = fs.case
         l, h = 0.25, 1e-6
         numeric = (detq_closed_form(fs, cp, l + h) - detq_closed_form(fs, cp, l - h)) / (2 * h)
-        assert abs(numeric - detq_closed_form_dl(fs, cp, l)) < 1e-9
+        assert abs(numeric - jacobi._detq_and_slope(fs, cp, l)[1]) < 1e-9
+
+
+def reference_value_and_slope(fs, cp, l):
+    """det Q and its l-derivative as written out term by term before the (g, h) table."""
+    s1, c1 = stability_functions(cp.delta1, l)
+    s2, c2 = stability_functions(cp.delta2, l)
+    a = fs.A
+    value = (
+        (1.0 - l * a[0][0]) * c1 * c2
+        + (-a[1][1] + l * fs.H12) * s1 * c2
+        + (-a[2][2] + l * fs.H13) * c1 * s2
+        + (fs.H23 - l * fs.K) * s1 * s2
+    )
+    d1 = float(cp.delta1)
+    d2 = float(cp.delta2)
+    s1, c1 = stability_functions(d1, l)
+    s2, c2 = stability_functions(d2, l)
+    t1 = -a[0][0] * c1 * c2 + (1.0 - l * a[0][0]) * (-d1 * s1 * c2 - d2 * c1 * s2)
+    t2 = fs.H12 * s1 * c2 + (-a[1][1] + l * fs.H12) * (c1 * c2 - d2 * s1 * s2)
+    t3 = fs.H13 * c1 * s2 + (-a[2][2] + l * fs.H13) * (-d1 * s1 * s2 + c1 * c2)
+    t4 = -fs.K * s1 * s2 + (fs.H23 - l * fs.K) * (c1 * s2 + s1 * c2)
+    return value, t1 + t2 + t3 + t4
+
+
+def reference_taylor(fs, cp, order=12):
+    s1, c1 = stability_series(cp.delta1, order)
+    s2, c2 = stability_series(cp.delta2, order)
+    a = fs.A
+
+    def lin(a0, a1):
+        return TaylorSeries([a0, a1], order)
+
+    return (
+        lin(1, -a[0][0]) * c1 * c2
+        + lin(-a[1][1], fs.H12) * s1 * c2
+        + lin(-a[2][2], fs.H13) * c1 * s2
+        + lin(fs.H23, -fs.K) * s1 * s2
+    )
+
+
+FLOW_DISTANCES = (0.0, 0.3, -0.3, 1.0, -1.0, 3.0, -3.0, 14.5, -14.5, 20.0, -20.0)
+
+
+class TestSingleExpansion:
+    """The (g, h) table gives the values of the written-out expansions, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_value_and_slope_on_float_shapes(self, case):
+        rng = np.random.default_rng(40)
+        shapes = [random_frame_shape(case, rng, exact=False) for _ in range(50)]
+        shapes.append(FrameShape(A=((0.0, 0.0, 0.0),) * 3, kappa1=case.kappa1, kappa2=case.kappa2, C=0.0))
+        for fs in shapes:
+            for l in FLOW_DISTANCES:
+                want = [float(x).hex() for x in reference_value_and_slope(fs, fs.case, l)]
+                assert [float(x).hex() for x in jacobi._detq_and_slope(fs, fs.case, l)] == want
+                assert detq_closed_form(fs, fs.case, l).hex() == want[0]
+
+    def test_negative_zero_slope_kept(self):
+        # a zero diagonal with det A > 0: each term of the slope at l = 0 is -0.0
+        fs = FrameShape(A=((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)), kappa1=1, kappa2=0, C=0.0)
+        want = [x.hex() for x in reference_value_and_slope(fs, fs.case, 0.0)]
+        assert want[1] == (-0.0).hex()
+        assert [x.hex() for x in jacobi._detq_and_slope(fs, fs.case, 0.0)] == want
+
+    @pytest.mark.parametrize("case", list(CaseId))
+    def test_taylor_on_fraction_and_decimal_draws(self, case):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            for fs in (random_exact_shape(case, rng), random_frame_shape(case, rng, exact=True)):
+                got = detq_taylor(fs, fs.case).coeffs
+                assert [repr(x) for x in got] == [repr(x) for x in reference_taylor(fs, fs.case).coeffs]
 
 
 class TestParallelShape:
