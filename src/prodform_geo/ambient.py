@@ -15,6 +15,7 @@ import numpy as np
 from .spaceform import (
     ModelPoint,
     ModelVector,
+    _read,
     _require_same_base,
     _tangent_check,
     _zero_pairing,
@@ -107,8 +108,8 @@ def curvature_tensor(x: ProductVector, y: ProductVector, z: ProductVector, w: Pr
     def pairing(u: ProductVector, halves) -> float:
         # product_metric(u, V) for V given by the halves of _sum_and_difference
         (a, b), (c, d) = (u.first.coords, u.second.coords), halves
-        return (_zero_pairing(k1, a) if c is None else form(k1, a, c)) + (
-            _zero_pairing(k2, b) if d is None else form(k2, b, d)
+        return (_zero_pairing(k1, _read(k1, a)) if c is None else form(k1, a, c)) + (
+            _zero_pairing(k2, _read(k2, b)) if d is None else form(k2, b, d)
         )
 
     pw_plus_w, pw_minus_w = _sum_and_difference(w)

@@ -452,7 +452,7 @@ def _build_psi(spec: ExampleSpec) -> Immersion:
     sc = math.sqrt(c)
 
     def jacobian(u: np.ndarray):
-        t, r, s = u
+        t, r, s = u.tolist()
         point = _ruled_point(t, r, s, c)
         p, q = point.first, point.second
         g, n = horocycle_with_normal(r)
@@ -473,7 +473,7 @@ def _build_psi(spec: ExampleSpec) -> Immersion:
     return Immersion(
         kappa1=-1,
         kappa2=0,
-        chart=lambda u: _ruled_point(*u, c),
+        chart=lambda u: _ruled_point(*u.tolist(), c),
         jacobian=jacobian,
         name=spec.label(),
     )
@@ -491,11 +491,11 @@ def build_perturbed_psi(c: float = 0.25) -> Immersion:
     """
 
     def chart(u: np.ndarray) -> ProductPoint:
-        t, r, s = u
+        t, r, s = u.tolist()
         cr = c * (1.0 + PERTURBED_AMPLITUDE * math.sin(r))
         if not 0.0 <= cr <= 1.0:
             raise GeometryError(
-                f"perturbed strip constant c(1 + {PERTURBED_AMPLITUDE!r} sin r) = {cr!r} at r = {float(r)!r} "
+                f"perturbed strip constant c(1 + {PERTURBED_AMPLITUDE!r} sin r) = {cr!r} at r = {r!r} "
                 f"leaves [0, 1] for c = {c!r}"
             )
         return _ruled_point(t, r, s, cr)

@@ -61,7 +61,7 @@ from .classify import (
 from .hypersurface import ricci, shape_operator
 from .jacobi import (
     FrameShape,
-    detq_closed_form,
+    detq_and_slope,
     detq_derivative_formula,
     detq_derivatives,
     formula_orders,
@@ -377,11 +377,11 @@ def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
             l = float(rng.uniform(-0.4, 0.4))
             q = q_matrix(fsf, cpf, l)
             det_direct = float(np.linalg.det(q))
-            det_closed = detq_closed_form(fsf, cpf, l)
+            det_closed, slope = detq_and_slope(fsf, cpf, l)
             det_tracker.record_abs(det_direct - det_closed)
             if abs(det_closed) > 1e-3:
                 trace = float(np.trace(parallel_shape(q, q_matrix_prime(fsf, cpf, l))))
-                trace_tracker.record(trace, parallel_mean_curvature(fsf, cpf, l))
+                trace_tracker.record(trace, parallel_mean_curvature(det_closed, slope, l))
 
         for tracker in (*derivative_trackers.values(), det_tracker, trace_tracker):
             report.add(tracker.check(cfg.samples))

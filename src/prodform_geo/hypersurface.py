@@ -24,6 +24,8 @@ from .spaceform import (
     DegeneratePointError,
     GeometryError,
     ModelVector,
+    _pairing,
+    _read,
     _require_same_base,
     _zero_pairing,
     form,
@@ -121,13 +123,14 @@ def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> np.ndarray:
     for t in basis[1:]:
         _require_same_base(t.first, basis[0].first)
         _require_same_base(t.second, basis[0].second)
-    # product_metric on raw coordinates; both factor forms are bitwise symmetric
+    # product_metric on raw coordinates, each read once; both factor forms are bitwise symmetric
     k1, k2 = basis[0].first.kappa, basis[0].second.kappa
-    coords = [(t.first.coords, t.second.coords) for t in basis]
+    pair1, pair2 = _pairing(k1), _pairing(k2)
+    coords = [(_read(k1, t.first.coords), _read(k2, t.second.coords)) for t in basis]
     gram = np.empty((3, 3))
     for i, (x, y) in enumerate(coords):
         for j in range(i + 1):
-            gram[i, j] = gram[j, i] = form(k1, x, coords[j][0]) + form(k2, y, coords[j][1])
+            gram[i, j] = gram[j, i] = pair1(x, coords[j][0]) + pair2(y, coords[j][1])
     smallest = min(np.linalg.eigvalsh(gram))
     if smallest < RANK_TOL**2:
         raise DegeneratePointError(
@@ -169,24 +172,25 @@ def unit_normal(
     a, ja = tangent_frame(p1)
     b, jb = tangent_frame(p2)
     # product_metric against the legs (a, 0), (Ja, 0), (0, b), (0, Jb) of the
-    # ambient frame, with each zero leg's term the signed zero it adds
+    # ambient frame, with each zero leg's term the signed zero it adds; each
+    # tangent's and each leg's coordinates are read once
+    pair1, pair2 = _pairing(k1), _pairing(k2)
+    legs1 = [_read(k1, e.coords) for e in (a, ja)]
+    legs2 = [_read(k2, e.coords) for e in (b, jb)]
     rows = []
     for t in basis:
-        x, y = t.first.coords, t.second.coords
+        x, y = _read(k1, t.first.coords), _read(k2, t.second.coords)
         z1, z2 = _zero_pairing(k1, x), _zero_pairing(k2, y)
-        rows.append([form(k1, x, e.coords) + z2 for e in (a, ja)] + [z1 + form(k2, y, e.coords) for e in (b, jb)])
+        rows.append([pair1(x, e) + z2 for e in legs1] + [z1 + pair2(y, e) for e in legs2])
 
     # cofactor expansion: det(e1, e2, e3, n) = |n|^2 > 0 by construction
     cols = [0, 1, 2, 3]
-    n = np.empty(4)
-    for j in cols:
-        keep = [c for c in cols if c != j]
-        n[j] = (-1.0) ** (j + 1) * _det3([[row[c] for c in keep] for row in rows])
-    n /= np.linalg.norm(n)
+    n = np.array([(-1.0) ** (j + 1) * _det3([[row[c] for c in cols if c != j] for row in rows]) for j in cols])
+    n0, n1, n2, n3 = (n / np.linalg.norm(n)).tolist()
 
     normal = ProductVector(
-        ModelVector(p1, n[0] * a.coords + n[1] * ja.coords),
-        ModelVector(p2, n[2] * b.coords + n[3] * jb.coords),
+        ModelVector(p1, n0 * a.coords + n1 * ja.coords),
+        ModelVector(p2, n2 * b.coords + n3 * jb.coords),
     )
     if hint is not None and product_metric(normal, hint) < 0.0:
         normal = -normal

@@ -27,12 +27,10 @@ from .ambient import (
     complex_structures,
     product_exp,
     product_metric,
-    product_transport,
-    product_velocity,
 )
 from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, angle_of_normal, gram_schmidt, shape_operator, unit_normal
 from .hypersurface import at_most, is_finite
-from .spaceform import GeometryError, KAPPAS, complex_structure, stability_functions, tangent_frame, zero_vector
+from .spaceform import GeometryError, KAPPAS, complex_structure, geodesic_transport, stability_functions, tangent_frame, zero_vector
 
 #: flow_frame uses the adapted frame where 1 - C^2 >= FRAME_EPS, the legs for C^2 = 1 closer in
 FRAME_EPS = 1e-6
@@ -239,7 +237,7 @@ def _detq_terms(fs: FrameShape, s1, c1, s2, c2) -> tuple:
     )
 
 
-def _detq_and_slope(fs: FrameShape, cp: CaseParams, l: float) -> tuple[float, float]:
+def detq_and_slope(fs: FrameShape, cp: CaseParams, l: float) -> tuple[float, float]:
     """det Q(l) and its l-derivative from one evaluation of the closed expansion."""
     d1 = float(cp.delta1)
     d2 = float(cp.delta2)
@@ -258,7 +256,7 @@ def _detq_and_slope(fs: FrameShape, cp: CaseParams, l: float) -> tuple[float, fl
 
 def detq_closed_form(fs: FrameShape, cp: CaseParams, l: float) -> float:
     """Closed expansion of det Q(l) in the curvature invariants."""
-    return _detq_and_slope(fs, cp, l)[0]
+    return detq_and_slope(fs, cp, l)[0]
 
 
 def parallel_shape(q: np.ndarray, q_prime: np.ndarray) -> np.ndarray:
@@ -277,9 +275,9 @@ def _mean_curvature(det: float, slope: float, l: float) -> float:
     return h
 
 
-def parallel_mean_curvature(fs: FrameShape, cp: CaseParams, l: float) -> float:
-    """Mean curvature H(l) = -(det Q)'/det Q of the parallel map; a focal point, |det Q| < FOCAL_TOL, raises."""
-    det, slope = _detq_and_slope(fs, cp, l)
+def parallel_mean_curvature(det: float, slope: float, l: float) -> float:
+    """Mean curvature H(l) = -(det Q)'/det Q of the parallel map from ``detq_and_slope`` at l;
+    a focal point, |det Q| < FOCAL_TOL, raises."""
     if abs(det) < FOCAL_TOL:
         raise FocalPointError(f"det Q = {det:.3e}: focal point reached")
     return _mean_curvature(det, slope, l)
@@ -287,7 +285,7 @@ def parallel_mean_curvature(fs: FrameShape, cp: CaseParams, l: float) -> float:
 
 def flow_mean_curvature(fs: FrameShape, cp: CaseParams, l: float) -> Optional[float]:
     """H(l) along the flow from l = 0, or None at or beyond a focal point."""
-    det, slope = _detq_and_slope(fs, cp, l)
+    det, slope = detq_and_slope(fs, cp, l)
     # det Q(0) = 1, so a det Q below FOCAL_TOL, of either sign, means the
     # flow has reached or crossed a focal point
     if det < FOCAL_TOL:
@@ -503,5 +501,8 @@ def transported_frame(
 ) -> tuple[tuple[ProductVector, ProductVector, ProductVector], ProductVector]:
     """Flow frame carried to the parallel hypersurface, with the flowed normal."""
     n = unit_normal(imm, u)
-    p = n.base
-    return tuple(product_transport(p, n, l, e) for e in flow_frame(n)), product_velocity(p, n, l)
+    frame = flow_frame(n)
+    # one geodesic per factor carries all three legs
+    firsts, v1 = geodesic_transport(n.first.base, n.first, l, [e.first for e in frame])
+    seconds, v2 = geodesic_transport(n.second.base, n.second, l, [e.second for e in frame])
+    return tuple(map(ProductVector, firsts, seconds)), ProductVector(v1, v2)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,11 +50,16 @@ def _floats(a) -> list[float]:
     return np.asarray(a, dtype=float).tolist()
 
 
+def _lorentz(a, b) -> float:
+    """Minkowski pairing -a1*b1 + a2*b2 + a3*b3 on triples of Python floats."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return -a0 * b0 + a1 * b1 + a2 * b2
+
+
 def lorentz_form(a, b) -> float:
     """Minkowski pairing -a1*b1 + a2*b2 + a3*b3 on raw triples."""
-    a0, a1, a2 = _floats(a)
-    b0, b1, b2 = _floats(b)
-    return -a0 * b0 + a1 * b1 + a2 * b2
+    return _lorentz(_floats(a), _floats(b))
 
 
 def form(kappa: int, a, b) -> float:
@@ -63,14 +69,38 @@ def form(kappa: int, a, b) -> float:
     return euclid_form(a, b)
 
 
+def _read(kappa: int, coords: np.ndarray):
+    """Coordinates as ``_pairing`` and ``_zero_pairing`` take them: Python floats
+    for the Lorentz form, the array itself for np.dot."""
+    return coords.tolist() if kappa == -1 else coords
+
+
+def _pairing(kappa: int):
+    """The function that gives form(kappa, a, b) bit for bit on coordinates from ``_read``.
+
+    Code that pairs the same vectors many times reads each of them once.  The
+    Euclidean form stays on np.dot: for 2- and 3-vectors it rounds as a chain
+    of fused multiply-adds, which a sum of Python floats does not reproduce.
+    """
+    return _lorentz if kappa == -1 else euclid_form
+
+
+def _cross(kappa: int, a, b) -> list[float]:
+    """Cross product of triples of Python floats: Euclidean for kappa = 1,
+    with the products and differences np.cross performs, else Lorentzian."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    if kappa == 1:
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    return [a2 * b1 - a1 * b2, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
 def lorentz_cross(a, b) -> np.ndarray:
     """Lorentzian cross product of raw triples.
 
     Returns (a3*b2 - a2*b3, a3*b1 - a1*b3, a1*b2 - a2*b1).
     """
-    a0, a1, a2 = _floats(a)
-    b0, b1, b2 = _floats(b)
-    return np.array([a2 * b1 - a1 * b2, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return np.array(_cross(-1, _floats(a), _floats(b)))
 
 
 def _quadric_value(kappa: int, coords: np.ndarray) -> float:
@@ -137,11 +167,11 @@ def _tangent_check(base: ModelPoint, coords) -> tuple[np.ndarray, bool]:
     # reduction would give, bit for bit
     x0, x1, x2 = xs
     scale = max(1.0, abs(x0), abs(x1), abs(x2)) * base._scale
-    p0, p1, p2 = base._xs
     if kappa == -1:
         # lorentz_form(base.coords, coords), on the floats already at hand
-        t = -p0 * x0 + p1 * x1 + p2 * x2
+        t = _lorentz(base._xs, xs)
     else:
+        p0, p1, p2 = base._xs
         # A floating-point filter (Shewchuk 1997): two evaluations of a
         # 3-term dot product differ by at most 2 gamma_3 sum|p_i x_i|
         # <= 9 eps scale (Higham 2002, 3.1), so at or below FILTER_TOL
@@ -228,16 +258,16 @@ def metric(u: ModelVector, v: ModelVector) -> float:
     return form(u.kappa, u.coords, v.coords)
 
 
-def _zero_pairing(kappa: int, x: np.ndarray) -> float:
-    """form(kappa, x, 0): +0.0 from np.dot, and the Lorentz pairing's own signed zero."""
+def _zero_pairing(kappa: int, x) -> float:
+    """form(kappa, x, 0) on coordinates from ``_read``: +0.0 from np.dot, and the
+    Lorentz pairing's own signed zero."""
     if kappa != -1:
         return 0.0
-    x0, x1, x2 = x.tolist()
-    return -x0 * 0.0 + x1 * 0.0 + x2 * 0.0
+    return _lorentz(x, (0.0, 0.0, 0.0))
 
 
 def zero_vector(p: ModelPoint) -> ModelVector:
-    return ModelVector(p, np.zeros_like(p.coords))
+    return ModelVector(p, np.zeros(p.coords.shape))
 
 
 def tangent_project(p: ModelPoint, coords) -> np.ndarray:
@@ -256,14 +286,9 @@ def complex_structure(v: ModelVector) -> ModelVector:
     the Lorentzian cross product of p and v.  J is an isometry with J^2 = -Id.
     """
     p = v.base
-    if v.kappa == 0:
+    if p.kappa == 0:
         return ModelVector(p, np.array([-v.coords[1], v.coords[0]]))
-    if v.kappa == 1:
-        # p x v with the products and differences np.cross performs
-        a0, a1, a2 = p.coords.tolist()
-        b0, b1, b2 = v.coords.tolist()
-        return ModelVector(p, np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]))
-    return ModelVector(p, lorentz_cross(p.coords, v.coords))
+    return ModelVector(p, np.array(_cross(p.kappa, p._xs, v.coords.tolist())))
 
 
 def _renormalized(kappa: int, coords: np.ndarray) -> np.ndarray:
@@ -297,7 +322,8 @@ def _geodesic(p: ModelPoint, v: ModelVector, l: float, velocity: bool = False):
     the quadric to suppress drift in long flows.
     """
     _require_vector_at(p, v)
-    vv = max(form(p.kappa, v.coords, v.coords), 0.0)
+    x = _read(p.kappa, v.coords)
+    vv = max(_pairing(p.kappa)(x, x), 0.0)
     if vv == 0.0:
         return p, v.coords.copy()
     delta = p.kappa * vv
@@ -314,23 +340,37 @@ def exp_map(p: ModelPoint, v: ModelVector, l: float) -> ModelPoint:
     return _geodesic(p, v, l)[0]
 
 
+def geodesic_transport(
+    p: ModelPoint, v: ModelVector, l: float, ws: Sequence[ModelVector] = ()
+) -> tuple[tuple[ModelVector, ...], ModelVector]:
+    """Each of ``ws`` transported from p along the geodesic with initial velocity v, and the velocity there.
+
+    One geodesic carries every vector.  Closed form: the component beta v of
+    w along the geodesic, with beta = <w, v>/<v, v>, rides with the velocity,
+    and the orthogonal component w - beta v is constant in embedding
+    coordinates.
+    """
+    for w in ws:
+        _require_vector_at(p, w)
+    q, velocity = _geodesic(p, v, l, velocity=True)
+    pair = _pairing(p.kappa)
+    x = _read(p.kappa, v.coords)
+    vv = pair(x, x)
+    moved = []
+    for w in ws:
+        beta = pair(_read(p.kappa, w.coords), x) / vv if vv > 0.0 else 0.0
+        moved.append(ModelVector(q, beta * velocity + (w.coords - beta * v.coords)))
+    return tuple(moved), ModelVector(q, velocity)
+
+
 def geodesic_velocity(p: ModelPoint, v: ModelVector, l: float) -> ModelVector:
     """Velocity of the geodesic at parameter ``l``; same norm as v for all l."""
-    return ModelVector(*_geodesic(p, v, l, velocity=True))
+    return geodesic_transport(p, v, l)[1]
 
 
 def parallel_transport(p: ModelPoint, v: ModelVector, l: float, w: ModelVector) -> ModelVector:
-    """Transport ``w`` from p along the geodesic with initial velocity v.
-
-    Closed form: the component beta v of w along the geodesic, with
-    beta = <w, v>/<v, v>, rides with the velocity, and the orthogonal
-    component w - beta v is constant in embedding coordinates.
-    """
-    _require_vector_at(p, w)
-    q, velocity = _geodesic(p, v, l, velocity=True)
-    vv = form(p.kappa, v.coords, v.coords)
-    beta = form(p.kappa, w.coords, v.coords) / vv if vv > 0.0 else 0.0
-    return ModelVector(q, beta * velocity + (w.coords - beta * v.coords))
+    """Transport ``w`` from p along the geodesic with initial velocity v."""
+    return geodesic_transport(p, v, l, (w,))[0][0]
 
 
 def _require_vector_at(p: ModelPoint, v: ModelVector) -> None:
@@ -341,23 +381,32 @@ def _require_vector_at(p: ModelPoint, v: ModelVector) -> None:
 def tangent_frame(p: ModelPoint) -> tuple[ModelVector, ModelVector]:
     """Orthonormal tangent frame (a, Ja) at p.
 
-    Any such frame differs from any other by a rotation, so constructions
-    that only depend on the frame's orientation class are frame-independent.
+    a is the unit tangent projection of the coordinate axis with the longest
+    projection, the first one on a tie.  Any such frame differs from any other
+    by a rotation, so constructions that only depend on the frame's
+    orientation class are frame-independent.
     """
     if p.kappa == 0:
         return (
             ModelVector(p, np.array([1.0, 0.0])),
             ModelVector(p, np.array([0.0, 1.0])),
         )
+    kappa, xs = p.kappa, p._xs
+    pair = _pairing(kappa)
     best = None
     best_norm = -1.0
-    for axis in np.eye(3):
-        cand = tangent_project(p, axis)
-        n = form(p.kappa, cand, cand)
+    for i in range(3):
+        # tangent_project(p, e_i) on the point's floats: form(kappa, p, e_i)
+        # is exactly -p_0 (Lorentz, i = 0) or p_i, and a zero of either sign
+        # projects e_i to the same coordinates
+        kt = kappa * (-xs[0] if kappa == -1 and i == 0 else xs[i])
+        cand = [(1.0 if j == i else 0.0) - kt * x for j, x in enumerate(xs)]
+        n = pair(cand, cand)
         if n > best_norm:
             best_norm = n
             best = cand
-    a = ModelVector(p, best / math.sqrt(best_norm))
+    scale = math.sqrt(best_norm)
+    a = ModelVector(p, [x / scale for x in best])
     return a, complex_structure(a)
 
 

@@ -123,6 +123,22 @@ class TestCommands:
         assert len(derivative_checks) == 13
         assert all(c.max_abs_err == 0.0 for c in derivative_checks)
 
+    def test_detq_evaluates_the_expansion_once_per_float_sample(self, monkeypatch):
+        calls = []
+        original = jacobi.detq_and_slope
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        # the module's own callers and cli's imported name
+        monkeypatch.setattr(jacobi, "detq_and_slope", counted)
+        monkeypatch.setattr(cli, "detq_and_slope", counted)
+        report = run(make_config(command="detq", samples=1000, seed=1))
+        assert report.all_passed
+        # one float sample per case and draw
+        assert len(calls) == 3 * 1000
+
     def test_cases_all_pass(self):
         report = run(make_config(command="cases", samples=50, seed=9))
         assert report.all_passed

@@ -11,6 +11,7 @@ from prodform_geo.classify import (
     FAMILY_CURVE_X_FACTOR,
     FAMILY_FACTOR_X_CURVE,
     FAMILY_PSI,
+    _ruled_point,
     build_example,
     build_perturbed_psi,
     gallery_specs,
@@ -31,7 +32,11 @@ from prodform_geo.spaceform import (
     GeometryError,
     ModelPoint,
     ModelVector,
+    complex_structure,
+    form,
+    random_point,
     tangent_frame,
+    tangent_project,
     zero_vector,
 )
 
@@ -61,10 +66,44 @@ def counting(fn, calls):
     return counted
 
 
+def reference_tangent_frame(p):
+    """``tangent_frame`` as the projection loop over the coordinate axes in
+    numpy, kept as the bitwise reference."""
+    if p.kappa == 0:
+        return ModelVector(p, np.array([1.0, 0.0])), ModelVector(p, np.array([0.0, 1.0]))
+    best = None
+    best_norm = -1.0
+    for axis in np.eye(3):
+        cand = tangent_project(p, axis)
+        n = form(p.kappa, cand, cand)
+        if n > best_norm:
+            best_norm = n
+            best = cand
+    a = ModelVector(p, best / math.sqrt(best_norm))
+    return a, complex_structure(a)
+
+
+def frame_test_points():
+    """Random sphere and hyperboloid points, and points whose zero coordinates carry a sign."""
+    rng = np.random.default_rng(19)
+    points = [random_point(kappa, rng) for kappa in (1, -1) for _ in range(200)]
+    points += [ModelPoint(-1, [1.0, 0.0, 0.0]), ModelPoint(1, [0.0, 0.0, 1.0])]
+    points += [ModelPoint(-1, [1.0, -0.0, -0.0]), ModelPoint(1, [-0.0, 0.0, -1.0]), ModelPoint(1, [0.0, -1.0, -0.0])]
+    # the ruled example's horocycle at r = 0 (and -0.0), flowed both ways
+    points += [_ruled_point(t, r, 0.0, 0.25).first for t in (-0.5, 0.0, 0.5) for r in (0.0, -0.0)]
+    return points
+
+
+def test_tangent_frame_matches_reference_bitwise():
+    for p in frame_test_points():
+        for leg, ref in zip(tangent_frame(p), reference_tangent_frame(p), strict=True):
+            assert leg.coords.tobytes() == ref.coords.tobytes()
+
+
 def ambient_frame(p):
     """Orthonormal frame (a,0), (Ja,0), (0,b), (0,Jb) of the ambient tangent space."""
-    a1, a2 = tangent_frame(p.first)
-    b1, b2 = tangent_frame(p.second)
+    a1, a2 = reference_tangent_frame(p.first)
+    b1, b2 = reference_tangent_frame(p.second)
     z1 = zero_vector(p.first)
     z2 = zero_vector(p.second)
     return (
@@ -292,12 +331,21 @@ class TestUnitNormal:
         for u in imm.grid(3):
             assert_same_bits(unit_normal(imm, u), frame_unit_normal(imm, u))
 
-    # a chart with no jacobian, psi at C = 1 - 2c = 0.9999999, and a chart
-    # where a zero leg adds the Lorentz pairing's -0.0 to another -0.0
+    # a chart with no jacobian, psi at C = 1 - 2c = 0.9999999, a chart where
+    # a zero leg adds the Lorentz pairing's -0.0 to another -0.0, and two
+    # flowed charts, whose every point is a normal of the base immersion
     @pytest.mark.parametrize(
         "imm",
-        [build_perturbed_psi(), psi_immersion(c=5e-8), geodesic_times_hyperbolic_plane()],
-        ids=["perturbed", "psi-C~1", "H2xH2"],
+        [
+            build_perturbed_psi(),
+            psi_immersion(c=5e-8),
+            geodesic_times_hyperbolic_plane(),
+            jacobi.parallel_immersion(psi_immersion(), 0.1),
+            jacobi.parallel_immersion(
+                build_example(ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=0, k=1.0)), 0.1
+            ),
+        ],
+        ids=["perturbed", "psi-C~1", "H2xH2", "flowed-psi", "flowed-curve"],
     )
     def test_normals_match_frame_reference_bitwise(self, imm):
         for u in imm.grid(3):

@@ -428,7 +428,7 @@ class TestDetqClosedForm:
         cp = fs.case
         l, h = 0.25, 1e-6
         numeric = (detq_closed_form(fs, cp, l + h) - detq_closed_form(fs, cp, l - h)) / (2 * h)
-        assert abs(numeric - jacobi._detq_and_slope(fs, cp, l)[1]) < 1e-9
+        assert abs(numeric - jacobi.detq_and_slope(fs, cp, l)[1]) < 1e-9
 
 
 def reference_value_and_slope(fs, cp, l):
@@ -483,7 +483,7 @@ class TestSingleExpansion:
         for fs in shapes:
             for l in FLOW_DISTANCES:
                 want = [float(x).hex() for x in reference_value_and_slope(fs, fs.case, l)]
-                assert [float(x).hex() for x in jacobi._detq_and_slope(fs, fs.case, l)] == want
+                assert [float(x).hex() for x in jacobi.detq_and_slope(fs, fs.case, l)] == want
                 assert detq_closed_form(fs, fs.case, l).hex() == want[0]
 
     def test_negative_zero_slope_kept(self):
@@ -491,7 +491,7 @@ class TestSingleExpansion:
         fs = FrameShape(A=((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)), kappa1=1, kappa2=0, C=0.0)
         want = [x.hex() for x in reference_value_and_slope(fs, fs.case, 0.0)]
         assert want[1] == (-0.0).hex()
-        assert [x.hex() for x in jacobi._detq_and_slope(fs, fs.case, 0.0)] == want
+        assert [x.hex() for x in jacobi.detq_and_slope(fs, fs.case, 0.0)] == want
 
     @pytest.mark.parametrize("case", list(CaseId))
     def test_taylor_on_fraction_and_decimal_draws(self, case):
@@ -520,7 +520,7 @@ class TestParallelShape:
             if abs(detq_closed_form(fs, cp, l)) < 1e-3:
                 continue
             a_l = parallel_shape(q_matrix(fs, cp, l), q_matrix_prime(fs, cp, l))
-            h_flow = parallel_mean_curvature(fs, cp, l)
+            h_flow = parallel_mean_curvature(*jacobi.detq_and_slope(fs, cp, l), l)
             assert abs(float(np.trace(a_l)) - h_flow) < 1e-10 * max(1.0, abs(h_flow))
 
     def test_focal_point_raises(self):
@@ -530,13 +530,13 @@ class TestParallelShape:
         with pytest.raises(FocalPointError):
             parallel_shape(q_matrix(fs, cp, 0.5), q_matrix_prime(fs, cp, 0.5))
         with pytest.raises(FocalPointError):
-            parallel_mean_curvature(fs, cp, 0.5)
+            parallel_mean_curvature(*jacobi.detq_and_slope(fs, cp, 0.5), 0.5)
 
     def test_overflowed_det_q_is_not_a_focal_point(self):
         # C_delta(709) = cosh(709) is a float, but det Q = (1 - 709) cosh(709) is not
         fs = FrameShape(A=((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), kappa1=-1, kappa2=0, C=1.0)
         with pytest.raises(GeometryError, match="l = 709.0") as raised:
-            parallel_mean_curvature(fs, fs.case, 709.0)
+            parallel_mean_curvature(*jacobi.detq_and_slope(fs, fs.case, 709.0), 709.0)
         assert not isinstance(raised.value, FocalPointError)
 
 
@@ -609,6 +609,53 @@ class TestParallelImmersion:
             assert np.max(np.abs(gram - np.eye(3))) < 1e-8
             for e in frame_l:
                 assert abs(product_metric(e, n_l)) < 1e-8
+
+    # psi (H2 x R2, adapted frame) and a curve example at C = 1 (zero legs)
+    FRAME_EXAMPLES = (
+        ExampleSpec(family=FAMILY_PSI, c=0.25),
+        ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=0, k=1.0),
+    )
+
+    @pytest.mark.parametrize("spec", FRAME_EXAMPLES, ids=lambda spec: spec.family)
+    def test_transported_frame_takes_one_geodesic_per_factor(self, spec, monkeypatch):
+        calls = []
+        geodesic = spaceform._geodesic
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return geodesic(*args, **kwargs)
+
+        monkeypatch.setattr(spaceform, "_geodesic", counted)
+        transported_frame(build_example(spec), np.array([0.3, 0.2, -0.6]), 0.1)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("spec", FRAME_EXAMPLES, ids=lambda spec: spec.family)
+    def test_transported_frame_matches_one_transport_per_leg(self, spec):
+        def transport(p, v, l, w):
+            # parallel_transport as one closed form per vector
+            q, velocity = spaceform._geodesic(p, v, l, velocity=True)
+            vv = spaceform.form(p.kappa, v.coords, v.coords)
+            beta = spaceform.form(p.kappa, w.coords, v.coords) / vv if vv > 0.0 else 0.0
+            return spaceform.ModelVector(q, beta * velocity + (w.coords - beta * v.coords))
+
+        def velocity(p, v, l):
+            return spaceform.ModelVector(*spaceform._geodesic(p, v, l, velocity=True))
+
+        imm = build_example(spec)
+        for u in imm.grid(3):
+            n = unit_normal(imm, u)
+            p = n.base
+            for l in (-0.2, 0.1, 1.0):
+                want = [
+                    ProductVector(transport(p.first, n.first, l, e.first), transport(p.second, n.second, l, e.second))
+                    for e in flow_frame(n)
+                ]
+                want.append(ProductVector(velocity(p.first, n.first, l), velocity(p.second, n.second, l)))
+                frame_l, n_l = transported_frame(imm, u, l)
+                for got, ref in zip((*frame_l, n_l), want, strict=True):
+                    for g, r in ((got.first, ref.first), (got.second, ref.second)):
+                        assert g.coords.tobytes() == r.coords.tobytes()
+                        assert g.base.coords.tobytes() == r.base.coords.tobytes()
 
 
 class TestDetqTaylor:

@@ -549,7 +549,7 @@ def test_zero_pairing_is_the_form_with_zero(kappa):
     rows += [rng.normal(size=dim) for _ in range(20)] + [-np.abs(rng.normal(size=dim)) for _ in range(20)]
     for x in rows:
         want = form(kappa, x, np.zeros(dim))
-        got = spaceform._zero_pairing(kappa, x)
+        got = spaceform._zero_pairing(kappa, spaceform._read(kappa, x))
         assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
         if kappa != -1:
             # np.dot of all-negative coordinates with zeros is +0.0, not -0.0
