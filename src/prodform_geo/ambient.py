@@ -22,18 +22,20 @@ from .spaceform import (
     complex_structure,
     exp_map,
     form,
-    geodesic_velocity,
     metric,
-    parallel_transport,
     random_point,
     random_tangent,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProductPoint:
     first: ModelPoint
     second: ModelPoint
+
+    def __init__(self, first: ModelPoint, second: ModelPoint):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
     @property
     def kappa1(self) -> int:
@@ -147,22 +149,6 @@ def product_exp(p: ProductPoint, x: ProductVector, l: float) -> ProductPoint:
     return ProductPoint(
         exp_map(p.first, x.first, l),
         exp_map(p.second, x.second, l),
-    )
-
-
-def product_velocity(p: ProductPoint, x: ProductVector, l: float) -> ProductVector:
-    """Velocity of the product geodesic at parameter ``l``."""
-    return ProductVector(
-        geodesic_velocity(p.first, x.first, l),
-        geodesic_velocity(p.second, x.second, l),
-    )
-
-
-def product_transport(p: ProductPoint, x: ProductVector, l: float, w: ProductVector) -> ProductVector:
-    """Parallel transport of ``w`` along the product geodesic with velocity x."""
-    return ProductVector(
-        parallel_transport(p.first, x.first, l, w.first),
-        parallel_transport(p.second, x.second, l, w.second),
     )
 
 

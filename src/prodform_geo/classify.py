@@ -431,20 +431,31 @@ def build_example(spec: ExampleSpec) -> Immersion:
     )
 
 
-def horocycle_with_normal(r: float) -> tuple[np.ndarray, np.ndarray]:
-    """The reference horocycle ((2+r^2)/2, r, r^2/2) and its unit normal."""
-    return (
-        np.array([(2.0 + r * r) / 2.0, r, r * r / 2.0]),
-        np.array([r * r / 2.0, r, (-2.0 + r * r) / 2.0]),
+def horocycle_with_normal(r: float) -> tuple[list[float], list[float]]:
+    """The reference horocycle ((2+r^2)/2, r, r^2/2) and its unit normal, as Python floats."""
+    return [(2.0 + r * r) / 2.0, r, r * r / 2.0], [r * r / 2.0, r, (-2.0 + r * r) / 2.0]
+
+
+def _ruled(t: float, r: float, s: float, c: float) -> tuple[ProductPoint, list[float], list[float], float, float]:
+    """The ruled point at strip constant c, with what places it: the horocycle
+    g and its normal n at r, and cosh and sinh of t sqrt(c).
+
+    The coordinates are formed in Python floats, coordinate by coordinate,
+    which round as numpy's elementwise products and sums do.
+    """
+    g, n = horocycle_with_normal(r)
+    sc = math.sqrt(c)
+    ch, sh = math.cosh(t * sc), math.sinh(t * sc)
+    point = ProductPoint(
+        ModelPoint(-1, [ch * a + sh * b for a, b in zip(g, n)]),
+        ModelPoint(0, [s, t * math.sqrt(1.0 - c)]),
     )
+    return point, g, n, ch, sh
 
 
 def _ruled_point(t: float, r: float, s: float, c: float) -> ProductPoint:
     """The ruled example at strip constant c: the horocycle flowed t sqrt(c), times (s, t sqrt(1 - c))."""
-    g, n = horocycle_with_normal(r)
-    sc = math.sqrt(c)
-    p = math.cosh(t * sc) * g + math.sinh(t * sc) * n
-    return ProductPoint(ModelPoint(-1, p), ModelPoint(0, np.array([s, t * math.sqrt(1.0 - c)])))
+    return _ruled(t, r, s, c)[0]
 
 
 def _build_psi(spec: ExampleSpec) -> Immersion:
@@ -453,18 +464,15 @@ def _build_psi(spec: ExampleSpec) -> Immersion:
 
     def jacobian(u: np.ndarray):
         t, r, s = u.tolist()
-        point = _ruled_point(t, r, s, c)
+        point, g, n, ch, sh = _ruled(t, r, s, c)
         p, q = point.first, point.second
-        g, n = horocycle_with_normal(r)
-        ch, sh = math.cosh(t * sc), math.sinh(t * sc)
-        # both the horocycle and its normal differentiate to (r, 1, r)
-        dgdr = np.array([r, 1.0, r])
         dt = ProductVector(
-            ModelVector(p, sc * (sh * g + ch * n)),
+            ModelVector(p, [sc * (sh * a + ch * b) for a, b in zip(g, n)]),
             ModelVector(q, np.array([0.0, math.sqrt(1.0 - c)])),
         )
+        # both the horocycle and its normal differentiate to (r, 1, r)
         dr = ProductVector(
-            ModelVector(p, (ch + sh) * dgdr),
+            ModelVector(p, [(ch + sh) * x for x in (r, 1.0, r)]),
             zero_vector(q),
         )
         ds = ProductVector(zero_vector(p), ModelVector(q, np.array([1.0, 0.0])))

@@ -28,7 +28,6 @@ from .spaceform import (
     _read,
     _require_same_base,
     _zero_pairing,
-    form,
     tangent_frame,
     tangent_project,
 )
@@ -38,6 +37,9 @@ STEP = 8e-3
 
 #: smallest admissible singular value of the tangent map
 RANK_TOL = 1e-6
+
+#: machine epsilon, the unit of the rounding bounds in _clearly_full_rank
+_EPS = float(np.finfo(float).eps)
 
 ORTHONORMAL_TOL = 1e-8
 
@@ -127,16 +129,46 @@ def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> np.ndarray:
     k1, k2 = basis[0].first.kappa, basis[0].second.kappa
     pair1, pair2 = _pairing(k1), _pairing(k2)
     coords = [(_read(k1, t.first.coords), _read(k2, t.second.coords)) for t in basis]
-    gram = np.empty((3, 3))
+    rows = [[0.0] * 3 for _ in range(3)]
     for i, (x, y) in enumerate(coords):
         for j in range(i + 1):
-            gram[i, j] = gram[j, i] = pair1(x, coords[j][0]) + pair2(y, coords[j][1])
-    smallest = min(np.linalg.eigvalsh(gram))
-    if smallest < RANK_TOL**2:
-        raise DegeneratePointError(
-            f"immersion is degenerate at u={u.tolist()} (sigma_min ~ {math.sqrt(max(smallest, 0.0)):.3e})"
-        )
+            rows[i][j] = rows[j][i] = pair1(x, coords[j][0]) + pair2(y, coords[j][1])
+    gram = np.array(rows)
+    if not _clearly_full_rank(rows):
+        smallest = min(np.linalg.eigvalsh(gram))
+        if smallest < RANK_TOL**2:
+            raise DegeneratePointError(
+                f"immersion is degenerate at u={u.tolist()} (sigma_min ~ {math.sqrt(max(smallest, 0.0)):.3e})"
+            )
     return gram
+
+
+def _clearly_full_rank(g: Sequence[Sequence[float]]) -> bool:
+    """True only if eigvalsh would find the smallest eigenvalue of the
+    symmetric 3 x 3 ``g`` (rows of Python floats) at or above RANK_TOL**2;
+    decided without calling it.
+
+    Positive leading minors make g positive definite (Sylvester), and then
+    lambda_min >= 4 det / tr^2, since the other two eigenvalues multiply to
+    at most (tr / 2)^2.  With a = max|g_ij|, the rounding of the 2 x 2 minor,
+    det and tr is below 4 eps a^2, 30 eps a^3 and 6 eps a (each term of degree d
+    is at most a^d; Higham 2002, 3.1), and eigvalsh is backward stable, off
+    by a small multiple of eps ||g|| <= 3 eps a.  The margins below cover all
+    of these with room, and the factor 2 the rounding of the last test, so
+    a Gram this accepts is one eigvalsh accepts; every other one goes to
+    eigvalsh.
+    """
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
+    a = max(abs(g00), abs(g01), abs(g02), abs(g11), abs(g12), abs(g22))
+    e = _EPS * a
+    det = _det3(g) - 64.0 * e * a * a
+    tr = g00 + g11 + g22 + 16.0 * e
+    return (
+        g00 > 0.0
+        and g00 * g11 - g01 * g01 > 8.0 * e * a
+        and det > 0.0
+        and 4.0 * det > 2.0 * tr * tr * (RANK_TOL**2 + 256.0 * e)
+    )
 
 
 def _det3(a):
@@ -342,11 +374,15 @@ def shape_operator(
     coeff = np.linalg.solve(tangent_gram, gram.T).T
 
     p = n.base
+    k1, k2 = imm.kappa1, imm.kappa2
+    pair1, pair2 = _pairing(k1), _pairing(k2)
+    # form(kappa, x, N) against the normal's factor coordinates, read once
+    n1, n2 = _read(k1, n.first.coords), _read(k2, n.second.coords)
 
     def height(v: np.ndarray) -> float:
         q = chart(v)
-        return form(imm.kappa1, q.first.coords - p.first.coords, n.first.coords) + form(
-            imm.kappa2, q.second.coords - p.second.coords, n.second.coords
+        return pair1(_read(k1, q.first.coords - p.first.coords), n1) + pair2(
+            _read(k2, q.second.coords - p.second.coords), n2
         )
 
     def second_difference(s: float) -> np.ndarray:

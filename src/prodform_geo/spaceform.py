@@ -110,40 +110,57 @@ def _quadric_value(kappa: int, coords: np.ndarray) -> float:
     return float(coords[0] ** 2 - coords[1] ** 2 - coords[2] ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelPoint:
-    """Point of the curvature-``kappa`` model space in embedding coordinates."""
+    """Point of the curvature-``kappa`` model space in embedding coordinates.
+
+    Construction checks the point once, on its coordinates as Python floats.
+    The hyperboloid's quadric x0**2 - x1**2 - x2**2 rounds as numpy's scalar
+    powers do.  The sphere's is summed in Python floats and accepted within
+    half of ``CONSTRAINT_TOL``: two evaluations of a 3-term dot product
+    differ by at most 6 eps q (Higham 2002, 3.1), so np.dot accepts it too.
+    A point the float quadric does not accept is judged by ``_quadric_value``,
+    np.dot on the sphere, which also gives the value the error names.
+    """
 
     kappa: int
     coords: np.ndarray
 
-    def __post_init__(self):
-        if self.kappa not in KAPPAS:
-            raise GeometryError(f"kappa must be in {KAPPAS}, got {self.kappa}")
-        coords = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", coords)
-        dim = 2 if self.kappa == 0 else 3
+    def __init__(self, kappa: int, coords):
+        if kappa not in KAPPAS:
+            raise GeometryError(f"kappa must be in {KAPPAS}, got {kappa}")
+        coords = np.asarray(coords, dtype=float)
+        dim = 2 if kappa == 0 else 3
         if coords.shape != (dim,):
-            raise GeometryError(
-                f"kappa={self.kappa} point needs {dim} coordinates, got shape {coords.shape}"
-            )
-        if self.kappa == 0:
-            if not (math.isfinite(coords[0]) and math.isfinite(coords[1])):
-                raise GeometryError(f"flat point coordinates must be finite, got {coords.tolist()}")
+            raise GeometryError(f"kappa={kappa} point needs {dim} coordinates, got shape {coords.shape}")
+        xs = coords.tolist()
+        # fields set with object.__setattr__, not through the instance dict,
+        # which would slow every later read of them
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "coords", coords)
+        if kappa == 0:
+            if not (math.isfinite(xs[0]) and math.isfinite(xs[1])):
+                raise GeometryError(f"flat point coordinates must be finite, got {xs}")
             return
-        q = _quadric_value(self.kappa, coords)
-        # written so that a non-finite coordinate, which makes q NaN or inf, fails too
-        if not abs(q - 1.0) <= CONSTRAINT_TOL:
-            raise GeometryError(
-                f"coordinates violate the kappa={self.kappa} quadric: q={q!r}"
-            )
-        if self.kappa == -1 and coords[0] <= 0:
+        x0, x1, x2 = xs
+        if kappa == 1:
+            accepted = abs(x0 * x0 + x1 * x1 + x2 * x2 - 1.0) <= 0.5 * CONSTRAINT_TOL
+        else:
+            try:
+                accepted = abs(x0**2 - x1**2 - x2**2 - 1.0) <= CONSTRAINT_TOL
+            except OverflowError:
+                # a float power raises where numpy's gives inf, with a warning
+                accepted = False
+        if not accepted:
+            q = _quadric_value(kappa, coords)
+            # written so that a non-finite coordinate, which makes q NaN or inf, fails too
+            if not abs(q - 1.0) <= CONSTRAINT_TOL:
+                raise GeometryError(f"coordinates violate the kappa={kappa} quadric: q={q!r}")
+        if kappa == -1 and x0 <= 0:
             raise GeometryError("hyperboloid points must have positive first coordinate")
         # the coordinates as Python floats and max(1, max|x_i|), the point's
         # share of every tangency scale; not fields, so equality, repr and
         # hashing ignore them
-        xs = coords.tolist()
-        x0, x1, x2 = xs
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_scale", max(1.0, abs(x0), abs(x1), abs(x2)))
 

@@ -12,8 +12,6 @@ from prodform_geo.ambient import (
     product_exp,
     product_metric,
     product_structure,
-    product_transport,
-    product_velocity,
     random_product_point,
     random_product_tangent,
 )
@@ -22,6 +20,8 @@ from prodform_geo.spaceform import (
     GeometryError,
     ModelPoint,
     ModelVector,
+    geodesic_velocity,
+    parallel_transport,
     random_tangent,
     zero_vector,
 )
@@ -274,6 +274,26 @@ def test_curvature_tensor_builds_vectors_only_for_an_unsettled_second_factor(mon
     # -W2, (-W2) + W2 and (-W2) - W2, as ModelVector arithmetic
     curvature_tensor(x, y, z, unsettled)
     assert built == [p.second] * 3
+
+
+# Velocity and transport along a product geodesic, factor by factor; only
+# these tests use them, so they live here.
+
+
+def product_velocity(p: ProductPoint, x: ProductVector, l: float) -> ProductVector:
+    """Velocity of the product geodesic at parameter ``l``."""
+    return ProductVector(
+        geodesic_velocity(p.first, x.first, l),
+        geodesic_velocity(p.second, x.second, l),
+    )
+
+
+def product_transport(p: ProductPoint, x: ProductVector, l: float, w: ProductVector) -> ProductVector:
+    """Parallel transport of ``w`` along the product geodesic with velocity x."""
+    return ProductVector(
+        parallel_transport(p.first, x.first, l, w.first),
+        parallel_transport(p.second, x.second, l, w.second),
+    )
 
 
 class TestProductExp:

@@ -23,7 +23,15 @@ from prodform_geo.classify import (
     solve_polynomial,
 )
 from prodform_geo.cli import RunConfig
-from prodform_geo.spaceform import GeometryError, ModelPoint, ModelVector, complex_structure, form, lorentz_form
+from prodform_geo.spaceform import (
+    GeometryError,
+    ModelPoint,
+    ModelVector,
+    complex_structure,
+    form,
+    lorentz_form,
+    zero_vector,
+)
 
 #: the l samples of a default gallery run
 L_VALUES = RunConfig(command="gallery").l_values
@@ -344,6 +352,46 @@ class TestBuildExample:
         for u in imm.grid(3):
             p = imm.chart(u)
             assert abs(lorentz_form(p.first.coords, p.first.coords) + 1.0) < 1e-12
+
+
+def reference_psi(u, c):
+    """psi's chart point and jacobian written on numpy arrays, with the
+    horocycle, its normal and cosh, sinh of t sqrt(c) formed for each."""
+    t, r, s = u.tolist()
+    sc = math.sqrt(c)
+    g = np.array([(2.0 + r * r) / 2.0, r, r * r / 2.0])
+    n = np.array([r * r / 2.0, r, (-2.0 + r * r) / 2.0])
+    ch, sh = math.cosh(t * sc), math.sinh(t * sc)
+    p = ModelPoint(-1, ch * g + sh * n)
+    q = ModelPoint(0, np.array([s, t * math.sqrt(1.0 - c)]))
+    dgdr = np.array([r, 1.0, r])
+    return (p, q), (
+        (ModelVector(p, sc * (sh * g + ch * n)), ModelVector(q, np.array([0.0, math.sqrt(1.0 - c)]))),
+        (ModelVector(p, (ch + sh) * dgdr), zero_vector(q)),
+        (zero_vector(p), ModelVector(q, np.array([1.0, 0.0]))),
+    )
+
+
+@pytest.mark.parametrize("c", [1e-7, 0.25, 0.5, 0.9])
+def test_psi_chart_and_jacobian_match_the_array_reference_bitwise(c, monkeypatch):
+    calls = []
+    horocycle = classify.horocycle_with_normal
+    monkeypatch.setattr(classify, "horocycle_with_normal", lambda r: calls.append(r) or horocycle(r))
+    imm = build_example(ExampleSpec(family=FAMILY_PSI, c=c))
+    axis = (-1.0, -0.3, -0.0, 0.0, 0.7)
+    for u in (np.array([t, r, s]) for t in axis for r in axis for s in (-0.5, 0.0)):
+        (p, q), want = reference_psi(u, c)
+        point = imm.chart(u)
+        assert point.first.coords.tobytes() == p.coords.tobytes()
+        assert point.second.coords.tobytes() == q.coords.tobytes()
+        del calls[:]
+        got = imm.jacobian(u)
+        # one horocycle per jacobian: the ruled point and its derivatives share it
+        assert len(calls) == 1
+        for x, (a, b) in zip(got, want):
+            assert x.first.base.coords.tobytes() == p.coords.tobytes()
+            assert x.first.coords.tobytes() == a.coords.tobytes()
+            assert x.second.coords.tobytes() == b.coords.tobytes()
 
 
 def _max_deviation(rep) -> float:

@@ -251,6 +251,31 @@ class TestTangentBasis:
             with pytest.raises(DegeneratePointError, match=message):
                 build(imm, np.array([0.5, 0.0, -0.5]))
 
+    def test_rank_certificate_agrees_with_eigvalsh(self):
+        # Grams with chosen eigenvalues: the smallest at RANK_TOL**2 (1 -+ 1e-3),
+        # at 1e-6 and at 1, or two negative ones, and traces up to 1e4
+        tol = hypersurface.RANK_TOL**2
+        rng = np.random.default_rng(31)
+        for smallest in (tol * (1.0 - 1e-3), tol * (1.0 + 1e-3), 1e-6, 1.0, None):
+            for trace in (3.0, 30.0, 1e3, 1e4):
+                for _ in range(100):
+                    if smallest is None:
+                        a, b = rng.uniform(0.0, 1.0, size=2)
+                        eigenvalues = [-a, -b, trace + a + b]
+                    else:
+                        rest = trace - smallest
+                        middle = smallest + rng.uniform() * (rest / 2.0 - smallest)
+                        eigenvalues = [smallest, middle, rest - middle]
+                    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+                    g = q @ np.diag(eigenvalues) @ q.T
+                    g = (g + g.T) / 2.0
+                    by_eigvalsh = min(np.linalg.eigvalsh(g)) >= tol
+                    certified = hypersurface._clearly_full_rank(g.tolist())
+                    # _check_rank's verdict: the certificate, else eigvalsh
+                    assert (certified or by_eigvalsh) == by_eigvalsh
+                    if smallest == 1.0:
+                        assert certified
+
     @pytest.mark.parametrize("factor", [0, 1])
     @pytest.mark.parametrize("moved", [1, 2])
     def test_jacobian_at_different_base_points_rejected(self, factor, moved):

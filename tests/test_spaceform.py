@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -554,3 +555,205 @@ def test_zero_pairing_is_the_form_with_zero(kappa):
         if kappa != -1:
             # np.dot of all-negative coordinates with zeros is +0.0, not -0.0
             assert math.copysign(1.0, got) == 1.0
+
+
+# ModelPoint's checks as a __post_init__ on numpy arrays and scalars, before
+# they ran once on the point's Python floats.  Every verdict, message and
+# attribute of the float version must match it.
+
+
+def reference_point(kappa, coords):
+    """A ModelPoint whose fields are set, and checked, as the numpy version did."""
+    self = object.__new__(ModelPoint)
+    object.__setattr__(self, "kappa", kappa)
+    object.__setattr__(self, "coords", coords)
+    if self.kappa not in spaceform.KAPPAS:
+        raise GeometryError(f"kappa must be in {spaceform.KAPPAS}, got {self.kappa}")
+    coords = np.asarray(self.coords, dtype=float)
+    object.__setattr__(self, "coords", coords)
+    dim = 2 if self.kappa == 0 else 3
+    if coords.shape != (dim,):
+        raise GeometryError(f"kappa={self.kappa} point needs {dim} coordinates, got shape {coords.shape}")
+    if self.kappa == 0:
+        if not (math.isfinite(coords[0]) and math.isfinite(coords[1])):
+            raise GeometryError(f"flat point coordinates must be finite, got {coords.tolist()}")
+        return self
+    if self.kappa == 1:
+        q = float(np.dot(coords, coords))
+    else:
+        q = float(coords[0] ** 2 - coords[1] ** 2 - coords[2] ** 2)
+    if not abs(q - 1.0) <= spaceform.CONSTRAINT_TOL:
+        raise GeometryError(f"coordinates violate the kappa={self.kappa} quadric: q={q!r}")
+    if self.kappa == -1 and coords[0] <= 0:
+        raise GeometryError("hyperboloid points must have positive first coordinate")
+    xs = coords.tolist()
+    x0, x1, x2 = xs
+    object.__setattr__(self, "_xs", xs)
+    object.__setattr__(self, "_scale", max(1.0, abs(x0), abs(x1), abs(x2)))
+    return self
+
+
+def outcome(fn):
+    """("ok", value) or (exception type, message), with numpy's warnings raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "ok", fn()
+        except Exception as exc:  # the exception is the outcome compared
+            return type(exc), str(exc)
+
+
+def attributes(p):
+    """Every instance attribute, floats and arrays by their bytes."""
+    out = {}
+    for name, value in vars(p).items():
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, list):
+            value = np.array(value).tobytes()
+        elif isinstance(value, float):
+            value = value.hex()
+        out[name] = (type(value), value)
+    return out
+
+
+def assert_same_point(kappa, coords):
+    want = outcome(lambda: reference_point(kappa, coords))
+    got = outcome(lambda: ModelPoint(kappa, coords))
+    if want[0] != "ok":
+        assert got == want
+        return
+    assert got[0] == "ok"
+    p, ref = got[1], want[1]
+    assert attributes(p) == attributes(ref)
+    assert repr(p) == repr(ref)
+    twin = ModelPoint(kappa, np.array(coords, dtype=float))
+    ref_twin = reference_point(kappa, np.array(coords, dtype=float))
+    assert outcome(lambda: p == p) == outcome(lambda: ref == ref) == ("ok", True)
+    assert outcome(lambda: p == twin) == outcome(lambda: ref == ref_twin)
+    assert outcome(lambda: hash(p)) == outcome(lambda: hash(ref))
+
+
+def on_sphere_with_quadric(x, q):
+    """x scaled so that its np.dot quadric is about q."""
+    x = np.asarray(x, dtype=float)
+    return x * math.sqrt(q / float(np.dot(x, x)))
+
+
+def on_hyperboloid_with_quadric(y, q):
+    """The point over y in the (x1, x2) plane with x0^2 - |y|^2 about q."""
+    y0, y1 = y
+    return np.array([math.sqrt(q + y0 * y0 + y1 * y1), y0, y1])
+
+
+def straddling_sphere_points(bound):
+    """Sphere points whose float sum and np.dot quadric fall on opposite
+    sides of 1 + bound, for each order of the two."""
+    rng = np.random.default_rng(5)
+    found = {}
+    while len(found) < 2:
+        x = on_sphere_with_quadric(rng.normal(size=3), 1.0 + bound)
+        for k in range(-6, 7):
+            y = x.copy()
+            y[0] += k * math.ulp(x[0])
+            x0, x1, x2 = y.tolist()
+            inside_sum = abs(x0 * x0 + x1 * x1 + x2 * x2 - 1.0) <= bound
+            inside_dot = abs(float(np.dot(y, y)) - 1.0) <= bound
+            if inside_sum != inside_dot:
+                found.setdefault(inside_sum, y)
+    return list(found.values())
+
+
+class TestPointChecksMatchReference:
+    TOL = 1e-8
+
+    @pytest.mark.parametrize(
+        "kappa, coords",
+        [
+            (2, [1.0, 0.0, 0.0]),
+            (0.5, [1.0, 0.0]),
+            (-2, [1.0, 0.0, 0.0]),
+            (1, [1.0, 0.0]),
+            (0, [1.0, 0.0, 0.0]),
+            (-1, [[1.0, 0.0, 0.0]]),
+            (-1, 1.0),
+            (-1, [-math.sqrt(1.25), 0.5, 0.0]),
+            (-1, [-1.0, 0.0, 0.0]),
+            (-1, [-0.0, 0.0, 0.0]),
+            (1, [1.1, 0.0, 0.0]),
+            (-1, [1e200, 0.0, 0.0]),
+            (-1, [1e200, 1e200, 0.0]),
+            (1, [1e200, 0.0, 0.0]),
+            (-1, [math.inf, math.inf, 0.0]),
+        ],
+    )
+    def test_rejections(self, kappa, coords):
+        assert_same_point(kappa, coords)
+
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates(self, kappa, bad):
+        base = [1.0, 0.0] if kappa == 0 else [1.0, 0.0, 0.0]
+        for i in range(len(base)):
+            coords = list(base)
+            coords[i] = bad
+            assert_same_point(kappa, coords)
+
+    @pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_quadric_just_inside_and_outside(self, factor, sign):
+        rng = np.random.default_rng(int(1000 * factor) + int(sign))
+        q = 1.0 + sign * factor * self.TOL
+        for _ in range(50):
+            assert_same_point(1, on_sphere_with_quadric(rng.normal(size=3), q))
+            assert_same_point(-1, on_hyperboloid_with_quadric(rng.normal(size=2), q))
+
+    def test_sphere_points_straddling_the_filter_bound(self):
+        for coords in straddling_sphere_points(0.5 * self.TOL):
+            assert_same_point(1, coords)
+            # within CONSTRAINT_TOL by either sum, so accepted
+            ModelPoint(1, coords)
+
+    def test_sphere_points_straddling_the_constraint_take_the_np_dot_verdict(self):
+        verdicts = set()
+        for coords in straddling_sphere_points(self.TOL):
+            assert_same_point(1, coords)
+            verdicts.add(outcome(lambda: ModelPoint(1, coords))[0])
+        assert verdicts == {"ok", GeometryError}
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            # x0**2 - x1**2 - x2**2 is just below 1 + 1e-8, x0*x0 - x1*x1 - x2*x2 just above it
+            [36.076694163313825, 18.276407873645326, 31.088595609635327],
+            # and the other way round
+            [3.313081794749694, 2.9886075242841557, -1.0221232971094942],
+        ],
+    )
+    def test_hyperboloid_quadric_rounds_as_numpy_powers(self, coords):
+        assert_same_point(-1, coords)
+
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    def test_random_points(self, kappa):
+        rng = np.random.default_rng(300 + kappa)
+        for _ in range(1000):
+            coords = random_point(kappa, rng).coords
+            if kappa == 0:
+                coords = coords * 10.0 ** rng.uniform(-3, 3)
+            assert_same_point(kappa, coords)
+
+    @pytest.mark.parametrize(
+        "kappa, coords",
+        [
+            (0, [-0.0, -0.0]),
+            (0, [-0.0, 3.0]),
+            (1, [-0.0, -0.0, 1.0]),
+            (1, [-1.0, -0.0, 0.0]),
+            (-1, [1.0, -0.0, -0.0]),
+            (-1, [math.sqrt(2.0), -0.0, -1.0]),
+            (1.0, [0.0, 1.0, -0.0]),
+        ],
+    )
+    def test_negative_zero_coordinates(self, kappa, coords):
+        assert_same_point(kappa, coords)
+        assert_same_point(kappa, np.array(coords))
