@@ -337,18 +337,20 @@ class ExampleSpec:
         return f"curve(k={self.k:g},{side})x({self.kappa1},{self.kappa2})"
 
 
-def constant_curvature_curve(kappa: int, k: float) -> tuple[Callable, Callable]:
-    """Unit-speed curve of constant geodesic curvature k and its derivative.
+def constant_curvature_curve(kappa: int, k: float) -> tuple[Callable, Callable, Callable]:
+    """Unit-speed curve of constant geodesic curvature k and its first two derivatives.
 
     Flat plane: lines and circles of radius 1/k.  Sphere: great and small
     circles.  Hyperbolic plane: geodesics (k = 0), equidistants (k < 1), the
     horocycle (k = 1) and circles (k > 1), all on the hyperboloid.
 
     One formula covers them all: with (S, C) the stability pair at
-    delta = kappa + k^2, gamma' = C T0 + S W and gamma = p0 + S T0 + I W,
-    where W = -kappa p0 + k J T0 and I = (1 - C)/delta (t^2/2 at delta = 0).
-    The curve starts at p0, the origin or (1, 0, 0), along the first leg T0
-    of its ``tangent_frame``, and turns towards J T0: <gamma'', J gamma'> = k.
+    delta = kappa + k^2, gamma = p0 + S T0 + I W, gamma' = C T0 + S W and
+    gamma'' = -delta S T0 + C W, where W = -kappa p0 + k J T0 and
+    I = (1 - C)/delta = 2 S(t/2)^2, which is t^2/2 at delta = 0 and keeps
+    its digits near it, where 1 - C cancels.  The curve starts at p0, the
+    origin or (1, 0, 0), along the first leg T0 of its ``tangent_frame``,
+    and turns towards J T0: <gamma'', J gamma'> = k.
     """
     if k < 0.0:
         raise GeometryError("curve curvature must be nonnegative")
@@ -360,40 +362,68 @@ def constant_curvature_curve(kappa: int, k: float) -> tuple[Callable, Callable]:
     columns = list(zip(p0.coords.tolist(), t0.coords.tolist(), w0.tolist()))
 
     def gamma(t: float) -> np.ndarray:
-        s, c = stability_functions(delta, t)
-        i = (1.0 - c) / delta if delta else t * t / 2.0
+        s, _ = stability_functions(delta, t)
+        half, _ = stability_functions(delta, t / 2.0)
+        i = 2.0 * half * half
         return np.array([p + s * a + i * w for p, a, w in columns])
 
     def dgamma(t: float) -> np.ndarray:
         s, c = stability_functions(delta, t)
         return np.array([c * a + s * w for _, a, w in columns])
 
-    return gamma, dgamma
+    def ddgamma(t: float) -> np.ndarray:
+        s, c = stability_functions(delta, t)
+        return np.array([-delta * s * a + c * w for _, a, w in columns])
+
+    return gamma, dgamma, ddgamma
 
 
-def _factor_chart(kappa: int) -> tuple[Callable, Callable, Callable]:
-    """Chart of a full factor in two parameters, with both partials."""
+def _factor_chart(kappa: int) -> tuple[Callable, Callable, Callable, Callable]:
+    """Chart of a full factor in two parameters, with both partials and the
+    three second partials (aa, ab, bb)."""
     if kappa == 0:
         return (
             lambda a, b: np.array([a, b]),
             lambda a, b: np.array([1.0, 0.0]),
             lambda a, b: np.array([0.0, 1.0]),
+            lambda a, b: (np.zeros(2), np.zeros(2), np.zeros(2)),
         )
     if kappa == 1:
+
+        def sphere_second(a: float, b: float) -> tuple:
+            ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+            return (
+                np.array([-ca * cb, -ca * sb, -sa]),
+                np.array([sa * sb, -sa * cb, 0.0]),
+                np.array([-ca * cb, -ca * sb, 0.0]),
+            )
+
         return (
             lambda a, b: np.array([math.cos(a) * math.cos(b), math.cos(a) * math.sin(b), math.sin(a)]),
             lambda a, b: np.array([-math.sin(a) * math.cos(b), -math.sin(a) * math.sin(b), math.cos(a)]),
             lambda a, b: np.array([-math.cos(a) * math.sin(b), math.cos(a) * math.cos(b), 0.0]),
+            sphere_second,
         )
+
+    def hyperboloid_second(a: float, b: float) -> tuple:
+        w = math.sqrt(1.0 + a * a + b * b)
+        w3 = w * w * w
+        return (
+            np.array([(1.0 + b * b) / w3, 0.0, 0.0]),
+            np.array([-a * b / w3, 0.0, 0.0]),
+            np.array([(1.0 + a * a) / w3, 0.0, 0.0]),
+        )
+
     return (
         lambda a, b: np.array([math.sqrt(1.0 + a * a + b * b), a, b]),
         lambda a, b: np.array([a / math.sqrt(1.0 + a * a + b * b), 1.0, 0.0]),
         lambda a, b: np.array([b / math.sqrt(1.0 + a * a + b * b), 0.0, 1.0]),
+        hyperboloid_second,
     )
 
 
 def build_example(spec: ExampleSpec) -> Immersion:
-    """Immersion of a classified example, with its analytic jacobian."""
+    """Immersion of a classified example, with its analytic jacobian and hessian."""
     if spec.family == FAMILY_PSI:
         return _build_psi(spec)
     curve_first = spec.family == FAMILY_CURVE_X_FACTOR
@@ -403,8 +433,9 @@ def build_example(spec: ExampleSpec) -> Immersion:
         return (curve_part, factor_part) if curve_first else (factor_part, curve_part)
 
     curve_kappa, factor_kappa = ordered(spec.kappa1, spec.kappa2)
-    gamma, dgamma = constant_curvature_curve(curve_kappa, spec.k)
-    chart2, d2a, d2b = _factor_chart(factor_kappa)
+    gamma, dgamma, ddgamma = constant_curvature_curve(curve_kappa, spec.k)
+    chart2, d2a, d2b, d2 = _factor_chart(factor_kappa)
+    curve_dim, factor_dim = (2 if kappa == 0 else 3 for kappa in (curve_kappa, factor_kappa))
 
     def chart(u: np.ndarray) -> ProductPoint:
         # Python floats: numpy scalar arithmetic is slower and rounds the same
@@ -422,11 +453,23 @@ def build_example(spec: ExampleSpec) -> Immersion:
             ProductVector(*ordered(zc, ModelVector(pf, d2b(a, b)))),
         )
 
+    def hessian(u: np.ndarray):
+        # the curve and the factor chart share no parameter, so d_t d_a f = d_t d_b f = 0
+        t, a, b = u.tolist()
+        zc, zf = np.zeros(curve_dim), np.zeros(factor_dim)
+        return (
+            ordered(ddgamma(t), zf),
+            ordered(zc, zf),
+            ordered(zc, zf),
+            *(ordered(zc, d) for d in d2(a, b)),
+        )
+
     return Immersion(
         kappa1=spec.kappa1,
         kappa2=spec.kappa2,
         chart=chart,
         jacobian=jacobian,
+        hessian=hessian,
         name=spec.label(),
     )
 
@@ -478,11 +521,27 @@ def _build_psi(spec: ExampleSpec) -> Immersion:
         ds = ProductVector(zero_vector(p), ModelVector(q, np.array([1.0, 0.0])))
         return dt, dr, ds
 
+    def hessian(u: np.ndarray):
+        # the second factor (s, t sqrt(1 - c)) is linear, and nothing depends on s
+        t, r, s = u.tolist()
+        _, g, n, ch, sh = _ruled(t, r, s, c)
+        e = ch + sh
+        zero, flat = np.zeros(3), np.zeros(2)
+        return (
+            (np.array([c * (ch * a + sh * b) for a, b in zip(g, n)]), flat),
+            (np.array([sc * e * x for x in (r, 1.0, r)]), flat),
+            (zero, flat),
+            (np.array([e, 0.0, e]), flat),
+            (zero, flat),
+            (zero, flat),
+        )
+
     return Immersion(
         kappa1=-1,
         kappa2=0,
         chart=lambda u: _ruled_point(*u.tolist(), c),
         jacobian=jacobian,
+        hessian=hessian,
         name=spec.label(),
     )
 

@@ -1,12 +1,14 @@
 """Parametrized hypersurfaces of a product of model spaces.
 
 An :class:`Immersion` is a map from the box [-1, 1]^3 into the product, optionally
-with an analytic jacobian.  From it we derive tangent frames, the unit normal
-(by a generalized cross product in an orthonormal ambient frame), the product
-angle function C = <PN, N>, the shape operator from the second fundamental
-form h_kl = <d_k d_l f, N>, and curvature invariants.  Derivatives of the
-chart are central differences at steps STEP, 2 STEP and 4 STEP, Richardson-
-extrapolated to order STEP^6.
+with an analytic jacobian and closed second partials (its ``hessian``).  From
+it we derive tangent frames, the unit normal (by a generalized cross product
+in an orthonormal ambient frame), the product angle function C = <PN, N>, the
+shape operator from the second fundamental form h_kl = <d_k d_l f, N>, and
+curvature invariants.  A chart with a closed hessian needs no differenced
+point.  Derivatives the chart does not give in closed form (those of the
+negative control and of flowed charts) are central differences at steps
+STEP, 2 STEP and 4 STEP, Richardson-extrapolated to order STEP^6.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ ORTHONORMAL_TOL = 1e-8
 #: largest |A_ij - A_ji| accepted in a shape matrix
 SYMMETRY_TOL = 1e-8
 
+#: the index pairs (k, l), k <= l, of the partials d_k d_l f an ``Immersion.hessian`` returns
+HESSIAN_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
 
 def is_finite(x) -> bool:
     """Finiteness in x's own type: ints and Fractions always are, and a Decimal NaN is never compared."""
@@ -71,6 +76,9 @@ class Immersion:
     kappa2: int
     chart: Callable[[np.ndarray], ProductPoint]
     jacobian: Optional[Callable[[np.ndarray], tuple[ProductVector, ProductVector, ProductVector]]] = None
+    #: the six second partials d_k d_l f, k <= l in the order of ``HESSIAN_PAIRS``,
+    #: each as raw (first, second) factor coordinates
+    hessian: Optional[Callable[[np.ndarray], Sequence[tuple[np.ndarray, np.ndarray]]]] = None
     name: str = ""
 
     def grid(self, n: int) -> list[np.ndarray]:
@@ -120,19 +128,33 @@ def _tangents(imm: Immersion, u: np.ndarray) -> tuple[tuple[ProductVector, Produ
     return basis, _check_rank(basis, u)
 
 
+def _factor_coords(vectors: Sequence[ProductVector], at: ProductVector) -> list[tuple]:
+    """Each vector's (first, second) factor coordinates, read once through
+    ``_read``, after one same-base check of the vector against ``at``."""
+    k1, k2 = at.first.kappa, at.second.kappa
+    coords = []
+    for v in vectors:
+        _require_same_base(v.first, at.first)
+        _require_same_base(v.second, at.second)
+        coords.append((_read(k1, v.first.coords), _read(k2, v.second.coords)))
+    return coords
+
+
+def _product_pairing(kappa1: int, kappa2: int) -> Callable[[tuple, tuple], float]:
+    """The function that gives product_metric bit for bit on coordinates from ``_factor_coords``."""
+    pair1, pair2 = _pairing(kappa1), _pairing(kappa2)
+    return lambda x, y: pair1(x[0], y[0]) + pair2(x[1], y[1])
+
+
 def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> np.ndarray:
     """The Gram matrix of ``basis``, once its smallest singular value is at least RANK_TOL."""
-    for t in basis[1:]:
-        _require_same_base(t.first, basis[0].first)
-        _require_same_base(t.second, basis[0].second)
-    # product_metric on raw coordinates, each read once; both factor forms are bitwise symmetric
-    k1, k2 = basis[0].first.kappa, basis[0].second.kappa
-    pair1, pair2 = _pairing(k1), _pairing(k2)
-    coords = [(_read(k1, t.first.coords), _read(k2, t.second.coords)) for t in basis]
+    # both factor forms are bitwise symmetric
+    pair = _product_pairing(basis[0].first.kappa, basis[0].second.kappa)
+    coords = _factor_coords(basis, basis[0])
     rows = [[0.0] * 3 for _ in range(3)]
-    for i, (x, y) in enumerate(coords):
+    for i, x in enumerate(coords):
         for j in range(i + 1):
-            rows[i][j] = rows[j][i] = pair1(x, coords[j][0]) + pair2(y, coords[j][1])
+            rows[i][j] = rows[j][i] = pair(x, coords[j])
     gram = np.array(rows)
     if not _clearly_full_rank(rows):
         smallest = min(np.linalg.eigvalsh(gram))
@@ -327,12 +349,18 @@ class ShapeRecord(ShapeInvariants):
         return np.linalg.eigvalsh(self.A)
 
 
-def _check_orthonormal(basis: Sequence[ProductVector], n: ProductVector) -> None:
-    gram = np.array([[product_metric(a, b) for b in basis] for a in basis])
+def _check_orthonormal(basis: Sequence[ProductVector], n: ProductVector) -> list[tuple]:
+    """The factor coordinates of ``basis``, once it is orthonormal and tangent
+    within ORTHONORMAL_TOL; the pairings are product_metric's, bit for bit."""
+    pair = _product_pairing(n.first.kappa, n.second.kappa)
+    coords = _factor_coords(basis, n)
+    gram = np.array([[pair(a, b) for b in coords] for a in coords])
     if float(np.max(np.abs(gram - np.eye(3)))) > ORTHONORMAL_TOL:
         raise GeometryError("supplied basis is not orthonormal within 1e-8")
-    if max(abs(product_metric(b, n)) for b in basis) > ORTHONORMAL_TOL:
+    normal = (_read(n.first.kappa, n.first.coords), _read(n.second.kappa, n.second.coords))
+    if max(abs(pair(b, normal)) for b in coords) > ORTHONORMAL_TOL:
         raise GeometryError("supplied basis is not tangent within 1e-8")
+    return coords
 
 
 def shape_operator(
@@ -343,14 +371,19 @@ def shape_operator(
 ) -> ShapeRecord:
     """Shape operator A_ij = <grad_{e_i} e_j, N> from the second fundamental form.
 
-    h_kl = <d_k d_l f, N> is the Hessian at u of the height v -> <f(v) - f(u), N>
-    in the flat ambient form of each factor, which suffices because N is
+    h_kl = <d_k d_l f, N> pairs the second partials of the chart with N in
+    the flat ambient form of each factor, which suffices because N is
     tangent to each factor quadric; A = coeff h coeff^T, where coeff
     expresses the basis in coordinate tangents.  ``basis`` is an orthonormal
     tangent basis, a function that builds one from the unit normal, or None
-    for the Gram-Schmidt basis of the coordinate tangents.  Each chart point
-    is evaluated once per call: without a jacobian, the tangent differences
-    and the Hessian's diagonal read the same points u +- s e_k.
+    for the Gram-Schmidt basis of the coordinate tangents.
+
+    A chart with a closed ``hessian`` (and jacobian) needs no chart point.
+    Any other chart (the negative control, a flowed chart) takes h as the
+    Hessian at u of the height v -> <f(v) - f(u), N>, differenced at 54
+    points around u, and evaluates each chart point once per call: without
+    a jacobian, the tangent differences and the Hessian's diagonal read the
+    same points u +- s e_k, 55 points in all.
     """
     u = np.asarray(u, dtype=float)
     points: dict[bytes, ProductPoint] = {}
@@ -365,25 +398,29 @@ def shape_operator(
     n = unit_normal(imm, u, hint=hint, basis=tangents)
     if basis is None:
         basis = gram_schmidt(tangents)
+        basis_coords = _factor_coords(basis, n)
     else:
         basis = tuple(basis(n) if callable(basis) else basis)
-        _check_orthonormal(basis, n)
+        basis_coords = _check_orthonormal(basis, n)
 
-    gram = np.array([[product_metric(a, b) for b in tangents] for a in basis])
+    k1, k2 = imm.kappa1, imm.kappa2
+    pair = _product_pairing(k1, k2)
+    tangent_coords = _factor_coords(tangents, n)
+    gram = np.array([[pair(a, b) for b in tangent_coords] for a in basis_coords])
     # coeff[i] expresses basis[i] in the coordinate tangents
     coeff = np.linalg.solve(tangent_gram, gram.T).T
 
-    p = n.base
-    k1, k2 = imm.kappa1, imm.kappa2
-    pair1, pair2 = _pairing(k1), _pairing(k2)
     # form(kappa, x, N) against the normal's factor coordinates, read once
-    n1, n2 = _read(k1, n.first.coords), _read(k2, n.second.coords)
+    normal = (_read(k1, n.first.coords), _read(k2, n.second.coords))
+
+    def normal_part(first: np.ndarray, second: np.ndarray) -> float:
+        return pair((_read(k1, first), _read(k2, second)), normal)
+
+    p = n.base
 
     def height(v: np.ndarray) -> float:
         q = chart(v)
-        return pair1(_read(k1, q.first.coords - p.first.coords), n1) + pair2(
-            _read(k2, q.second.coords - p.second.coords), n2
-        )
+        return normal_part(q.first.coords - p.first.coords, q.second.coords - p.second.coords)
 
     def second_difference(s: float) -> np.ndarray:
         e = s * np.eye(3)
@@ -399,7 +436,14 @@ def shape_operator(
                 ) / (4.0 * s**2)
         return h
 
-    a = coeff @ _richardson(second_difference) @ coeff.T
+    def closed_hessian() -> np.ndarray:
+        h = np.empty((3, 3))
+        for (k, l), partial in zip(HESSIAN_PAIRS, imm.hessian(u)):
+            h[k, l] = h[l, k] = normal_part(*partial)
+        return h
+
+    h = closed_hessian() if imm.hessian is not None else _richardson(second_difference)
+    a = coeff @ h @ coeff.T
     a = 0.5 * (a + a.T)
     c, _ = angle_of_normal(n)
     return ShapeRecord(A=a, basis=basis, normal=n, kappa1=imm.kappa1, kappa2=imm.kappa2, C=c)

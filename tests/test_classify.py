@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from prodform_geo.classify import (
     solve_polynomial,
 )
 from prodform_geo.cli import RunConfig
+from prodform_geo.hypersurface import shape_operator
 from prodform_geo.spaceform import (
     GeometryError,
     ModelPoint,
@@ -236,7 +238,7 @@ class TestConstantCurvatureCurves:
     @pytest.mark.parametrize("kappa", [-1, 0, 1])
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
     def test_unit_speed(self, kappa, k):
-        gamma, dgamma = constant_curvature_curve(kappa, k)
+        gamma, dgamma, _ = constant_curvature_curve(kappa, k)
         from prodform_geo.spaceform import form
 
         for t in (-1.0, 0.0, 0.7):
@@ -246,7 +248,7 @@ class TestConstantCurvatureCurves:
     @pytest.mark.parametrize("kappa", [-1, 1])
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
     def test_stays_on_quadric(self, kappa, k):
-        gamma, _ = constant_curvature_curve(kappa, k)
+        gamma, _, _ = constant_curvature_curve(kappa, k)
         from prodform_geo.spaceform import form
 
         for t in (-1.3, 0.0, 2.1):
@@ -256,16 +258,33 @@ class TestConstantCurvatureCurves:
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
     def test_turns_towards_j_by_k(self, kappa, k):
         # <gamma'', J gamma'> = k, with gamma'' a central difference of dgamma
-        gamma, dgamma = constant_curvature_curve(kappa, k)
+        # and the closed gamma''
+        gamma, dgamma, ddgamma = constant_curvature_curve(kappa, k)
         h = 1e-4
         for t in (-1.3, 0.0, 0.7, 2.1):
             accel = (dgamma(t + h) - dgamma(t - h)) / (2.0 * h)
             j_velocity = complex_structure(ModelVector(ModelPoint(kappa, gamma(t)), dgamma(t)))
             assert abs(form(kappa, accel, j_velocity.coords) - k) < 1e-6
+            assert abs(form(kappa, ddgamma(t), j_velocity.coords) - k) < 1e-12
 
     def test_negative_curvature_rejected(self):
         with pytest.raises(GeometryError):
             constant_curvature_curve(0, -1.0)
+
+    @pytest.mark.parametrize(
+        "kappa1, kappa2, k",
+        [(-1, 0, 0.999), (-1, 0, 1.001), (0, -1, 1e-3), (0, 1, 1e-3)],
+        ids=["H2xR2-0.999", "H2xR2-1.001", "R2xH2-1e-3", "R2xS2-1e-3"],
+    )
+    def test_differenced_shape_keeps_digits_near_zero_delta(self, kappa1, kappa2, k):
+        # near delta = kappa + k^2 = 0 the chart's 1 - C cancels, and the
+        # difference scheme (flowed charts, the control) multiplies the
+        # chart's rounding by about 1/STEP^2
+        spec = ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=kappa1, kappa2=kappa2, k=k)
+        imm = replace(build_example(spec), hessian=None)
+        for u in imm.grid(2):
+            curvatures = shape_operator(imm, u).principal_curvatures()
+            assert abs(max(abs(curvatures)) - k) < 1e-10, u
 
 
 class TestHorocycle:

@@ -173,6 +173,13 @@ class TestCommands:
         examples = {c.name.rsplit(".", 1)[0] for c in report.checks}
         assert examples == {s.label() for s in gallery_specs() if (s.kappa1, s.kappa2) == (1, 0)}
 
+    def test_gallery_grid_2_check_count(self):
+        # three checks per example and the negative control's one: the
+        # benchmark's gallery workload expects exactly this count
+        report = run(make_config(command="gallery", grid=2))
+        assert len(report.checks) == 3 * len(gallery_specs()) + 1 == 76
+        assert report.all_passed
+
     def test_gallery_builds_one_shape_operator_per_point(self, monkeypatch):
         calls = 0
         original = jacobi.shape_operator
@@ -451,15 +458,22 @@ class TestEntryPoint:
         assert os.listdir(tmp_path) == []
 
     def test_horocycle_false_focal_crossing_stays_focal(self, tmp_path):
-        # the closed det Q of the horocycle example passes below FOCAL_TOL by
-        # l = 14.5 and stays there: each sample beyond l = 0 is focal
+        # the horocycle's parallels keep H = 1 (det Q = e^-l): on the closed
+        # shape the float det Q resolves it up to l = 15, while at l = 20 its
+        # terms of size cosh l cancel below FOCAL_TOL and the sample is focal
         out = tmp_path / "r.json"
         argv = ["flow", "--case", "h2r2", "--family", "curve_x_factor", "--k", "1", "--grid", "2"]
-        assert main([*argv, "--l", "14.5,15,20", "--out", str(out)]) == 0
+        assert main([*argv, "--l", "14,14.5,15,20", "--out", str(out)]) == 0
         body = json.loads(out.read_text())
-        assert [row["H"] is None for row in body["rows"]] == [False, True, True, True] * 2**3
+        rows = body["rows"]
+        assert len(rows) == 5 * 2**3
+        for row in rows:
+            if row["l"] <= 15.0:
+                assert abs(row["H"] - 1.0) < 1e-9, row
+            else:
+                assert row["H"] is None, row
         (dump,) = body["checks"]
-        assert dump["name"].endswith(".flow_dump") and dump["max_abs_err"] == 24.0
+        assert dump["name"].endswith(".flow_dump") and dump["max_abs_err"] == 8.0
 
     def test_negative_control_below_strip_limit_passes(self, capsys):
         assert main(["gallery", "--family", "psi", "--c", "0.9", "--grid", "2"]) == 0

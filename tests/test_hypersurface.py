@@ -537,6 +537,127 @@ class TestShapeOperator:
             )
 
 
+def reference_check_orthonormal(basis, n):
+    """``_check_orthonormal`` on product_metric, kept as the reference."""
+    gram = np.array([[product_metric(a, b) for b in basis] for a in basis])
+    if float(np.max(np.abs(gram - np.eye(3)))) > hypersurface.ORTHONORMAL_TOL:
+        raise GeometryError("supplied basis is not orthonormal within 1e-8")
+    if max(abs(product_metric(b, n)) for b in basis) > hypersurface.ORTHONORMAL_TOL:
+        raise GeometryError("supplied basis is not tangent within 1e-8")
+
+
+def outcome(fn, *args):
+    """None if ``fn`` returns, else the type and message of the GeometryError it raises."""
+    try:
+        fn(*args)
+    except GeometryError as err:
+        return type(err), str(err)
+    return None
+
+
+#: a jacobian chart, psi, the negative control and a flowed chart, each with no closed hessian
+PAIRING_IMMERSIONS = [
+    replace(build_example(ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=-1, k=0.5)), hessian=None),
+    replace(psi_immersion(), hessian=None),
+    build_perturbed_psi(),
+    jacobi.parallel_immersion(psi_immersion(), 0.1),
+]
+PAIRING_IDS = ["curve-s2h2", "psi", "perturbed", "flowed-psi"]
+
+
+class TestFactorCoordinatePairings:
+    @pytest.mark.parametrize("imm", PAIRING_IMMERSIONS, ids=PAIRING_IDS)
+    @pytest.mark.parametrize("frame", ["flow", "gram-schmidt"])
+    def test_basis_tangent_gram_matches_product_metric_bitwise(self, monkeypatch, imm, frame):
+        # the Gram of the basis against the coordinate tangents is the right
+        # side of the solve for coeff; it must be product_metric's bit for bit
+        seen = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(hypersurface.np.linalg, "solve", lambda a, b: seen.append(b) or solve(a, b))
+        for u in imm.grid(2):
+            seen.clear()
+            rec = shape_operator(imm, u, basis=flow_frame if frame == "flow" else None)
+            tangents = tangent_basis(imm, u)
+            ref = np.array([[product_metric(a, b) for b in tangents] for a in rec.basis])
+            (right,) = seen
+            assert right.T.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("imm", PAIRING_IMMERSIONS, ids=PAIRING_IDS)
+    def test_check_orthonormal_matches_reference(self, imm):
+        # the same verdicts and messages, and the Gram's coordinates are the basis'
+        for u in imm.grid(2):
+            n = unit_normal(imm, u)
+            e1, e2, e3 = flow_frame(n)
+            other = unit_normal(imm, -u if np.any(u) else u + 0.5)
+            cases = [
+                (e1, e2, e3),
+                (e1.scale(1.0 + 2e-8), e2, e3),
+                (e1.scale(1.0 + 5e-9), e2, e3),
+                ((e1 + n.scale(1e-4)).scale(1.0 / math.sqrt(1.0 + 1e-8)), e2, e3),
+                (e1, e2, e3.scale(-1.0)),
+                (e1, e2, other),
+            ]
+            for basis in cases:
+                assert outcome(hypersurface._check_orthonormal, basis, n) == outcome(
+                    reference_check_orthonormal, basis, n
+                )
+            coords = hypersurface._check_orthonormal((e1, e2, e3), n)
+            pair = hypersurface._product_pairing(imm.kappa1, imm.kappa2)
+            for a, x in zip((e1, e2, e3), coords):
+                for b, y in zip((e1, e2, e3, n), [*coords, *hypersurface._factor_coords((n,), n)]):
+                    assert np.float64(pair(x, y)).tobytes() == np.float64(product_metric(a, b)).tobytes()
+
+
+def differenced_jacobian(imm, u, k, l):
+    """d_k of the l-th jacobian column, a Richardson central difference of its raw coordinates."""
+
+    def column(v):
+        t = imm.jacobian(v)[l]
+        return np.concatenate((t.first.coords, t.second.coords))
+
+    step = np.eye(3)[k]
+    return hypersurface._richardson(lambda s: (column(u + s * step) - column(u - s * step)) / (2.0 * s))
+
+
+class TestClosedHessian:
+    @pytest.mark.parametrize("spec", gallery_specs(), ids=lambda spec: spec.label())
+    def test_matches_differenced_jacobian(self, spec):
+        # an oracle for the formulas that does not involve the normal; each
+        # mixed partial is compared with both orders of differentiation
+        imm = build_example(spec)
+        for u in imm.grid(3):
+            for (k, l), (first, second) in zip(hypersurface.HESSIAN_PAIRS, imm.hessian(u)):
+                closed = np.concatenate((first, second))
+                for i, j in ((k, l), (l, k)):
+                    assert np.max(np.abs(closed - differenced_jacobian(imm, u, i, j))) < 1e-8, (u, k, l)
+
+    @pytest.mark.parametrize("spec", gallery_specs(), ids=lambda spec: spec.label())
+    def test_shape_matches_difference_scheme(self, spec):
+        imm = build_example(spec)
+        differenced = replace(imm, hessian=None)
+        for u in imm.grid(3):
+            closed = frame_shape_at(imm, u)[2]
+            assert np.max(np.abs(closed.A - frame_shape_at(differenced, u)[2].A)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=-1, k=0.5),
+            ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=-1, kappa2=0, k=2.0),
+            ExampleSpec(family=FAMILY_PSI),
+        ],
+        ids=lambda spec: spec.label(),
+    )
+    def test_closed_shape_differences_no_chart_point(self, spec):
+        # the jacobian builds its own points, so the chart is called only for
+        # the differenced heights: 18 on the diagonal and 36 off it
+        imm = build_example(spec)
+        for hessian, expected in ((imm.hessian, 0), (None, 54)):
+            calls = []
+            shape_operator(replace(imm, chart=counting(imm.chart, calls), hessian=hessian), GRID[1])
+            assert len(calls) == expected
+
+
 class TestRicci:
     def test_zero_vector_gives_zero(self):
         imm = psi_immersion()
