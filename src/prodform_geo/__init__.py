@@ -9,8 +9,6 @@ from .spaceform import (
     ModelVector,
     complex_structure,
     exp_map,
-    geodesic_velocity,
-    lorentz_cross,
     metric,
     parallel_transport,
     stability_functions,

@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .spaceform import (
     ModelPoint,
     ModelVector,
-    _read,
+    _pairing,
     _require_same_base,
     _tangent_check,
-    _zero_pairing,
     complex_structure,
     exp_map,
-    form,
     metric,
     random_point,
     random_tangent,
@@ -76,6 +75,13 @@ def product_metric(x: ProductVector, y: ProductVector) -> float:
     return metric(x.first, y.first) + metric(x.second, y.second)
 
 
+def _product_pairing(kappa1: int, kappa2: int) -> Callable[[tuple, tuple], float]:
+    """The function that gives product_metric bit for bit on (first, second)
+    factor coordinates as Python floats."""
+    pair1, pair2 = _pairing(kappa1), _pairing(kappa2)
+    return lambda x, y: pair1(x[0], y[0]) + pair2(x[1], y[1])
+
+
 def product_structure(x: ProductVector) -> ProductVector:
     """P(X1, X2) = (X1, -X2); an involutive, metric-preserving symmetry."""
     return ProductVector(x.first, -x.second)
@@ -106,23 +112,27 @@ def curvature_tensor(x: ProductVector, y: ProductVector, z: ProductVector, w: Pr
         _require_same_base(u.second, v.second)
     k1 = x.first.kappa
     k2 = x.second.kappa
+    d1, d2 = x.first.coords.size, x.second.coords.size
 
-    def pairing(u: ProductVector, halves) -> float:
-        # product_metric(u, V) for V given by the halves of _sum_and_difference
-        (a, b), (c, d) = (u.first.coords, u.second.coords), halves
-        return (_zero_pairing(k1, _read(k1, a)) if c is None else form(k1, a, c)) + (
-            _zero_pairing(k2, _read(k2, b)) if d is None else form(k2, b, d)
+    def floats(first, second) -> tuple:
+        # factor coordinates as Python floats, a None half as zeros: paired
+        # with it, the form adds the signed zero that product_metric adds
+        return (
+            [0.0] * d1 if first is None else first.tolist(),
+            [0.0] * d2 if second is None else second.tolist(),
         )
 
-    pw_plus_w, pw_minus_w = _sum_and_difference(w)
-    pz_plus_z, pz_minus_z = _sum_and_difference(z)
+    pairing = _product_pairing(k1, k2)
+    xs, ys = floats(x.first.coords, x.second.coords), floats(y.first.coords, y.second.coords)
+    pw_plus_w, pw_minus_w = (floats(*h) for h in _sum_and_difference(w))
+    pz_plus_z, pz_minus_z = (floats(*h) for h in _sum_and_difference(z))
     term1 = (
-        pairing(x, pw_plus_w) * pairing(y, pz_plus_z)
-        - pairing(x, pz_plus_z) * pairing(y, pw_plus_w)
+        pairing(xs, pw_plus_w) * pairing(ys, pz_plus_z)
+        - pairing(xs, pz_plus_z) * pairing(ys, pw_plus_w)
     )
     term2 = (
-        pairing(x, pw_minus_w) * pairing(y, pz_minus_z)
-        - pairing(x, pz_minus_z) * pairing(y, pw_minus_w)
+        pairing(xs, pw_minus_w) * pairing(ys, pz_minus_z)
+        - pairing(xs, pz_minus_z) * pairing(ys, pw_minus_w)
     )
     return k1 / 4.0 * term1 + k2 / 4.0 * term2
 

@@ -21,15 +21,13 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .ambient import ProductPoint, ProductVector, product_metric, product_structure
+from .ambient import ProductPoint, ProductVector, _product_pairing, product_metric, product_structure
 from .spaceform import (
     DegeneratePointError,
     GeometryError,
     ModelVector,
     _pairing,
-    _read,
     _require_same_base,
-    _zero_pairing,
     tangent_frame,
     tangent_project,
 )
@@ -129,21 +127,14 @@ def _tangents(imm: Immersion, u: np.ndarray) -> tuple[tuple[ProductVector, Produ
 
 
 def _factor_coords(vectors: Sequence[ProductVector], at: ProductVector) -> list[tuple]:
-    """Each vector's (first, second) factor coordinates, read once through
-    ``_read``, after one same-base check of the vector against ``at``."""
-    k1, k2 = at.first.kappa, at.second.kappa
+    """Each vector's (first, second) factor coordinates as Python floats, read
+    once, after one same-base check of the vector against ``at``."""
     coords = []
     for v in vectors:
         _require_same_base(v.first, at.first)
         _require_same_base(v.second, at.second)
-        coords.append((_read(k1, v.first.coords), _read(k2, v.second.coords)))
+        coords.append((v.first.coords.tolist(), v.second.coords.tolist()))
     return coords
-
-
-def _product_pairing(kappa1: int, kappa2: int) -> Callable[[tuple, tuple], float]:
-    """The function that gives product_metric bit for bit on coordinates from ``_factor_coords``."""
-    pair1, pair2 = _pairing(kappa1), _pairing(kappa2)
-    return lambda x, y: pair1(x[0], y[0]) + pair2(x[1], y[1])
 
 
 def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> np.ndarray:
@@ -217,7 +208,10 @@ def unit_normal(
     and does not depend on the frame representative.  A ``hint`` vector at
     the same point overrides the sign to keep a family of normals coherent.
     A given ``basis`` must come from ``tangent_basis`` at u, whose rank check
-    then covers the normal too.
+    then covers the normal too.  Each of the 12 tangent components is a
+    product_metric pairing, taken on factor coordinates through the factor
+    forms ``_pairing``; a zero leg is paired as the form with zeros, so each
+    component is the product metric's bit for bit.
     """
     if basis is None:
         basis = tangent_basis(imm, u)
@@ -226,15 +220,14 @@ def unit_normal(
     a, ja = tangent_frame(p1)
     b, jb = tangent_frame(p2)
     # product_metric against the legs (a, 0), (Ja, 0), (0, b), (0, Jb) of the
-    # ambient frame, with each zero leg's term the signed zero it adds; each
-    # tangent's and each leg's coordinates are read once
+    # ambient frame; each tangent's and each leg's coordinates are read once
     pair1, pair2 = _pairing(k1), _pairing(k2)
-    legs1 = [_read(k1, e.coords) for e in (a, ja)]
-    legs2 = [_read(k2, e.coords) for e in (b, jb)]
+    legs1 = [e.coords.tolist() for e in (a, ja)]
+    legs2 = [e.coords.tolist() for e in (b, jb)]
     rows = []
     for t in basis:
-        x, y = _read(k1, t.first.coords), _read(k2, t.second.coords)
-        z1, z2 = _zero_pairing(k1, x), _zero_pairing(k2, y)
+        x, y = t.first.coords.tolist(), t.second.coords.tolist()
+        z1, z2 = pair1(x, [0.0] * len(x)), pair2(y, [0.0] * len(y))
         rows.append([pair1(x, e) + z2 for e in legs1] + [z1 + pair2(y, e) for e in legs2])
 
     # cofactor expansion: det(e1, e2, e3, n) = |n|^2 > 0 by construction
@@ -357,7 +350,7 @@ def _check_orthonormal(basis: Sequence[ProductVector], n: ProductVector) -> list
     gram = np.array([[pair(a, b) for b in coords] for a in coords])
     if float(np.max(np.abs(gram - np.eye(3)))) > ORTHONORMAL_TOL:
         raise GeometryError("supplied basis is not orthonormal within 1e-8")
-    normal = (_read(n.first.kappa, n.first.coords), _read(n.second.kappa, n.second.coords))
+    normal = (n.first.coords.tolist(), n.second.coords.tolist())
     if max(abs(pair(b, normal)) for b in coords) > ORTHONORMAL_TOL:
         raise GeometryError("supplied basis is not tangent within 1e-8")
     return coords
@@ -403,18 +396,17 @@ def shape_operator(
         basis = tuple(basis(n) if callable(basis) else basis)
         basis_coords = _check_orthonormal(basis, n)
 
-    k1, k2 = imm.kappa1, imm.kappa2
-    pair = _product_pairing(k1, k2)
+    pair = _product_pairing(imm.kappa1, imm.kappa2)
     tangent_coords = _factor_coords(tangents, n)
     gram = np.array([[pair(a, b) for b in tangent_coords] for a in basis_coords])
     # coeff[i] expresses basis[i] in the coordinate tangents
     coeff = np.linalg.solve(tangent_gram, gram.T).T
 
-    # form(kappa, x, N) against the normal's factor coordinates, read once
-    normal = (_read(k1, n.first.coords), _read(k2, n.second.coords))
+    # the factor forms against the normal's factor coordinates, read once
+    normal = (n.first.coords.tolist(), n.second.coords.tolist())
 
     def normal_part(first: np.ndarray, second: np.ndarray) -> float:
-        return pair((_read(k1, first), _read(k2, second)), normal)
+        return pair((first.tolist(), second.tolist()), normal)
 
     p = n.base
 

@@ -29,21 +29,12 @@ CONSTRAINT_TOL = 1e-8
 #: tangency defects at or below this (times the coordinate scale) are roundoff
 ROUNDOFF_TOL = 64.0 * float(np.finfo(float).eps)
 
-#: sphere defects summed in Python floats at or below this (times the scale)
-#: are accepted without the ambient form; see _tangent_check
-FILTER_TOL = 32.0 * float(np.finfo(float).eps)
-
-
 class GeometryError(ValueError):
     """Invalid or incompatible geometric inputs."""
 
 
 class DegeneratePointError(GeometryError):
     """An immersion loses rank at the requested parameter value."""
-
-
-def euclid_form(a, b) -> float:
-    return float(np.dot(a, b))
 
 
 def _floats(a) -> list[float]:
@@ -57,32 +48,32 @@ def _lorentz(a, b) -> float:
     return -a0 * b0 + a1 * b1 + a2 * b2
 
 
-def lorentz_form(a, b) -> float:
-    """Minkowski pairing -a1*b1 + a2*b2 + a3*b3 on raw triples."""
-    return _lorentz(_floats(a), _floats(b))
-
-
-def form(kappa: int, a, b) -> float:
-    """Ambient bilinear form of the embedding space for curvature ``kappa``."""
-    if kappa == -1:
-        return lorentz_form(a, b)
-    return euclid_form(a, b)
-
-
-def _read(kappa: int, coords: np.ndarray):
-    """Coordinates as ``_pairing`` and ``_zero_pairing`` take them: Python floats
-    for the Lorentz form, the array itself for np.dot."""
-    return coords.tolist() if kappa == -1 else coords
+def _euclid(a, b) -> float:
+    """Euclidean pairing a1*b1 + a2*b2 (+ a3*b3) on pairs or triples of Python floats."""
+    if len(a) == 2:
+        a0, a1 = a
+        b0, b1 = b
+        return a0 * b0 + a1 * b1
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a0 * b0 + a1 * b1 + a2 * b2
 
 
 def _pairing(kappa: int):
-    """The function that gives form(kappa, a, b) bit for bit on coordinates from ``_read``.
+    """The ambient form of the curvature-``kappa`` factor on coordinates as
+    Python floats (``ndarray.tolist()``): the Lorentz pairing for -1, the
+    Euclidean one for 0 and 1, each a sum of products taken left to right.
 
-    Code that pairs the same vectors many times reads each of them once.  The
-    Euclidean form stays on np.dot: for 2- and 3-vectors it rounds as a chain
-    of fused multiply-adds, which a sum of Python floats does not reproduce.
+    Every pairing of factor coordinates goes through it.  <p, p> = kappa on
+    the model space, so kappa <p, p> is each quadric; on the hyperboloid it
+    is x0*x0 - x1*x1 - x2*x2 summed left to right, up to the sign of a zero.
     """
-    return _lorentz if kappa == -1 else euclid_form
+    return _lorentz if kappa == -1 else _euclid
+
+
+def form(kappa: int, a, b) -> float:
+    """Ambient bilinear form of the embedding space for curvature ``kappa``, on raw coordinates."""
+    return _pairing(kappa)(_floats(a), _floats(b))
 
 
 def _cross(kappa: int, a, b) -> list[float]:
@@ -95,32 +86,14 @@ def _cross(kappa: int, a, b) -> list[float]:
     return [a2 * b1 - a1 * b2, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def lorentz_cross(a, b) -> np.ndarray:
-    """Lorentzian cross product of raw triples.
-
-    Returns (a3*b2 - a2*b3, a3*b1 - a1*b3, a1*b2 - a2*b1).
-    """
-    return np.array(_cross(-1, _floats(a), _floats(b)))
-
-
-def _quadric_value(kappa: int, coords: np.ndarray) -> float:
-    # positive on the relevant sheet for kappa = -1
-    if kappa == 1:
-        return float(np.dot(coords, coords))
-    return float(coords[0] ** 2 - coords[1] ** 2 - coords[2] ** 2)
-
-
 @dataclass(frozen=True, init=False)
 class ModelPoint:
     """Point of the curvature-``kappa`` model space in embedding coordinates.
 
-    Construction checks the point once, on its coordinates as Python floats.
-    The hyperboloid's quadric x0**2 - x1**2 - x2**2 rounds as numpy's scalar
-    powers do.  The sphere's is summed in Python floats and accepted within
-    half of ``CONSTRAINT_TOL``: two evaluations of a 3-term dot product
-    differ by at most 6 eps q (Higham 2002, 3.1), so np.dot accepts it too.
-    A point the float quadric does not accept is judged by ``_quadric_value``,
-    np.dot on the sphere, which also gives the value the error names.
+    Construction checks the point once, on its coordinates as Python floats:
+    the quadric is kappa <p, p>, through the factor form ``_pairing``.  A
+    coordinate too large to square makes it inf or NaN, which fails the
+    quadric check as any other violation does.
     """
 
     kappa: int
@@ -142,20 +115,11 @@ class ModelPoint:
             if not (math.isfinite(xs[0]) and math.isfinite(xs[1])):
                 raise GeometryError(f"flat point coordinates must be finite, got {xs}")
             return
+        q = kappa * _pairing(kappa)(xs, xs)
+        # written so that a non-finite coordinate, which makes q NaN or inf, fails too
+        if not abs(q - 1.0) <= CONSTRAINT_TOL:
+            raise GeometryError(f"coordinates violate the kappa={kappa} quadric: q={q!r}")
         x0, x1, x2 = xs
-        if kappa == 1:
-            accepted = abs(x0 * x0 + x1 * x1 + x2 * x2 - 1.0) <= 0.5 * CONSTRAINT_TOL
-        else:
-            try:
-                accepted = abs(x0**2 - x1**2 - x2**2 - 1.0) <= CONSTRAINT_TOL
-            except OverflowError:
-                # a float power raises where numpy's gives inf, with a warning
-                accepted = False
-        if not accepted:
-            q = _quadric_value(kappa, coords)
-            # written so that a non-finite coordinate, which makes q NaN or inf, fails too
-            if not abs(q - 1.0) <= CONSTRAINT_TOL:
-                raise GeometryError(f"coordinates violate the kappa={kappa} quadric: q={q!r}")
         if kappa == -1 and x0 <= 0:
             raise GeometryError("hyperboloid points must have positive first coordinate")
         # the coordinates as Python floats and max(1, max|x_i|), the point's
@@ -168,8 +132,9 @@ class ModelPoint:
 def _tangent_check(base: ModelPoint, coords) -> tuple[np.ndarray, bool]:
     """Tangent coordinates at ``base`` and whether they are the given ones.
 
-    Violations above ``CONSTRAINT_TOL`` are rejected, smaller ones above
-    ``ROUNDOFF_TOL`` are projected away.
+    The defect is <p, v> in the factor form ``_pairing``, on the point's and
+    the vector's Python floats.  Violations above ``CONSTRAINT_TOL`` are
+    rejected, smaller ones above ``ROUNDOFF_TOL`` are projected away.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.shape != base.coords.shape:
@@ -184,19 +149,7 @@ def _tangent_check(base: ModelPoint, coords) -> tuple[np.ndarray, bool]:
     # reduction would give, bit for bit
     x0, x1, x2 = xs
     scale = max(1.0, abs(x0), abs(x1), abs(x2)) * base._scale
-    if kappa == -1:
-        # lorentz_form(base.coords, coords), on the floats already at hand
-        t = _lorentz(base._xs, xs)
-    else:
-        p0, p1, p2 = base._xs
-        # A floating-point filter (Shewchuk 1997): two evaluations of a
-        # 3-term dot product differ by at most 2 gamma_3 sum|p_i x_i|
-        # <= 9 eps scale (Higham 2002, 3.1), so at or below FILTER_TOL
-        # the np.dot defect is below ROUNDOFF_TOL and the vector is
-        # accepted either way; every other case takes the np.dot defect.
-        t = p0 * x0 + p1 * x1 + p2 * x2
-        if not abs(t) <= FILTER_TOL * scale:
-            t = euclid_form(base.coords, coords)
+    t = _pairing(kappa)(base._xs, xs)
     if abs(t) > CONSTRAINT_TOL * scale:
         raise GeometryError(f"vector is not tangent at its base point (defect {t!r})")
     # defects at roundoff level are left alone so that negation,
@@ -272,15 +225,7 @@ def metric(u: ModelVector, v: ModelVector) -> float:
     (positive definite on tangent vectors of the hyperboloid).
     """
     _require_same_base(u, v)
-    return form(u.kappa, u.coords, v.coords)
-
-
-def _zero_pairing(kappa: int, x) -> float:
-    """form(kappa, x, 0) on coordinates from ``_read``: +0.0 from np.dot, and the
-    Lorentz pairing's own signed zero."""
-    if kappa != -1:
-        return 0.0
-    return _lorentz(x, (0.0, 0.0, 0.0))
+    return _pairing(u.kappa)(u.coords.tolist(), v.coords.tolist())
 
 
 def zero_vector(p: ModelPoint) -> ModelVector:
@@ -311,7 +256,8 @@ def complex_structure(v: ModelVector) -> ModelVector:
 def _renormalized(kappa: int, coords: np.ndarray) -> np.ndarray:
     if kappa == 0:
         return coords
-    return coords / math.sqrt(_quadric_value(kappa, coords))
+    xs = coords.tolist()
+    return coords / math.sqrt(kappa * _pairing(kappa)(xs, xs))
 
 
 def stability_functions(delta: float, l: float) -> tuple[float, float]:
@@ -339,7 +285,7 @@ def _geodesic(p: ModelPoint, v: ModelVector, l: float, velocity: bool = False):
     the quadric to suppress drift in long flows.
     """
     _require_vector_at(p, v)
-    x = _read(p.kappa, v.coords)
+    x = v.coords.tolist()
     vv = max(_pairing(p.kappa)(x, x), 0.0)
     if vv == 0.0:
         return p, v.coords.copy()
@@ -371,18 +317,13 @@ def geodesic_transport(
         _require_vector_at(p, w)
     q, velocity = _geodesic(p, v, l, velocity=True)
     pair = _pairing(p.kappa)
-    x = _read(p.kappa, v.coords)
+    x = v.coords.tolist()
     vv = pair(x, x)
     moved = []
     for w in ws:
-        beta = pair(_read(p.kappa, w.coords), x) / vv if vv > 0.0 else 0.0
+        beta = pair(w.coords.tolist(), x) / vv if vv > 0.0 else 0.0
         moved.append(ModelVector(q, beta * velocity + (w.coords - beta * v.coords)))
     return tuple(moved), ModelVector(q, velocity)
-
-
-def geodesic_velocity(p: ModelPoint, v: ModelVector, l: float) -> ModelVector:
-    """Velocity of the geodesic at parameter ``l``; same norm as v for all l."""
-    return geodesic_transport(p, v, l)[1]
 
 
 def parallel_transport(p: ModelPoint, v: ModelVector, l: float, w: ModelVector) -> ModelVector:

@@ -20,7 +20,7 @@ from prodform_geo.spaceform import (
     GeometryError,
     ModelPoint,
     ModelVector,
-    geodesic_velocity,
+    geodesic_transport,
     parallel_transport,
     random_tangent,
     zero_vector,
@@ -283,8 +283,8 @@ def test_curvature_tensor_builds_vectors_only_for_an_unsettled_second_factor(mon
 def product_velocity(p: ProductPoint, x: ProductVector, l: float) -> ProductVector:
     """Velocity of the product geodesic at parameter ``l``."""
     return ProductVector(
-        geodesic_velocity(p.first, x.first, l),
-        geodesic_velocity(p.second, x.second, l),
+        geodesic_transport(p.first, x.first, l)[1],
+        geodesic_transport(p.second, x.second, l)[1],
     )
 
 

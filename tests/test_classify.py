@@ -31,7 +31,6 @@ from prodform_geo.spaceform import (
     ModelVector,
     complex_structure,
     form,
-    lorentz_form,
     zero_vector,
 )
 
@@ -291,13 +290,13 @@ class TestHorocycle:
     def test_on_hyperboloid_for_all_parameters(self):
         for r in np.linspace(-3, 3, 25):
             g, _ = horocycle_with_normal(r)
-            assert abs(lorentz_form(g, g) + 1.0) < 1e-12
+            assert abs(form(-1, g, g) + 1.0) < 1e-12
 
     def test_normal_is_unit_and_orthogonal(self):
         for r in np.linspace(-3, 3, 25):
             g, n = horocycle_with_normal(r)
-            assert abs(lorentz_form(g, n)) < 1e-12
-            assert abs(lorentz_form(n, n) - 1.0) < 1e-12
+            assert abs(form(-1, g, n)) < 1e-12
+            assert abs(form(-1, n, n) - 1.0) < 1e-12
 
 
 class TestBuildExample:
@@ -370,7 +369,7 @@ class TestBuildExample:
         imm = build_example(ExampleSpec(family=FAMILY_PSI, c=0.7))
         for u in imm.grid(3):
             p = imm.chart(u)
-            assert abs(lorentz_form(p.first.coords, p.first.coords) + 1.0) < 1e-12
+            assert abs(form(-1, p.first.coords, p.first.coords) + 1.0) < 1e-12
 
 
 def reference_psi(u, c):

@@ -7,17 +7,15 @@ import pytest
 
 from prodform_geo import spaceform
 from prodform_geo.spaceform import (
-    FILTER_TOL,
     ROUNDOFF_TOL,
     GeometryError,
     ModelPoint,
     ModelVector,
+    _cross,
     complex_structure,
     exp_map,
     form,
-    geodesic_velocity,
-    lorentz_cross,
-    lorentz_form,
+    geodesic_transport,
     metric,
     parallel_transport,
     random_point,
@@ -54,7 +52,7 @@ class TestMetric:
 
     def test_raw_lorentz_form(self):
         # not tangent vectors; exercises the bilinear form itself
-        assert lorentz_form([1, 1, 0], [1, 0, 0]) == -1.0
+        assert form(-1, [1, 1, 0], [1, 0, 0]) == -1.0
 
     def test_mismatched_base_points_rejected(self):
         p = sphere_point(1, 0, 0)
@@ -73,16 +71,16 @@ class TestMetric:
 
 class TestLorentzCross:
     def test_printed_formula(self):
-        assert np.array_equal(lorentz_cross([1, 0, 0], [0, 1, 0]), [0.0, 0.0, 1.0])
+        assert _cross(-1, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) == [0.0, 0.0, 1.0]
 
     def test_self_cross_vanishes(self):
         rng = np.random.default_rng(0)
-        a = rng.normal(size=3)
-        assert np.array_equal(lorentz_cross(a, a), np.zeros(3))
+        a = rng.normal(size=3).tolist()
+        assert _cross(-1, a, a) == [0.0, 0.0, 0.0]
 
     def test_second_substitution(self):
         # direct substitution: (a3 b2 - a2 b3, a3 b1 - a1 b3, a1 b2 - a2 b1)
-        assert np.array_equal(lorentz_cross([0, 1, 0], [0, 0, 1]), [-1.0, 0.0, 0.0])
+        assert _cross(-1, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]) == [-1.0, 0.0, 0.0]
 
 
 class TestComplexStructure:
@@ -159,7 +157,7 @@ class TestExpMap:
         v = v.scale(0.8 / v.norm())  # the flow operates on near-unit normals
         n0 = metric(v, v)
         for l in (0.0, 0.4, 1.2, -1.5):
-            w = geodesic_velocity(p, v, l)
+            w = geodesic_transport(p, v, l)[1]
             assert abs(metric(w, w) - n0) < 1e-12 * max(1.0, n0)
 
     @pytest.mark.parametrize("kappa", [-1, 0, 1])
@@ -170,7 +168,7 @@ class TestExpMap:
             v = scaled_tangent(p, rng, 0.6)
             s, t = rng.uniform(-1.5, 1.5, size=2)
             mid = exp_map(p, v, s)
-            w = geodesic_velocity(p, v, s)
+            w = geodesic_transport(p, v, s)[1]
             two_step = exp_map(mid, w, t)
             one_step = exp_map(p, v, s + t)
             assert np.max(np.abs(two_step.coords - one_step.coords)) < 1e-10
@@ -181,13 +179,13 @@ class TestGeodesicVelocity:
         p = ModelPoint(0, [0.0, 0.0])
         v = ModelVector(p, [2.0, -1.0])
         for l in (0.0, 1.0, 3.5):
-            assert np.array_equal(geodesic_velocity(p, v, l).coords, [2.0, -1.0])
+            assert np.array_equal(geodesic_transport(p, v, l)[1].coords, [2.0, -1.0])
 
     def test_great_circle_derivative(self):
         p = sphere_point(1, 0, 0)
         v = ModelVector(p, [0.0, 1.0, 0.0])
         assert np.allclose(
-            geodesic_velocity(p, v, math.pi / 2).coords, [-1.0, 0.0, 0.0], atol=1e-15
+            geodesic_transport(p, v, math.pi / 2)[1].coords, [-1.0, 0.0, 0.0], atol=1e-15
         )
 
     def test_hyperboloid_derivative(self):
@@ -195,7 +193,7 @@ class TestGeodesicVelocity:
         v = ModelVector(p, [0.0, 1.0, 0.0])
         t = 0.9
         assert np.allclose(
-            geodesic_velocity(p, v, t).coords, [math.sinh(t), math.cosh(t), 0.0], atol=1e-13
+            geodesic_transport(p, v, t)[1].coords, [math.sinh(t), math.cosh(t), 0.0], atol=1e-13
         )
 
 
@@ -222,7 +220,7 @@ class TestParallelTransport:
         v = scaled_tangent(p, rng, 0.5)
         l = 1.3
         moved = parallel_transport(p, v, l, v)
-        assert np.max(np.abs(moved.coords - geodesic_velocity(p, v, l).coords)) < 1e-12
+        assert np.max(np.abs(moved.coords - geodesic_transport(p, v, l)[1].coords)) < 1e-12
 
 
 class TestGeodesicOverflow:
@@ -232,10 +230,10 @@ class TestGeodesicOverflow:
         "run",
         [
             lambda p, v: exp_map(p, v, 1000.0),
-            lambda p, v: geodesic_velocity(p, v, 1000.0),
+            lambda p, v: geodesic_transport(p, v, 1000.0),
             lambda p, v: parallel_transport(p, v, 1000.0, v),
         ],
-        ids=["exp_map", "geodesic_velocity", "parallel_transport"],
+        ids=["exp_map", "geodesic_transport", "parallel_transport"],
     )
     def test_hyperboloid_overflow_is_a_geometry_error(self, run):
         p = hyper_point(1, 0, 0)
@@ -311,10 +309,11 @@ class TestConstraintEnforcement:
             assert abs(metric(a, b)) < 1e-12
 
 
-# The expressions ModelVector, lorentz_form and lorentz_cross evaluated with
-# numpy reductions and numpy scalars before they moved to Python floats.  Every
-# decision and every coordinate of the float versions must match them bit for
-# bit.
+# The expressions ModelVector, the Lorentz form and the Lorentz cross product
+# evaluated with numpy reductions and numpy scalars before they moved to Python
+# floats.  The Euclidean form is written out as its products summed left to
+# right, as the factor form sums them, no longer as np.dot.  Every decision and
+# every coordinate of the float versions must match them bit for bit.
 
 REFERENCE_ROUNDOFF = 64.0 * np.finfo(float).eps
 
@@ -324,7 +323,10 @@ def reference_form(kappa, a, b):
     b = np.asarray(b, dtype=float)
     if kappa == -1:
         return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-    return float(np.dot(a, b))
+    total = a[0] * b[0]
+    for i in range(1, a.size):
+        total = total + a[i] * b[i]
+    return float(total)
 
 
 def reference_cross(a, b):
@@ -374,7 +376,6 @@ def defect_candidates(p, rng):
             continue
         scale = max(1.0, float(np.max(np.abs(w)))) * max(1.0, float(np.max(np.abs(p.coords))))
         for threshold in (REFERENCE_ROUNDOFF, 1e-8):
-            # 0.45 to 0.55 of the roundoff threshold straddle FILTER_TOL
             for factor in (0.45, 0.5, 0.55, 0.99, 1.01, 2.0):
                 # <p, p> = kappa, so w + d p has defect kappa d
                 out.append(w + factor * threshold * scale * p.coords)
@@ -403,7 +404,7 @@ class TestFloatValidationEquivalence:
         for _ in range(200):
             a, b = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3)
             assert form(kappa, a, b) == reference_form(kappa, a, b)
-            assert np.array_equal(lorentz_cross(a, b), reference_cross(a, b))
+            assert np.array_equal(_cross(-1, a.tolist(), b.tolist()), reference_cross(a, b))
 
     def test_sphere_complex_structure_is_numpy_cross(self):
         rng = np.random.default_rng(78)
@@ -412,53 +413,6 @@ class TestFloatValidationEquivalence:
             v = scaled_tangent(p, rng, 10.0 ** rng.uniform(-3, 3))
             want = ModelVector(p, np.cross(p.coords, v.coords))
             assert np.array_equal(complex_structure(v).coords, want.coords)
-
-
-class TestSphereTangencyFilter:
-    """ModelVector takes a sphere defect in Python floats first and recomputes
-    it with np.dot only above FILTER_TOL; the bound below makes that safe."""
-
-    EPS = float(np.finfo(float).eps)
-
-    def test_summation_orders_agree_within_the_bound(self):
-        # any two evaluations of a 3-term dot product differ by at most
-        # 2 gamma_3 sum|a_i b_i| (Higham 2002, 3.1), below 9 eps sum|a_i b_i|
-        rng = np.random.default_rng(80)
-        pairs = [rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, 1)) for _ in range(500)]
-        for _ in range(500):
-            # heavy cancellation: b is a projected onto the plane orthogonal to a
-            a, c = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, 1))
-            pairs.append((a, c - (a @ c) / (a @ a) * a))
-        for a, b in pairs:
-            a0, a1, a2 = a.tolist()
-            b0, b1, b2 = b.tolist()
-            fast = a0 * b0 + a1 * b1 + a2 * b2
-            bound = 9.0 * self.EPS * float(np.sum(np.abs(a * b)))
-            assert abs(fast - float(np.dot(a, b))) <= bound
-        # sum|p_i v_i| <= 3 scale, so even this bound keeps np.dot's defect
-        # below ROUNDOFF_TOL wherever the Python sum is within FILTER_TOL
-        assert FILTER_TOL + 3.0 * 9.0 * self.EPS < ROUNDOFF_TOL
-
-    def test_only_defects_above_the_filter_reach_the_ambient_form(self, monkeypatch):
-        rng = np.random.default_rng(81)
-        points = [random_point(1, rng) for _ in range(200)]
-        clean = [scaled_tangent(p, rng, 10.0 ** rng.uniform(-3, 3)).coords for p in points]
-        calls = []
-        original = spaceform.euclid_form
-
-        def counting(a, b):
-            calls.append((a, b))
-            return original(a, b)
-
-        monkeypatch.setattr(spaceform, "euclid_form", counting)
-        for p, w in zip(points, clean):
-            assert np.array_equal(ModelVector(p, w).coords, w)
-        assert calls == []
-        for p, w in zip(points, clean):
-            scale = max(1.0, float(np.max(np.abs(w)))) * max(1.0, float(np.max(np.abs(p.coords))))
-            defective = w + 2.0 * ROUNDOFF_TOL * scale * p.coords
-            assert not np.array_equal(ModelVector(p, defective).coords, defective)
-        assert len(calls) == len(points)
 
 
 def negation_candidates(p, rng):
@@ -525,7 +479,7 @@ class TestSettledNegation:
             w = scaled_tangent(p, rng, 10.0 ** rng.uniform(-3, 3)).coords
             scale = max(1.0, float(np.max(np.abs(w)))) * max(1.0, float(np.max(np.abs(p.coords))))
             t = form(kappa, p.coords, w)
-            # defects just under ROUNDOFF_TOL, and on both sides of FILTER_TOL
+            # defects just under ROUNDOFF_TOL
             for factor in (0.3, 0.45, 0.55, 0.9):
                 # <p, p> = kappa, so w + d p has defect t + kappa d
                 coords = w + kappa * (factor * ROUNDOFF_TOL * scale - t) * p.coords
@@ -542,24 +496,12 @@ class TestSettledNegation:
             assert repr(u) == f"ModelVector(base={p!r}, coords={u.coords!r})"
 
 
-@pytest.mark.parametrize("kappa", [-1, 0, 1])
-def test_zero_pairing_is_the_form_with_zero(kappa):
-    rng = np.random.default_rng(99)
-    dim = 2 if kappa == 0 else 3
-    rows = [-np.arange(1.0, dim + 1.0), np.full(dim, -0.0), np.full(dim, 0.0)]
-    rows += [rng.normal(size=dim) for _ in range(20)] + [-np.abs(rng.normal(size=dim)) for _ in range(20)]
-    for x in rows:
-        want = form(kappa, x, np.zeros(dim))
-        got = spaceform._zero_pairing(kappa, spaceform._read(kappa, x))
-        assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
-        if kappa != -1:
-            # np.dot of all-negative coordinates with zeros is +0.0, not -0.0
-            assert math.copysign(1.0, got) == 1.0
-
-
 # ModelPoint's checks as a __post_init__ on numpy arrays and scalars, before
-# they ran once on the point's Python floats.  Every verdict, message and
-# attribute of the float version must match it.
+# they ran once on the point's Python floats.  The quadric is written out as
+# kappa <p, p> with the products summed left to right on Python floats, as the
+# factor form sums them, no longer as np.dot (sphere) or numpy's scalar powers
+# (hyperboloid).  Every verdict, message and attribute of the float version
+# must match it.
 
 
 def reference_point(kappa, coords):
@@ -578,10 +520,12 @@ def reference_point(kappa, coords):
         if not (math.isfinite(coords[0]) and math.isfinite(coords[1])):
             raise GeometryError(f"flat point coordinates must be finite, got {coords.tolist()}")
         return self
+    c0, c1, c2 = coords.tolist()
     if self.kappa == 1:
-        q = float(np.dot(coords, coords))
+        q = c0 * c0 + c1 * c1 + c2 * c2
     else:
-        q = float(coords[0] ** 2 - coords[1] ** 2 - coords[2] ** 2)
+        # x0*x0 - x1*x1 - x2*x2 up to the sign of a zero
+        q = -(-c0 * c0 + c1 * c1 + c2 * c2)
     if not abs(q - 1.0) <= spaceform.CONSTRAINT_TOL:
         raise GeometryError(f"coordinates violate the kappa={self.kappa} quadric: q={q!r}")
     if self.kappa == -1 and coords[0] <= 0:
@@ -708,30 +652,48 @@ class TestPointChecksMatchReference:
             assert_same_point(1, on_sphere_with_quadric(rng.normal(size=3), q))
             assert_same_point(-1, on_hyperboloid_with_quadric(rng.normal(size=2), q))
 
-    def test_sphere_points_straddling_the_filter_bound(self):
+    def test_sphere_points_straddling_half_the_constraint(self):
         for coords in straddling_sphere_points(0.5 * self.TOL):
             assert_same_point(1, coords)
             # within CONSTRAINT_TOL by either sum, so accepted
             ModelPoint(1, coords)
 
-    def test_sphere_points_straddling_the_constraint_take_the_np_dot_verdict(self):
-        verdicts = set()
-        for coords in straddling_sphere_points(self.TOL):
-            assert_same_point(1, coords)
-            verdicts.add(outcome(lambda: ModelPoint(1, coords))[0])
-        assert verdicts == {"ok", GeometryError}
-
     @pytest.mark.parametrize(
         "coords",
         [
-            # x0**2 - x1**2 - x2**2 is just below 1 + 1e-8, x0*x0 - x1*x1 - x2*x2 just above it
+            # numpy's x0**2 - x1**2 - x2**2 is just below 1 + 1e-8, the float sum just above it
             [36.076694163313825, 18.276407873645326, 31.088595609635327],
             # and the other way round
             [3.313081794749694, 2.9886075242841557, -1.0221232971094942],
         ],
     )
-    def test_hyperboloid_quadric_rounds_as_numpy_powers(self, coords):
+    def test_hyperboloid_quadric_near_the_constraint(self, coords):
         assert_same_point(-1, coords)
+
+    @pytest.mark.parametrize(
+        "kappa, coords, q",
+        [
+            # too large to square: the quadric is inf or NaN, with no numpy warning
+            (1, [1e200, 0.0, 0.0], "inf"),
+            (-1, [1e200, 0.0, 0.0], "inf"),
+            (-1, [1e200, 1e200, 0.0], "nan"),
+            (-1, [math.inf, math.inf, 0.0], "nan"),
+            # sphere points on either side of 1 + 1e-8 by the float sum,
+            # found where np.dot put them on the other side
+            (1, [0.3456726009065299, 0.9340102445763498, 0.09019604209133655], None),
+            (1, [-0.5107937461838787, 0.8528742771826341, 0.10814446902009696], "1.0000000100000002"),
+            # hyperboloid points on either side of 1 + 1e-8 by the float sum
+            # and on the other side by numpy's powers
+            (-1, [36.076694163313825, 18.276407873645326, 31.088595609635327], "1.000000010000008"),
+            (-1, [3.313081794749694, 2.9886075242841557, -1.0221232971094942], None),
+        ],
+    )
+    def test_float_form_verdicts(self, kappa, coords, q):
+        got = outcome(lambda: ModelPoint(kappa, coords))
+        if q is None:
+            assert got[0] == "ok"
+        else:
+            assert got == (GeometryError, f"coordinates violate the kappa={kappa} quadric: q={q}")
 
     @pytest.mark.parametrize("kappa", [-1, 0, 1])
     def test_random_points(self, kappa):
