@@ -245,10 +245,15 @@ def unit_normal(
 
 
 def angle_of_normal(n: ProductVector) -> tuple[float, ProductVector]:
-    """Product angle C = <PN, N> and the tangent part V = PN - C N."""
-    pn = product_structure(n)
-    c = product_metric(pn, n) / product_metric(n, n)
-    return c, pn - n.scale(c)
+    """Product angle C = <PN, N> and the tangent part V = PN - C N.
+
+    Both pairings are product_metric's bit for bit, on n's factor
+    coordinates read once; P negates the second factor's.
+    """
+    pair = _product_pairing(n.first.kappa, n.second.kappa)
+    x = (n.first.coords.tolist(), n.second.coords.tolist())
+    c = pair((x[0], [-v for v in x[1]]), x) / pair(x, x)
+    return c, product_structure(n) - n.scale(c)
 
 
 def gram_schmidt(vectors: Sequence[ProductVector]) -> tuple[ProductVector, ...]:
@@ -376,7 +381,9 @@ def shape_operator(
     Hessian at u of the height v -> <f(v) - f(u), N>, differenced at 54
     points around u, and evaluates each chart point once per call: without
     a jacobian, the tangent differences and the Hessian's diagonal read the
-    same points u +- s e_k, 55 points in all.
+    same points u +- s e_k, 55 points in all.  The gallery judges the
+    negative control by its angle alone and takes only its unit normals, so
+    the control reaches this path from the tests, not from the CLI.
     """
     u = np.asarray(u, dtype=float)
     points: dict[bytes, ProductPoint] = {}
@@ -446,16 +453,21 @@ def ricci(x: ProductVector, rec: ShapeRecord) -> float:
 
     Combines the two curvature blocks of the ambient product with the mean
     curvature and shape operator terms; X must be tangent to the hypersurface
-    and is expanded in the record's basis for the A-action.
+    and is expanded in the record's basis for the A-action.  Each pairing is
+    product_metric's bit for bit, on factor coordinates read once after one
+    same-base check of X and of each basis vector against the normal.
     """
     k1, k2, c = rec.kappa1, rec.kappa2, rec.C
     n = rec.normal
-    px = product_structure(x)
-    xx = product_metric(x, x)
-    xpx = product_metric(x, px)
-    pxn = product_metric(px, n)
+    pair = _product_pairing(k1, k2)
+    xs, *basis = _factor_coords([x, *rec.basis], n)
+    normal = (n.first.coords.tolist(), n.second.coords.tolist())
+    pxs = (xs[0], [-v for v in xs[1]])
+    xx = pair(xs, xs)
+    xpx = pair(xs, pxs)
+    pxn = pair(pxs, normal)
     t1 = k1 / 4.0 * ((1.0 - c) * xx + (1.0 - c) * xpx + pxn**2)
     t2 = k2 / 4.0 * ((1.0 + c) * xx - (1.0 + c) * xpx + pxn**2)
-    comps = np.array([product_metric(x, e) for e in rec.basis])
+    comps = np.array([pair(xs, e) for e in basis])
     ax = rec.A @ comps
     return t1 + t2 + rec.H * float(comps @ ax) - float(ax @ ax)

@@ -8,7 +8,8 @@ def default_gallery():
     """One ``gallery`` run at default settings, shared by the whole session.
 
     Returns the run's report and every ``IsoparametricReport`` it made, by
-    immersion name (the 25 gallery examples and the negative control).
+    immersion name: the 25 gallery examples.  The negative control makes
+    none, since the gallery reads only its unit normals.
     """
     reports = {}
     original = cli.isoparametric_report

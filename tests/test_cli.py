@@ -18,7 +18,16 @@ from prodform_geo.ambient import (
     random_product_point,
     random_product_tangent,
 )
-from prodform_geo.classify import CaseId, ConstancyPolynomial, gallery_specs
+from prodform_geo.classify import (
+    PERTURBED_AMPLITUDE,
+    CaseId,
+    ConstancyPolynomial,
+    StatSummary,
+    build_perturbed_psi,
+    gallery_specs,
+    isoparametric_report,
+)
+from prodform_geo.hypersurface import angle_of_normal, unit_normal
 from prodform_geo.spaceform import GeometryError
 from prodform_geo.cli import (
     CASES,
@@ -181,19 +190,43 @@ class TestCommands:
         assert report.all_passed
 
     def test_gallery_builds_one_shape_operator_per_point(self, monkeypatch):
-        calls = 0
-        original = jacobi.shape_operator
+        # the negative control is judged by its angle alone, so it takes one
+        # unit normal per point and no shape operator
+        shapes, normals = [], []
 
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(*args, **kwargs)
+        def counted(fn, names):
+            def wrapper(imm, *args, **kwargs):
+                names.append(imm.name)
+                return fn(imm, *args, **kwargs)
 
-        # every module-level name the gallery could call it by
-        monkeypatch.setattr(jacobi, "shape_operator", counted)
-        monkeypatch.setattr(cli, "shape_operator", counted)
+            return wrapper
+
+        # every module-level name the gallery could call them by
+        monkeypatch.setattr(jacobi, "shape_operator", counted(jacobi.shape_operator, shapes))
+        monkeypatch.setattr(cli, "shape_operator", counted(cli.shape_operator, shapes))
+        monkeypatch.setattr(cli, "unit_normal", counted(cli.unit_normal, normals))
         run(make_config(command="gallery", family="psi", grid=2))
-        assert calls == 2**3 + 5**3  # psi's grid and the negative control's
+        assert shapes == ["psi(c=0.25)"] * 2**3
+        assert normals == ["psi-perturbed(c=0.25)"] * 5**3
+
+    @pytest.mark.parametrize(
+        "c, control_c", [(0.25, 0.25), (0.9999999, 1.0 / (1.0 + PERTURBED_AMPLITUDE))], ids=["default", "capped"]
+    )
+    def test_control_angle_matches_its_isoparametric_report_bitwise(self, c, control_c):
+        # the control's former path, its whole isoparametric report, kept as the reference
+        imm = build_perturbed_psi(control_c)
+        grid = imm.grid(cli.CONTROL_GRID)
+        ref = isoparametric_report(imm, grid, l_samples=RunConfig(command="gallery").l_values)
+        values = [angle_of_normal(unit_normal(imm, u))[0] for u in grid]
+        assert np.array(values).tobytes() == np.array([rec.C for rec in ref.records]).tobytes()
+        got = StatSummary.of(values)
+        assert got.mean == ref.angle.mean and got.max_dev == ref.angle.max_dev
+
+        report = run(make_config(command="gallery", family="psi", c=c, grid=2))
+        control = next(check for check in report.checks if check.name == "psi_negative_control_fails")
+        assert control.samples == ref.grid_points == 5**3
+        assert control.max_abs_err == control.max_rel_err == ref.angle.max_dev
+        assert control.passed
 
     def test_flow_produces_rows(self):
         report = run(

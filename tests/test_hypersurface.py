@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 from prodform_geo import hypersurface, jacobi
-from prodform_geo.ambient import ProductPoint, ProductVector, product_metric, random_product_point
+from prodform_geo.ambient import (
+    ProductPoint,
+    ProductVector,
+    product_metric,
+    product_structure,
+    random_product_point,
+    random_product_tangent,
+)
 from prodform_geo.classify import (
     ExampleSpec,
     FAMILY_CURVE_X_FACTOR,
@@ -658,6 +666,84 @@ class TestClosedHessian:
             assert len(calls) == expected
 
 
+def reference_angle_of_normal(n):
+    """``angle_of_normal`` on product_metric, kept as the bitwise reference."""
+    pn = product_structure(n)
+    c = product_metric(pn, n) / product_metric(n, n)
+    return c, pn - n.scale(c)
+
+
+def reference_ricci(x, rec):
+    """``ricci`` on product_metric, kept as the bitwise reference."""
+    k1, k2, c = rec.kappa1, rec.kappa2, rec.C
+    n = rec.normal
+    px = product_structure(x)
+    xx = product_metric(x, x)
+    xpx = product_metric(x, px)
+    pxn = product_metric(px, n)
+    t1 = k1 / 4.0 * ((1.0 - c) * xx + (1.0 - c) * xpx + pxn**2)
+    t2 = k2 / 4.0 * ((1.0 + c) * xx - (1.0 + c) * xpx + pxn**2)
+    comps = np.array([product_metric(x, e) for e in rec.basis])
+    ax = rec.A @ comps
+    return t1 + t2 + rec.H * float(comps @ ax) - float(ax @ ax)
+
+
+def same_float(a, b):
+    """Equal down to the sign of a zero."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@functools.cache
+def gallery_records():
+    """The flow-frame shape record of every point of grid(2), for the 25
+    gallery examples and the negative control."""
+    immersions = [build_example(spec) for spec in gallery_specs()] + [build_perturbed_psi()]
+    return [frame_shape_at(imm, u)[2] for imm in immersions for u in imm.grid(2)]
+
+
+def random_records(kappas, seed):
+    """Records with random normals, bases, shapes and angles at random product
+    points: ricci and angle_of_normal read no more of a record than these fields."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        p = random_product_point(*kappas, rng)
+        n, *basis = (random_product_tangent(p, rng) for _ in range(4))
+        a = rng.uniform(-2.0, 2.0, size=(3, 3))
+        yield ShapeRecord(
+            A=a + a.T, basis=tuple(basis), normal=n, kappa1=kappas[0], kappa2=kappas[1], C=rng.uniform(-1.0, 1.0)
+        ), random_product_tangent(p, rng)
+
+
+class TestFactorCoordinateRicciAndAngle:
+    def test_gallery_records_match_product_metric_bitwise(self):
+        records = gallery_records()
+        assert len(records) == (len(gallery_specs()) + 1) * 2**3
+        for rec in records:
+            c, v = angle_of_normal(rec.normal)
+            c_ref, v_ref = reference_angle_of_normal(rec.normal)
+            assert same_float(c, c_ref) and same_float(rec.C, c_ref)
+            assert_same_bits(v, v_ref)
+            for e in rec.basis:
+                assert same_float(ricci(e, rec), reference_ricci(e, rec))
+
+    @pytest.mark.parametrize("kappas", [(1, -1), (1, 0), (-1, 0)])
+    def test_random_tangents_match_product_metric_bitwise(self, kappas):
+        for rec, x in random_records(kappas, seed=11):
+            for y in (x, -x, x.scale(0.0), *rec.basis):
+                assert same_float(ricci(y, rec), reference_ricci(y, rec))
+            c, v = angle_of_normal(x)
+            c_ref, v_ref = reference_angle_of_normal(x)
+            assert same_float(c, c_ref)
+            assert_same_bits(v, v_ref)
+
+    def test_vector_at_a_foreign_base_point_is_rejected(self):
+        rec, other = gallery_records()[:2]
+        for x in (other.basis[0], other.normal):
+            for fn in (ricci, reference_ricci):
+                with pytest.raises(GeometryError, match="different base points"):
+                    fn(x, rec)
+
+
 class TestRicci:
     def test_zero_vector_gives_zero(self):
         imm = psi_immersion()
@@ -698,8 +784,6 @@ class TestRicci:
         rng = np.random.default_rng(4)
         w = rng.normal(size=3)
         x = basis[0].scale(w[0]) + basis[1].scale(w[1]) + basis[2].scale(w[2])
-
-        from prodform_geo.ambient import product_structure
 
         px = product_structure(x)
         xx = product_metric(x, x)
