@@ -27,6 +27,7 @@ from .jacobi import (
     formula_orders,
     frame_shape_at,
     horner,
+    normal_graph,
 )
 from .spaceform import KAPPAS, GeometryError, ModelPoint, ModelVector, stability_functions, tangent_frame, zero_vector
 
@@ -496,11 +497,6 @@ def _ruled(t: float, r: float, s: float, c: float) -> tuple[ProductPoint, list[f
     return point, g, n, ch, sh
 
 
-def _ruled_point(t: float, r: float, s: float, c: float) -> ProductPoint:
-    """The ruled example at strip constant c: the horocycle flowed t sqrt(c), times (s, t sqrt(1 - c))."""
-    return _ruled(t, r, s, c)[0]
-
-
 def _build_psi(spec: ExampleSpec) -> Immersion:
     c = spec.c
     sc = math.sqrt(c)
@@ -539,35 +535,30 @@ def _build_psi(spec: ExampleSpec) -> Immersion:
     return Immersion(
         kappa1=-1,
         kappa2=0,
-        chart=lambda u: _ruled_point(*u.tolist(), c),
+        chart=lambda u: _ruled(*u.tolist(), c)[0],
         jacobian=jacobian,
         hessian=hessian,
         name=spec.label(),
     )
 
 
-#: relative size of the strip-constant perturbation in the negative control
-PERTURBED_AMPLITUDE = 0.1
+#: the normal distance of the negative control is CONTROL_AMPLITUDE sin(u1 + 2 u2 - u3)
+CONTROL_AMPLITUDE = 0.1
 
 
-def build_perturbed_psi(c: float = 0.25) -> Immersion:
-    """Negative control: the ruled example with c replaced by c(1 + a sin r).
+def build_control(imm: Immersion) -> Immersion:
+    """Negative control: the normal graph of ``imm`` at a distance that varies.
 
-    Still lands on the product manifold but is not isoparametric; its angle
-    function visibly varies over any grid.
+    A parallel hypersurface keeps the angle C of its base, and an
+    isoparametric one has C constant; moving the points by different
+    distances makes C vary, so the control is not isoparametric.
     """
 
-    def chart(u: np.ndarray) -> ProductPoint:
-        t, r, s = u.tolist()
-        cr = c * (1.0 + PERTURBED_AMPLITUDE * math.sin(r))
-        if not 0.0 <= cr <= 1.0:
-            raise GeometryError(
-                f"perturbed strip constant c(1 + {PERTURBED_AMPLITUDE!r} sin r) = {cr!r} at r = {r!r} "
-                f"leaves [0, 1] for c = {c!r}"
-            )
-        return _ruled_point(t, r, s, cr)
+    def phi(u: np.ndarray) -> float:
+        u1, u2, u3 = u.tolist()
+        return CONTROL_AMPLITUDE * math.sin(u1 + 2.0 * u2 - u3)
 
-    return Immersion(kappa1=-1, kappa2=0, chart=chart, name=f"psi-perturbed(c={c:g})")
+    return normal_graph(imm, phi, f"{imm.name}|control")
 
 
 #: the curve curvatures k of the gallery's curve examples

@@ -47,10 +47,9 @@ from .classify import (
     FAMILIES,
     FAMILY_CURVE_X_FACTOR,
     FAMILY_PSI,
-    PERTURBED_AMPLITUDE,
     StatSummary,
+    build_control,
     build_example,
-    build_perturbed_psi,
     case_alphas,
     constancy_polynomial,
     gallery_specs,
@@ -434,15 +433,11 @@ def _gallery_selection(cfg: RunConfig) -> list[ExampleSpec]:
     return specs
 
 
-#: the negative control's grid size, which --grid does not reach (perfbench counts its 5^3 points)
-CONTROL_GRID = 5
-
-
 def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
     tol_angle = cfg.tolerance("gallery_angle")
     tol_curv = cfg.tolerance("gallery_curvature")
     tol_ricci = cfg.tolerance("gallery_ricci")
-    control_c = None
+    control = None
 
     for spec in _gallery_selection(cfg):
         imm = build_example(spec)
@@ -459,8 +454,7 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
         angle.record_abs(rep.angle.max_dev)
         if spec.family == FAMILY_PSI:
             angle.record(rep.angle.mean, 1.0 - 2.0 * spec.c)
-            # c(1 + a sin r) must stay in [0, 1], so the control's c is capped
-            control_c = min(spec.c, 1.0 / (1.0 + PERTURBED_AMPLITUDE))
+            control = build_control(imm)
         else:
             expected = 1.0 if spec.family == FAMILY_CURVE_X_FACTOR else -1.0
             angle.record(rep.angle.mean, expected)
@@ -484,12 +478,11 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
         for tracker in (angle, curvature, ricci_trace):
             report.add(tracker.check(rep.grid_points))
 
-    if control_c is not None:
+    if control is not None:
         # the check reads only the angle C = <PN, N>, so the control takes its
         # unit normals and no shape operator
-        control_imm = build_perturbed_psi(control_c)
-        grid = control_imm.grid(CONTROL_GRID)
-        angle = StatSummary.of([angle_of_normal(unit_normal(control_imm, u))[0] for u in grid])
+        grid = control.grid(cfg.grid)
+        angle = StatSummary.of([angle_of_normal(unit_normal(control, u))[0] for u in grid])
         report.add(
             CheckResult(
                 name="psi_negative_control_fails",

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -475,25 +475,25 @@ def frame_shape_at(imm: Immersion, u: np.ndarray) -> tuple[FrameShape, CaseParam
     return fs, fs.case, rec
 
 
-def parallel_immersion(imm: Immersion, l: float) -> Immersion:
-    """Immersion of the parallel hypersurface at normal distance l.
-
-    Each point flows along the normal geodesic; the angle function of the
-    flowed immersion agrees with the original because the product structure
-    is parallel.
-    """
+def normal_graph(imm: Immersion, phi: Callable[[np.ndarray], float], name: str) -> Immersion:
+    """The normal graph u -> exp(phi(u) N(u)): each point of ``imm`` flowed
+    distance phi(u) along its normal geodesic."""
 
     def chart(u: np.ndarray) -> ProductPoint:
         n = unit_normal(imm, u)
-        return product_exp(n.base, n, l)
+        return product_exp(n.base, n, phi(u))
 
-    label = f"{imm.name}|flow l={l:g}" if imm.name else f"flow l={l:g}"
-    return Immersion(
-        kappa1=imm.kappa1,
-        kappa2=imm.kappa2,
-        chart=chart,
-        name=label,
-    )
+    return Immersion(kappa1=imm.kappa1, kappa2=imm.kappa2, chart=chart, name=name)
+
+
+def parallel_immersion(imm: Immersion, l: float) -> Immersion:
+    """Immersion of the parallel hypersurface at normal distance l, the
+    normal graph at phi = l.
+
+    The angle function of the flowed immersion agrees with the original
+    because the product structure is parallel.
+    """
+    return normal_graph(imm, lambda u: l, f"{imm.name}|flow l={l:g}" if imm.name else f"flow l={l:g}")
 
 
 def transported_frame(

@@ -12,8 +12,8 @@ from prodform_geo.classify import (
     FAMILY_CURVE_X_FACTOR,
     FAMILY_FACTOR_X_CURVE,
     FAMILY_PSI,
+    build_control,
     build_example,
-    build_perturbed_psi,
     case_alphas,
     constancy_polynomial,
     constant_curvature_curve,
@@ -342,15 +342,6 @@ class TestBuildExample:
         with pytest.raises(GeometryError):
             ExampleSpec(family="spiral")
 
-    def test_control_without_perturbation_is_psi(self, monkeypatch):
-        monkeypatch.setattr(classify, "PERTURBED_AMPLITUDE", 0.0)
-        psi = build_example(ExampleSpec(family=FAMILY_PSI, c=0.25))
-        control = build_perturbed_psi(0.25)
-        for u in psi.grid(3):
-            p, q = psi.chart(u), control.chart(u)
-            assert np.array_equal(p.first.coords, q.first.coords)
-            assert np.array_equal(p.second.coords, q.second.coords)
-
     @pytest.mark.parametrize("kappas", [(1, -1), (1, 0), (-1, 0)])
     def test_factor_order_only_swaps_the_factors(self, kappas):
         k1, k2 = kappas
@@ -438,9 +429,9 @@ class TestIsoparametricReport:
         assert abs(rep.angle.mean - 0.5) < 1e-8
         assert rep.angle.max_dev < 1e-8
 
-    def test_perturbed_psi_fails(self):
-        imm = build_perturbed_psi(0.25)
-        rep = isoparametric_report(imm, imm.grid(5), l_samples=L_VALUES)
+    def test_control_fails(self):
+        imm = build_control(build_example(ExampleSpec(family=FAMILY_PSI, c=0.25)))
+        rep = isoparametric_report(imm, imm.grid(3), l_samples=L_VALUES)
         assert rep.angle.max_dev > 1e-3
 
     def test_one_expansion_evaluation_per_sample(self, monkeypatch):
@@ -474,11 +465,6 @@ class TestIsoparametricReport:
         assert [[h is None for h in hs] for hs in rep.h_values] == [[False, True, True, False]] * 2**3
         assert rep.focal_events == 2 * 2**3
         assert set(rep.mean_curvature) == {0.5, 0.1}
-
-    def test_perturbed_strip_constant_above_one_rejected(self):
-        # 0.95 (1 + 0.1 sin 1) > 1
-        with pytest.raises(GeometryError, match="perturbed strip constant"):
-            build_perturbed_psi(0.95).chart(np.array([0.0, 1.0, 0.0]))
 
     def test_gallery_covers_all_cases(self):
         specs = gallery_specs()

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prodform_geo import cli, hypersurface, jacobi
+from prodform_geo import classify, cli, hypersurface, jacobi
 from prodform_geo.ambient import (
     complex_structures,
     curvature_tensor,
@@ -19,11 +19,13 @@ from prodform_geo.ambient import (
     random_product_tangent,
 )
 from prodform_geo.classify import (
-    PERTURBED_AMPLITUDE,
+    FAMILY_PSI,
     CaseId,
     ConstancyPolynomial,
+    ExampleSpec,
     StatSummary,
-    build_perturbed_psi,
+    build_control,
+    build_example,
     gallery_specs,
     isoparametric_report,
 )
@@ -170,11 +172,11 @@ class TestCommands:
 
     def test_gallery_c_sets_psi_and_its_control(self, monkeypatch):
         built = []
-        original = cli.build_perturbed_psi
-        monkeypatch.setattr(cli, "build_perturbed_psi", lambda c: built.append(c) or original(c))
+        original = cli.build_control
+        monkeypatch.setattr(cli, "build_control", lambda imm: built.append(imm.name) or original(imm))
         report = run(make_config(command="gallery", case="h2r2", c=0.5, grid=2))
         assert "psi(c=0.5).angle_constancy" in {c.name for c in report.checks}
-        assert built == [0.5]
+        assert built == ["psi(c=0.5)"]
 
     def test_gallery_case_selects_examples(self):
         report = run(make_config(command="gallery", case="s2r2", grid=2))
@@ -207,15 +209,13 @@ class TestCommands:
         monkeypatch.setattr(cli, "unit_normal", counted(cli.unit_normal, normals))
         run(make_config(command="gallery", family="psi", grid=2))
         assert shapes == ["psi(c=0.25)"] * 2**3
-        assert normals == ["psi-perturbed(c=0.25)"] * 5**3
+        assert normals == ["psi(c=0.25)|control"] * 2**3
 
-    @pytest.mark.parametrize(
-        "c, control_c", [(0.25, 0.25), (0.9999999, 1.0 / (1.0 + PERTURBED_AMPLITUDE))], ids=["default", "capped"]
-    )
-    def test_control_angle_matches_its_isoparametric_report_bitwise(self, c, control_c):
+    @pytest.mark.parametrize("c", [0.25, 0.9999999], ids=["default", "C~-1"])
+    def test_control_angle_matches_its_isoparametric_report_bitwise(self, c):
         # the control's former path, its whole isoparametric report, kept as the reference
-        imm = build_perturbed_psi(control_c)
-        grid = imm.grid(cli.CONTROL_GRID)
+        imm = build_control(build_example(ExampleSpec(family=FAMILY_PSI, c=c)))
+        grid = imm.grid(2)
         ref = isoparametric_report(imm, grid, l_samples=RunConfig(command="gallery").l_values)
         values = [angle_of_normal(unit_normal(imm, u))[0] for u in grid]
         assert np.array(values).tobytes() == np.array([rec.C for rec in ref.records]).tobytes()
@@ -224,9 +224,26 @@ class TestCommands:
 
         report = run(make_config(command="gallery", family="psi", c=c, grid=2))
         control = next(check for check in report.checks if check.name == "psi_negative_control_fails")
-        assert control.samples == ref.grid_points == 5**3
+        assert control.samples == ref.grid_points == 2**3
         assert control.max_abs_err == control.max_rel_err == ref.angle.max_dev
         assert control.passed
+
+    @pytest.mark.parametrize("grid", [2, 3])
+    @pytest.mark.parametrize("c", [1e-12, 1e-3, 0.25, 0.9999999])
+    def test_psi_and_its_control_pass_at_every_strip_constant(self, c, grid):
+        # a control that moved C by a multiple of c failed at small c
+        report = run(make_config(command="gallery", family="psi", c=c, grid=grid))
+        assert report.all_passed
+        control = next(check for check in report.checks if check.name == "psi_negative_control_fails")
+        assert control.samples == grid**3
+
+    def test_control_at_zero_amplitude_fails(self, monkeypatch):
+        # at amplitude 0 the control is psi itself, whose angle is constant
+        monkeypatch.setattr(classify, "CONTROL_AMPLITUDE", 0.0)
+        report = run(make_config(command="gallery", family="psi", grid=3))
+        control = next(check for check in report.checks if check.name == "psi_negative_control_fails")
+        assert not control.passed
+        assert control.max_abs_err < 1e-12
 
     def test_flow_produces_rows(self):
         report = run(
@@ -513,7 +530,7 @@ class TestEntryPoint:
         assert "[PASS] psi_negative_control_fails" in capsys.readouterr().err
 
     def test_negative_control_near_degenerate_angle_passes(self, capsys):
-        # the control is capped below the strip limit while psi keeps c
+        # psi and its control near C = -1: the control is the normal graph of this psi
         assert main(["gallery", "--family", "psi", "--c", "0.9999999", "--grid", "2"]) == 0
         err = capsys.readouterr().err
         assert err.count("[PASS]") == 4

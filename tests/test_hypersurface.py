@@ -19,9 +19,9 @@ from prodform_geo.classify import (
     FAMILY_CURVE_X_FACTOR,
     FAMILY_FACTOR_X_CURVE,
     FAMILY_PSI,
-    _ruled_point,
+    _ruled,
+    build_control,
     build_example,
-    build_perturbed_psi,
     gallery_specs,
 )
 from prodform_geo.hypersurface import (
@@ -98,7 +98,7 @@ def frame_test_points():
     points += [ModelPoint(-1, [1.0, 0.0, 0.0]), ModelPoint(1, [0.0, 0.0, 1.0])]
     points += [ModelPoint(-1, [1.0, -0.0, -0.0]), ModelPoint(1, [-0.0, 0.0, -1.0]), ModelPoint(1, [0.0, -1.0, -0.0])]
     # the ruled example's horocycle at r = 0 (and -0.0), flowed both ways
-    points += [_ruled_point(t, r, 0.0, 0.25).first for t in (-0.5, 0.0, 0.5) for r in (0.0, -0.0)]
+    points += [_ruled(t, r, 0.0, 0.25)[0].first for t in (-0.5, 0.0, 0.5) for r in (0.0, -0.0)]
     return points
 
 
@@ -370,7 +370,7 @@ class TestUnitNormal:
     @pytest.mark.parametrize(
         "imm",
         [
-            build_perturbed_psi(),
+            build_control(psi_immersion()),
             psi_immersion(c=5e-8),
             geodesic_times_hyperbolic_plane(),
             jacobi.parallel_immersion(psi_immersion(), 0.1),
@@ -378,7 +378,7 @@ class TestUnitNormal:
                 build_example(ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=0, k=1.0)), 0.1
             ),
         ],
-        ids=["perturbed", "psi-C~1", "H2xH2", "flowed-psi", "flowed-curve"],
+        ids=["control", "psi-C~1", "H2xH2", "flowed-psi", "flowed-curve"],
     )
     def test_normals_match_frame_reference_bitwise(self, imm):
         for u in imm.grid(3):
@@ -511,7 +511,7 @@ class TestShapeOperator:
         # u, u +- s e_k at three steps (shared by both stencils), and
         # u +- s e_k +- s e_l for the three pairs k < l at three steps
         calls = []
-        imm = build_perturbed_psi(0.25)
+        imm = build_control(psi_immersion())
         shape_operator(replace(imm, chart=counting(imm.chart, calls)), GRID[1])
         assert len(calls) == 55
         assert len({args[0].tobytes() for args in calls}) == 55
@@ -567,10 +567,10 @@ def outcome(fn, *args):
 PAIRING_IMMERSIONS = [
     replace(build_example(ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=-1, k=0.5)), hessian=None),
     replace(psi_immersion(), hessian=None),
-    build_perturbed_psi(),
+    build_control(psi_immersion()),
     jacobi.parallel_immersion(psi_immersion(), 0.1),
 ]
-PAIRING_IDS = ["curve-s2h2", "psi", "perturbed", "flowed-psi"]
+PAIRING_IDS = ["curve-s2h2", "psi", "control", "flowed-psi"]
 
 
 class TestFactorCoordinatePairings:
@@ -697,7 +697,7 @@ def same_float(a, b):
 def gallery_records():
     """The flow-frame shape record of every point of grid(2), for the 25
     gallery examples and the negative control."""
-    immersions = [build_example(spec) for spec in gallery_specs()] + [build_perturbed_psi()]
+    immersions = [build_example(spec) for spec in gallery_specs()] + [build_control(psi_immersion())]
     return [frame_shape_at(imm, u)[2] for imm in immersions for u in imm.grid(2)]
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from prodform_geo import jacobi, spaceform
-from prodform_geo.ambient import ProductVector, product_metric
+from prodform_geo.ambient import ProductVector, product_exp, product_metric
 from prodform_geo.classify import (
     CaseId,
     ExampleSpec,
@@ -540,7 +540,38 @@ class TestParallelShape:
         assert not isinstance(raised.value, FocalPointError)
 
 
+def reference_parallel_chart(imm, l):
+    """``parallel_immersion``'s chart before it became a normal graph, kept as the reference."""
+
+    def chart(u):
+        n = unit_normal(imm, u)
+        return product_exp(n.base, n, l)
+
+    return chart
+
+
 class TestParallelImmersion:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExampleSpec(family=FAMILY_PSI, c=0.25),
+            ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=1, kappa2=0, k=1.0),
+        ],
+        ids=["psi", "s2r2-circle"],
+    )
+    def test_normal_graph_chart_matches_reference_bitwise(self, spec):
+        # the two examples of acceptance criterion 6, at its flow steps
+        imm = build_example(spec)
+        for l in (0.1, -0.1, 0.2, -0.2):
+            flowed = parallel_immersion(imm, l)
+            assert flowed.name == f"{imm.name}|flow l={l:g}"
+            assert flowed.jacobian is None and flowed.hessian is None
+            ref = reference_parallel_chart(imm, l)
+            for u in imm.grid(3):
+                p, q = flowed.chart(u), ref(u)
+                assert p.first.coords.tobytes() == q.first.coords.tobytes()
+                assert p.second.coords.tobytes() == q.second.coords.tobytes()
+
     def test_zero_flow_is_identity(self):
         imm = build_example(ExampleSpec(family=FAMILY_PSI, c=0.25))
         flowed = parallel_immersion(imm, 0.0)
