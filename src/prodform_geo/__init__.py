@@ -55,7 +55,6 @@ from .classify import (
     constancy_polynomial,
     invariants_from_alphas,
     isoparametric_report,
-    solve_polynomial,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,14 +27,10 @@ from .spaceform import (
 )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ProductPoint:
     first: ModelPoint
     second: ModelPoint
-
-    def __init__(self, first: ModelPoint, second: ModelPoint):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
 
     @property
     def kappa1(self) -> int:

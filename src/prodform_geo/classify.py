@@ -4,9 +4,9 @@ For each curvature pair with kappa1 != kappa2, constancy of the low-order
 derivatives of det Q at l = 0 yields three polynomial relations among the
 angle value C and the invariants (rho, H12, H13).  Eliminating the invariants
 leaves a cubic that the angle value must satisfy, so C can take only finitely
-many values.  This module evaluates those systems both ways, solves the
-cubics robustly, and builds the classified hypersurface families for
-numerical verification.
+many values.  This module evaluates those systems both ways, forms the
+cubics, and builds the classified hypersurface families for numerical
+verification.
 """
 
 from __future__ import annotations
@@ -132,15 +132,6 @@ class ConstancyPolynomial:
     def evaluate_at_angle(self, c):
         return horner(self.coefficients, c if self.variable == "C" else 1 + c)
 
-    def roots_in_angle(self) -> list["PolyRoot"]:
-        shift = 0.0 if self.variable == "C" else -1.0
-        lo, hi = (-1.0, 1.0) if self.variable == "C" else (0.0, 2.0)
-        roots = solve_polynomial(self.coefficients, lo=lo, hi=hi)
-        return [
-            PolyRoot(value=r.value + shift, multiplicity=r.multiplicity, in_range=r.in_range)
-            for r in roots
-        ]
-
 
 def constancy_polynomial(case: CaseId, ar: AlphaRecord) -> ConstancyPolynomial:
     """The printed cubic annihilating the angle value, per case.
@@ -160,130 +151,6 @@ def constancy_polynomial(case: CaseId, ar: AlphaRecord) -> ConstancyPolynomial:
         )
     k1 = case.kappa1
     return ConstancyPolynomial(coefficients=(8 * k1 * a3, 12 * a2, 6 * k1 * a1, 1), variable="1+C")
-
-
-# ---------------------------------------------------------------------------
-# real roots of the constancy cubics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolyRoot:
-    value: float
-    multiplicity: int
-    in_range: bool
-
-
-def solve_polynomial(coefficients: Sequence[float], lo: float = -1.0, hi: float = 1.0) -> list[PolyRoot]:
-    """All real roots of a polynomial of degree at most three.
-
-    Exact-degeneracy cases (multiple roots, dropped leading coefficients) are
-    classified through the discriminant; distinct roots are found in closed
-    form and Newton-polished on the original polynomial.  Roots are sorted,
-    merged at 1e-10 and flagged against [lo, hi].
-    """
-    coeffs = [float(x) for x in coefficients]
-    if len(coeffs) > 4:
-        raise GeometryError("only polynomials of degree <= 3 are supported")
-    if not all(math.isfinite(x) for x in coeffs):
-        raise GeometryError(f"coefficients must be finite, got {tuple(coeffs)!r}")
-    scale = max(abs(x) for x in coeffs) if coeffs else 0.0
-    if scale == 0.0:
-        raise GeometryError("all coefficients vanish")
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs.pop()
-    degree = len(coeffs) - 1
-
-    if degree == 0:
-        raw: list[tuple[float, int]] = []
-    elif degree == 1:
-        raw = [(-coeffs[0] / coeffs[1], 1)]
-    elif degree == 2:
-        raw = _quadratic_roots(coeffs)
-    else:
-        raw = _cubic_roots(coeffs)
-
-    polished = []
-    for r, mult in raw:
-        if mult == 1:
-            r = _newton_polish(coeffs, r)
-        polished.append((r, mult))
-    polished.sort(key=lambda t: t[0])
-
-    merged: list[tuple[float, int]] = []
-    for r, mult in polished:
-        if merged and abs(r - merged[-1][0]) <= 1e-10:
-            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
-        else:
-            merged.append((r, mult))
-    return [
-        PolyRoot(value=r, multiplicity=m, in_range=(lo - 1e-12 <= r <= hi + 1e-12))
-        for r, m in merged
-    ]
-
-
-def _newton_polish(coeffs: Sequence[float], x: float) -> float:
-    """At most three Newton steps on the polynomial, stopped by a zero derivative or an overflow."""
-    deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    for _ in range(3):
-        d = horner(deriv, x)
-        if d == 0.0:
-            break
-        step = horner(coeffs, x) / d
-        if not math.isfinite(step):
-            break
-        x -= step
-    return x
-
-
-def _quadratic_roots(coeffs: Sequence[float]) -> list[tuple[float, int]]:
-    c0, c1, c2 = coeffs
-    scale = max(abs(c0), abs(c1), abs(c2))
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if abs(disc) <= 1e-13 * scale * scale:
-        return [(-c1 / (2.0 * c2), 2)]
-    if disc < 0.0:
-        return []
-    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-    r1 = q / c2
-    r2 = c0 / q if q != 0.0 else -c1 / c2 - r1
-    return [(r1, 1), (r2, 1)]
-
-
-def _cubic_roots(coeffs: Sequence[float]) -> list[tuple[float, int]]:
-    d, c, b, a = coeffs
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    disc = (
-        18.0 * a * b * c * d
-        - 4.0 * b**3 * d
-        + b * b * c * c
-        - 4.0 * a * c**3
-        - 27.0 * a * a * d * d
-    )
-    disc0 = b * b - 3.0 * a * c
-    if abs(disc) <= 1e-13 * scale**4:
-        if abs(disc0) <= 1e-13 * scale * scale:
-            return [(-b / (3.0 * a), 3)]
-        double = (9.0 * a * d - b * c) / (2.0 * disc0)
-        simple = (4.0 * a * b * c - 9.0 * a * a * d - b**3) / (a * disc0)
-        return [(double, 2), (simple, 1)]
-    # depressed cubic t^3 + p t + q with x = t - b/(3a)
-    p = (3.0 * a * c - b * b) / (3.0 * a * a)
-    q = (2.0 * b**3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a**3)
-    shift = -b / (3.0 * a)
-    if disc > 0.0:
-        # three distinct real roots: trigonometric form
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = min(1.0, max(-1.0, 3.0 * q / (p * m)))
-        theta = math.acos(arg)
-        return [(shift + m * math.cos((theta - 2.0 * math.pi * k) / 3.0), 1) for k in range(3)]
-    # one real root: Cardano with a cancellation-free branch
-    half_q = -0.5 * q
-    root = math.sqrt(half_q * half_q + (p / 3.0) ** 3)
-    u = half_q + math.copysign(root, half_q) if half_q != 0.0 else root
-    u = math.copysign(abs(u) ** (1.0 / 3.0), u)
-    t = u + (-p / 3.0) / u if u != 0.0 else 0.0
-    return [(shift + t, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +222,12 @@ def constant_curvature_curve(kappa: int, k: float) -> tuple[Callable, Callable, 
     """
     if k < 0.0:
         raise GeometryError("curve curvature must be nonnegative")
+    delta = kappa + k * k
+    if not math.isfinite(delta):
+        raise GeometryError(f"curve curvature k = {k!r} overflows delta = kappa + k^2")
     p0 = ModelPoint(kappa, [1.0, 0.0, 0.0] if kappa else [0.0, 0.0])
     t0, jt0 = tangent_frame(p0)
     w0 = -kappa * p0.coords + k * jt0.coords
-    delta = kappa + k * k
     # (p0, T0, W) coordinate by coordinate, in Python floats
     columns = list(zip(p0.coords.tolist(), t0.coords.tolist(), w0.tolist()))
 

@@ -21,7 +21,6 @@ from prodform_geo.classify import (
     horocycle_with_normal,
     invariants_from_alphas,
     isoparametric_report,
-    solve_polynomial,
 )
 from prodform_geo.cli import RunConfig
 from prodform_geo.hypersurface import shape_operator
@@ -127,18 +126,12 @@ class TestConstancyPolynomial:
     def test_all_zero_alphas_flat_case(self):
         poly = constancy_polynomial(CaseId.S2xR2, AlphaRecord(0.0, 0.0, 0.0))
         assert poly.coefficients == (0.0, 0.0, 0.0, 1)
-        roots = poly.roots_in_angle()
-        assert len(roots) == 1
-        assert roots[0].value == -1.0
-        assert roots[0].multiplicity == 3
 
     def test_all_zero_alphas_sphere_hyperbolic(self):
         poly = constancy_polynomial(
             CaseId.S2xH2, AlphaRecord(0.0, 0.0, 0.0, alpha4=0.0)
         )
         assert poly.coefficients == (0.0, 4.0, 0.0, 0.0)
-        roots = poly.roots_in_angle()
-        assert [r.value for r in roots] == [0.0]
 
     def test_missing_alpha4_rejected(self):
         with pytest.raises(GeometryError):
@@ -166,71 +159,6 @@ class TestConstancyPolynomial:
             poly = constancy_polynomial(case, ar)
             residual = abs(poly.evaluate_at_angle(c0))
             assert residual < 1e-8 * max(abs(x) for x in poly.coefficients)
-
-    @pytest.mark.parametrize("case", list(CaseId))
-    def test_roots_include_the_generating_angle(self, case):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            c0 = float(rng.uniform(-0.9, 0.9))
-            rho = float(rng.uniform(-2, 2))
-            h13 = float(rng.uniform(-2, 2))
-            h12 = float(rng.uniform(-2, 2)) if case is CaseId.S2xH2 else 0.0
-            ar = case_alphas(case, c0, rho, h12, h13)
-            roots = constancy_polynomial(case, ar).roots_in_angle()
-            in_range = [r.value for r in roots if r.in_range]
-            assert any(abs(r - c0) < 1e-8 for r in in_range)
-
-
-class TestSolvePolynomial:
-    def test_triple_root(self):
-        roots = solve_polynomial((1.0, 3.0, 3.0, 1.0))
-        assert len(roots) == 1
-        assert roots[0].value == -1.0
-        assert roots[0].multiplicity == 3
-        assert roots[0].in_range
-
-    def test_factorable_cubic(self):
-        roots = solve_polynomial((0.0, -1.0, 0.0, 1.0))  # C^3 - C
-        values = [r.value for r in roots]
-        assert np.allclose(values, [-1.0, 0.0, 1.0], atol=1e-12)
-        assert all(r.in_range for r in roots)
-
-    def test_out_of_range_annotation(self):
-        roots = solve_polynomial((-6.0, 11.0, -6.0, 1.0))  # roots 1, 2, 3
-        flags = {round(r.value): r.in_range for r in roots}
-        assert flags == {1: True, 2: False, 3: False}
-
-    def test_double_root_detected(self):
-        # (x - 1)^2 (x + 2) = x^3 - 3x + 2
-        roots = solve_polynomial((2.0, -3.0, 0.0, 1.0))
-        mults = {round(r.value, 6): r.multiplicity for r in roots}
-        assert mults == {1.0: 2, -2.0: 1}
-
-    def test_quadratic_and_linear_degradation(self):
-        roots = solve_polynomial((-1.0, 0.0, 1.0, 0.0))  # x^2 - 1
-        assert np.allclose([r.value for r in roots], [-1.0, 1.0], atol=1e-14)
-        roots = solve_polynomial((-0.5, 1.0, 0.0, 0.0))  # x - 0.5
-        assert roots[0].value == 0.5
-
-    def test_residuals_on_random_cubics(self):
-        rng = np.random.default_rng(4)
-        for _ in range(300):
-            coeffs = tuple(rng.uniform(-5, 5, size=4))
-            scale = max(abs(x) for x in coeffs)
-            for root in solve_polynomial(coeffs):
-                value = sum(c * root.value**k for k, c in enumerate(coeffs))
-                assert abs(value) < 1e-8 * scale
-
-    def test_all_zero_coefficients_rejected(self):
-        with pytest.raises(GeometryError):
-            solve_polynomial((0.0, 0.0, 0.0, 0.0))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_coefficients_rejected(self, bad):
-        with pytest.raises(GeometryError, match="finite"):
-            solve_polynomial((1.0, bad, 0.0, 1.0))
-        with pytest.raises(GeometryError, match="finite"):
-            constancy_polynomial(CaseId.S2xR2, AlphaRecord(bad, 0.0, 0.0)).roots_in_angle()
 
 
 class TestConstantCurvatureCurves:
@@ -269,6 +197,20 @@ class TestConstantCurvatureCurves:
     def test_negative_curvature_rejected(self):
         with pytest.raises(GeometryError):
             constant_curvature_curve(0, -1.0)
+
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    def test_curvature_overflowing_delta_rejected(self, kappa):
+        # delta = kappa + k^2 is inf, and the stability pair would take its root
+        with pytest.raises(GeometryError, match="overflows"):
+            constant_curvature_curve(kappa, 1e200)
+
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    def test_largest_finite_delta_builds(self, kappa):
+        # k^2 = 1e308 is still a float: the curve starts at the origin or
+        # (1, 0, 0) with a finite velocity
+        gamma, dgamma, _ = constant_curvature_curve(kappa, 1e154)
+        assert gamma(0.0).tolist() == ([1.0, 0.0, 0.0] if kappa else [0.0, 0.0])
+        assert np.all(np.isfinite(dgamma(0.5)))
 
     @pytest.mark.parametrize(
         "kappa1, kappa2, k",

@@ -481,6 +481,20 @@ class TestEntryPoint:
         assert main(["detq", "--samples", "1", "--seed", "-1"]) == 2
         assert "error: --seed must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "curve_x_factor", "--k", "1e200"],
+            ["--family", "factor_x_curve", "--case", "s2r2", "--k", "1e160"],
+        ],
+    )
+    def test_curve_curvature_too_large_for_floats_stops_the_run(self, capsys, argv):
+        # delta = kappa + k^2 overflows: one error line, exit 1, no traceback
+        assert main(["flow", *argv, "--grid", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "overflows" in captured.err
+        assert captured.out == ""
+
     def test_geometric_failure_during_run_exit_code(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise GeometryError("injected failure")
