@@ -18,7 +18,6 @@ from .spaceform import (
     ModelVector,
     _pairing,
     _require_same_base,
-    _tangent_check,
     complex_structure,
     exp_map,
     metric,
@@ -106,22 +105,11 @@ def curvature_tensor(x: ProductVector, y: ProductVector, z: ProductVector, w: Pr
     for u, v in ((x, w), (y, z), (x, z), (y, w)):
         _require_same_base(u.first, v.first)
         _require_same_base(u.second, v.second)
-    k1 = x.first.kappa
-    k2 = x.second.kappa
-    d1, d2 = x.first.coords.size, x.second.coords.size
-
-    def floats(first, second) -> tuple:
-        # factor coordinates as Python floats, a None half as zeros: paired
-        # with it, the form adds the signed zero that product_metric adds
-        return (
-            [0.0] * d1 if first is None else first.tolist(),
-            [0.0] * d2 if second is None else second.tolist(),
-        )
-
-    pairing = _product_pairing(k1, k2)
-    xs, ys = floats(x.first.coords, x.second.coords), floats(y.first.coords, y.second.coords)
-    pw_plus_w, pw_minus_w = (floats(*h) for h in _sum_and_difference(w))
-    pz_plus_z, pz_minus_z = (floats(*h) for h in _sum_and_difference(z))
+    pairing = _product_pairing(x.first.kappa, x.second.kappa)
+    xs = (x.first.coords.tolist(), x.second.coords.tolist())
+    ys = (y.first.coords.tolist(), y.second.coords.tolist())
+    pw_plus_w, pw_minus_w = _sum_and_difference(w)
+    pz_plus_z, pz_minus_z = _sum_and_difference(z)
     term1 = (
         pairing(xs, pw_plus_w) * pairing(ys, pz_plus_z)
         - pairing(xs, pz_plus_z) * pairing(ys, pw_plus_w)
@@ -130,24 +118,16 @@ def curvature_tensor(x: ProductVector, y: ProductVector, z: ProductVector, w: Pr
         pairing(xs, pw_minus_w) * pairing(ys, pz_minus_z)
         - pairing(xs, pz_minus_z) * pairing(ys, pw_minus_w)
     )
-    return k1 / 4.0 * term1 + k2 / 4.0 * term2
+    return x.first.kappa / 4.0 * term1 + x.second.kappa / 4.0 * term2
 
 
 def _sum_and_difference(w: ProductVector) -> tuple[tuple, tuple]:
-    """Factor coordinates of PW + W = (W1+W1, (-W2)+W2) and PW - W =
-    (W1-W1, (-W2)-W2) as vector arithmetic gives them, None for a half
-    that is +0.0 in every entry.
-
-    W1-W1 is such a half.  If W2 is settled, -W2 is its negated coordinates,
-    so (-W2)+W2 is one too, and (-W2)-W2 = -(W2+W2), whose check is the
-    negated check of W2+W2.  An unsettled W2 takes the vector arithmetic.
+    """Factor coordinates, as Python floats, of PW + W = (W1+W1, (-W2)+W2)
+    and PW - W = (W1-W1, (-W2)-W2), the exact sums the vector arithmetic
+    forms: x + (-x) and x - x are +0.0, and (-x) - x is -(x+x).
     """
-    w1, w2 = w.first, w.second
-    doubled = _tangent_check(w1.base, w1.coords + w1.coords)[0]
-    if w2._settled:
-        return (doubled, None), (None, -_tangent_check(w2.base, w2.coords + w2.coords)[0])
-    minus_w2 = -w2
-    return (doubled, (minus_w2 + w2).coords), (None, (minus_w2 - w2).coords)
+    w1, w2 = w.first.coords.tolist(), w.second.coords.tolist()
+    return ([a + a for a in w1], [0.0] * len(w2)), ([0.0] * len(w1), [-(b + b) for b in w2])
 
 
 def product_exp(p: ProductPoint, x: ProductVector, l: float) -> ProductPoint:

@@ -627,7 +627,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--tol", type=float)
     parser.add_argument("--grid", type=int)
-    parser.add_argument("--l", dest="l_values", help="comma-separated flow distances")
+    parser.add_argument(
+        "--l",
+        dest="l_values",
+        help="comma-separated flow distances; a list that starts with a minus sign"
+        " is written --l=-0.2,0.1, or l = -0.2,0.1 in a config file",
+    )
     parser.add_argument("--out", help="report path")
     parser.add_argument("--format", dest="fmt", choices=["json", "csv"])
     parser.add_argument("--family", choices=list(FAMILIES))

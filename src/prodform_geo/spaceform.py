@@ -26,9 +26,6 @@ KAPPAS = (-1, 0, 1)
 #: inputs violating tangency/quadric constraints by more than this are rejected
 CONSTRAINT_TOL = 1e-8
 
-#: tangency defects at or below this (times the coordinate scale) are roundoff
-ROUNDOFF_TOL = 64.0 * float(np.finfo(float).eps)
-
 class GeometryError(ValueError):
     """Invalid or incompatible geometric inputs."""
 
@@ -129,12 +126,12 @@ class ModelPoint:
         object.__setattr__(self, "_scale", max(1.0, abs(x0), abs(x1), abs(x2)))
 
 
-def _tangent_check(base: ModelPoint, coords) -> tuple[np.ndarray, bool]:
-    """Tangent coordinates at ``base`` and whether they are the given ones.
+def _tangent_check(base: ModelPoint, coords) -> np.ndarray:
+    """Tangent coordinates at ``base``, kept as given.
 
     The defect is <p, v> in the factor form ``_pairing``, on the point's and
-    the vector's Python floats.  Violations above ``CONSTRAINT_TOL`` are
-    rejected, smaller ones above ``ROUNDOFF_TOL`` are projected away.
+    the vector's Python floats.  A defect above ``CONSTRAINT_TOL`` times the
+    scale is rejected, as a point that far off its quadric is.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.shape != base.coords.shape:
@@ -144,7 +141,7 @@ def _tangent_check(base: ModelPoint, coords) -> tuple[np.ndarray, bool]:
         raise GeometryError(f"tangent vector coordinates must be finite, got {xs}")
     kappa = base.kappa
     if kappa == 0:
-        return coords, True
+        return coords
     # the maximum of Python floats is exact, so the scale is the one a numpy
     # reduction would give, bit for bit
     x0, x1, x2 = xs
@@ -152,33 +149,23 @@ def _tangent_check(base: ModelPoint, coords) -> tuple[np.ndarray, bool]:
     t = _pairing(kappa)(base._xs, xs)
     if abs(t) > CONSTRAINT_TOL * scale:
         raise GeometryError(f"vector is not tangent at its base point (defect {t!r})")
-    # defects at roundoff level are left alone so that negation,
-    # scaling and addition of tangent vectors stay bitwise exact
-    if abs(t) <= ROUNDOFF_TOL * scale:
-        return coords, True
-    # <p, p> = kappa on the quadric, so 1/<p,p> = kappa
-    return coords - kappa * t * base.coords, False
+    return coords
 
 
 @dataclass(frozen=True, init=False)
 class ModelVector:
     """Tangent vector at a :class:`ModelPoint`.
 
-    Construction enforces tangency through ``_tangent_check``.  A vector it
-    left unchanged is settled and negates without a second check: rounding
-    to nearest is symmetric under a change of sign (Higham 2002, 2.2), so
-    the defect of -c is exactly -t, at the same scale, and every decision of
-    the check comes out the same.
+    Construction enforces tangency through ``_tangent_check``, which keeps the
+    coordinates as given or rejects them.
     """
 
     base: ModelPoint
     coords: np.ndarray
 
     def __init__(self, base: ModelPoint, coords):
-        coords, settled = _tangent_check(base, coords)
-        # the instance dict of a frozen dataclass, written directly; _settled
-        # is not a field, so equality, repr and hashing ignore it
-        self.__dict__.update(base=base, coords=coords, _settled=settled)
+        # the instance dict of a frozen dataclass, written directly
+        self.__dict__.update(base=base, coords=_tangent_check(base, coords))
 
     @property
     def kappa(self) -> int:
@@ -193,10 +180,11 @@ class ModelVector:
         return ModelVector(self.base, self.coords - other.coords)
 
     def __neg__(self) -> "ModelVector":
-        if not self._settled:
-            return ModelVector(self.base, -self.coords)
+        """-v without a second check: rounding to nearest is symmetric under a
+        change of sign (Higham 2002, 2.2), so the defect of -c is exactly -t,
+        at the same scale, and the check decides the same."""
         v = object.__new__(ModelVector)
-        v.__dict__.update(self.__dict__, coords=-self.coords)
+        v.__dict__.update(base=self.base, coords=-self.coords)
         return v
 
     def scale(self, a: float) -> "ModelVector":

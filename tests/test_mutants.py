@@ -1,9 +1,10 @@
-"""Mutant table: each check of ``cases`` can fail, and only its own.
+"""Mutant table: a check of the CLI can fail, and only its own.
 
-The paper's finiteness step (C is a root of a cubic with constant
-coefficients that are not all zero) is judged by the ``cases`` checks alone.
-Each row plants one fault in a function that ``cli`` calls, runs ``cases``
-and names the checks that must fail: one in each of the three cases.
+Each row plants one fault in a function that ``cli`` calls, runs one command
+and names the checks that must fail: one or more in each of the three cases,
+or one in each gallery example.  The paper's finiteness step (C is a root of
+a cubic with constant coefficients that are not all zero) is judged by the
+``cases`` checks alone.
 """
 
 from dataclasses import replace
@@ -12,13 +13,30 @@ from unittest import mock
 import pytest
 
 from prodform_geo import cli
-from prodform_geo.classify import CaseId, ConstancyPolynomial, constancy_polynomial, invariants_from_alphas
+from prodform_geo.ambient import curvature_tensor
+from prodform_geo.classify import (
+    CaseId,
+    ConstancyPolynomial,
+    build_example,
+    constancy_polynomial,
+    gallery_specs,
+    invariants_from_alphas,
+)
+from prodform_geo.hypersurface import ricci
+from prodform_geo.jacobi import detq_and_slope
 
 CASES_ARGV = ["cases", "--samples", "50"]
+IDENTITIES_ARGV = ["identities", "--samples", "50"]
+DETQ_ARGV = ["detq", "--samples", "50"]
+GALLERY_ARGV = ["gallery", "--grid", "2"]
 
 
-def _in_every_case(check: str) -> set[str]:
-    return {f"{case.value}.{check}" for case in CaseId}
+def _in_every_case(*checks: str) -> set[str]:
+    return {f"{case.value}.{check}" for case in CaseId for check in checks}
+
+
+def _in_every_example(check: str) -> set[str]:
+    return {f"{build_example(spec).name}.{check}" for spec in gallery_specs()}
 
 
 def _constant_coefficient_off(case, ar):
@@ -41,12 +59,43 @@ def _rho_off(case, ar, C):
     return replace(solved, rho=solved.rho * (1.0 + 1e-9))
 
 
+def _curvature_off(x, y, z, w):
+    return curvature_tensor(x, y, z, w) + 1e-9
+
+
+def _product_structure_identity(x):
+    return x
+
+
+def _slope_off(fsf, cpf, l):
+    det, slope = detq_and_slope(fsf, cpf, l)
+    return det, slope + 1e-9
+
+
+def _ricci_off(e, rec):
+    return ricci(e, rec) + 1e-6
+
+
 #: (mutant, patched ``cli`` attribute, argv, the checks that must fail)
 MUTANTS = [
     (_constant_coefficient_off, "constancy_polynomial", CASES_ARGV, _in_every_case("cubic_annihilates_angle")),
     (_variable_swapped, "constancy_polynomial", CASES_ARGV, _in_every_case("cubic_annihilates_angle")),
     (_coefficients_zero, "constancy_polynomial", CASES_ARGV, _in_every_case("coefficients_nonvanishing")),
     (_rho_off, "invariants_from_alphas", CASES_ARGV, _in_every_case("invariants_round_trip")),
+    (
+        _curvature_off,
+        "curvature_tensor",
+        IDENTITIES_ARGV,
+        _in_every_case("sectional_first", "sectional_second", "sectional_mixed"),
+    ),
+    (
+        _product_structure_identity,
+        "product_structure",
+        IDENTITIES_ARGV,
+        _in_every_case("p_eq_minus_j1j2", "p_eq_minus_j2j1"),
+    ),
+    (_slope_off, "detq_and_slope", DETQ_ARGV, _in_every_case("trace_vs_log_derivative")),
+    (_ricci_off, "ricci", GALLERY_ARGV, _in_every_example("ricci_trace_vs_scalar")),
 ]
 
 
@@ -55,8 +104,9 @@ def _failing_checks(argv) -> set[str]:
     return {check.name for check in report.checks if not check.passed}
 
 
-def test_unpatched_run_passes():
-    assert _failing_checks(CASES_ARGV) == set()
+@pytest.mark.parametrize("argv", [CASES_ARGV, IDENTITIES_ARGV, DETQ_ARGV, GALLERY_ARGV], ids=lambda argv: argv[0])
+def test_unpatched_run_passes(argv):
+    assert _failing_checks(argv) == set()
 
 
 @pytest.mark.parametrize(

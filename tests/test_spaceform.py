@@ -7,7 +7,7 @@ import pytest
 
 from prodform_geo import spaceform
 from prodform_geo.spaceform import (
-    ROUNDOFF_TOL,
+    CONSTRAINT_TOL,
     GeometryError,
     ModelPoint,
     ModelVector,
@@ -243,10 +243,20 @@ class TestGeodesicOverflow:
 
 
 class TestConstraintEnforcement:
-    def test_small_tangency_defect_projected(self):
-        p = sphere_point(1, 0, 0)
-        v = ModelVector(p, [1e-10, 1.0, 0.0])
-        assert abs(form(1, p.coords, v.coords)) < 1e-15
+    @pytest.mark.parametrize("kappa", [-1, 1])
+    def test_small_tangency_defect_kept(self, kappa):
+        # a defect of 1e-10 times the scale is within CONSTRAINT_TOL, so the
+        # coordinates are kept bit for bit, as a point near its quadric is
+        rng = np.random.default_rng(31 + kappa)
+        for _ in range(20):
+            p = random_point(kappa, rng)
+            w = scaled_tangent(p, rng, 10.0 ** rng.uniform(-3, 3)).coords
+            scale = max(1.0, float(np.max(np.abs(w)))) * max(1.0, float(np.max(np.abs(p.coords))))
+            # <p, p> = kappa, so w + d p has defect kappa d
+            coords = w + 1e-10 * scale * p.coords
+            v = ModelVector(p, coords)
+            assert abs(form(kappa, p.coords, v.coords)) > 0.5e-10 * scale
+            assert v.coords.tobytes() == coords.tobytes()
 
     def test_large_tangency_defect_rejected(self):
         p = sphere_point(1, 0, 0)
@@ -315,9 +325,6 @@ class TestConstraintEnforcement:
 # right, as the factor form sums them, no longer as np.dot.  Every decision and
 # every coordinate of the float versions must match them bit for bit.
 
-REFERENCE_ROUNDOFF = 64.0 * np.finfo(float).eps
-
-
 def reference_form(kappa, a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -342,7 +349,7 @@ def reference_cross(a, b):
 
 
 def reference_vector(base, coords):
-    """("reject" | "accept" | "project", coordinates) as the numpy version decides."""
+    """("reject" | "accept", coordinates) as the numpy version decides."""
     coords = np.asarray(coords, dtype=float)
     kappa = base.kappa
     if kappa == 0:
@@ -353,8 +360,6 @@ def reference_vector(base, coords):
     )
     if abs(t) > 1e-8 * scale:
         return "reject", None
-    if abs(t) > REFERENCE_ROUNDOFF * scale:
-        return "project", coords - kappa * t * base.coords
     return "accept", coords
 
 
@@ -363,11 +368,12 @@ def constructed(base, coords):
         v = ModelVector(base, coords)
     except GeometryError:
         return "reject", None
-    return ("accept" if np.array_equal(v.coords, coords) else "project"), v.coords
+    return "accept", v.coords
 
 
 def defect_candidates(p, rng):
-    """Tangents at p with normal defects just below and above both thresholds."""
+    """Tangents at p with normal defects near roundoff level and just below
+    and above CONSTRAINT_TOL."""
     out = []
     for _ in range(8):
         w = scaled_tangent(p, rng, 10.0 ** rng.uniform(-3, 3)).coords
@@ -375,7 +381,7 @@ def defect_candidates(p, rng):
         if p.kappa == 0:
             continue
         scale = max(1.0, float(np.max(np.abs(w)))) * max(1.0, float(np.max(np.abs(p.coords))))
-        for threshold in (REFERENCE_ROUNDOFF, 1e-8):
+        for threshold in (64.0 * np.finfo(float).eps, 1e-8):
             for factor in (0.45, 0.5, 0.55, 0.99, 1.01, 2.0):
                 # <p, p> = kappa, so w + d p has defect kappa d
                 out.append(w + factor * threshold * scale * p.coords)
@@ -396,7 +402,7 @@ class TestFloatValidationEquivalence:
                 if want != "reject":
                     assert np.array_equal(got_coords, want_coords)
                 seen.add(want)
-        assert seen == ({"accept"} if kappa == 0 else {"accept", "project", "reject"})
+        assert seen == ({"accept"} if kappa == 0 else {"accept", "reject"})
 
     @pytest.mark.parametrize("kappa", [-1, 1])
     def test_forms_match_reference(self, kappa):
@@ -425,9 +431,9 @@ def negation_candidates(p, rng):
     return out
 
 
-class TestSettledNegation:
-    """A vector whose check left its coordinates as given is settled and
-    negates without a second check; the result must be what the check gives."""
+class TestNegation:
+    """A vector negates without a second check; the result must be what the
+    check gives."""
 
     POINTS = {
         -1: [hyper_point(1.0, 0.0, 0.0)],
@@ -447,44 +453,34 @@ class TestSettledNegation:
             return original(base, coords)
 
         monkeypatch.setattr(spaceform, "_tangent_check", counting)
-        seen = set()
         for p in points:
             for coords in negation_candidates(p, rng):
                 try:
                     v = ModelVector(p, coords)
                 except GeometryError:
                     continue
-                assert v._settled == np.array_equal(v.coords, coords)
-                want = ModelVector(p, -v.coords)
+                want = ModelVector(p, -np.asarray(coords))
                 calls.clear()
                 minus = -v
-                checks = len(calls)
+                assert calls == []
                 assert minus.base is p
                 assert minus.coords.tobytes() == want.coords.tobytes()
-                if v._settled:
-                    assert checks == 0
-                    assert minus._settled
-                    assert (-minus).coords.tobytes() == v.coords.tobytes()
-                else:
-                    # an unsettled vector negates through the check
-                    assert checks == 1
-                seen.add(v._settled)
-        assert seen == ({True} if kappa == 0 else {True, False})
+                assert (-minus).coords.tobytes() == v.coords.tobytes()
 
     @pytest.mark.parametrize("kappa", [-1, 1])
-    def test_defects_below_roundoff_stay_settled(self, kappa):
+    def test_defects_below_the_tolerance_negate_exactly(self, kappa):
         rng = np.random.default_rng(95 + kappa)
         for _ in range(100):
             p = random_point(kappa, rng)
             w = scaled_tangent(p, rng, 10.0 ** rng.uniform(-3, 3)).coords
             scale = max(1.0, float(np.max(np.abs(w)))) * max(1.0, float(np.max(np.abs(p.coords))))
             t = form(kappa, p.coords, w)
-            # defects just under ROUNDOFF_TOL
+            # defects just under CONSTRAINT_TOL
             for factor in (0.3, 0.45, 0.55, 0.9):
                 # <p, p> = kappa, so w + d p has defect t + kappa d
-                coords = w + kappa * (factor * ROUNDOFF_TOL * scale - t) * p.coords
+                coords = w + kappa * (factor * CONSTRAINT_TOL * scale - t) * p.coords
                 v = ModelVector(p, coords)
-                assert v._settled and v.coords.tobytes() == coords.tobytes()
+                assert v.coords.tobytes() == coords.tobytes()
                 assert (-v).coords.tobytes() == ModelVector(p, -coords).coords.tobytes()
                 assert (-(-v)).coords.tobytes() == v.coords.tobytes()
 
