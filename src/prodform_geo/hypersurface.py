@@ -230,14 +230,16 @@ def unit_normal(
         z1, z2 = pair1(x, [0.0] * len(x)), pair2(y, [0.0] * len(y))
         rows.append([pair1(x, e) + z2 for e in legs1] + [z1 + pair2(y, e) for e in legs2])
 
-    # cofactor expansion: det(e1, e2, e3, n) = |n|^2 > 0 by construction
+    # cofactor expansion: det(e1, e2, e3, n) = |n|^2 > 0 by construction; the
+    # norm is np.linalg.norm's, whose dot may sum in another order than a loop
     cols = [0, 1, 2, 3]
-    n = np.array([(-1.0) ** (j + 1) * _det3([[row[c] for c in cols if c != j] for row in rows]) for j in cols])
-    n0, n1, n2, n3 = (n / np.linalg.norm(n)).tolist()
+    n = [(-1.0) ** (j + 1) * _det3([[row[c] for c in cols if c != j] for row in rows]) for j in cols]
+    norm = math.sqrt(float(np.dot(n, n)))
+    n0, n1, n2, n3 = (x / norm for x in n)
 
     normal = ProductVector(
-        ModelVector(p1, n0 * a.coords + n1 * ja.coords),
-        ModelVector(p2, n2 * b.coords + n3 * jb.coords),
+        ModelVector(p1, [n0 * x + n1 * y for x, y in zip(*legs1)]),
+        ModelVector(p2, [n2 * x + n3 * y for x, y in zip(*legs2)]),
     )
     if hint is not None and product_metric(normal, hint) < 0.0:
         normal = -normal
@@ -378,12 +380,14 @@ def shape_operator(
 
     A chart with a closed ``hessian`` (and jacobian) needs no chart point.
     Any other chart (the negative control, a flowed chart) takes h as the
-    Hessian at u of the height v -> <f(v) - f(u), N>, differenced at 54
-    points around u, and evaluates each chart point once per call: without
-    a jacobian, the tangent differences and the Hessian's diagonal read the
-    same points u +- s e_k, 55 points in all.  The gallery judges the
-    negative control by its angle alone and takes only its unit normals, so
-    the control reaches this path from the tests, not from the CLI.
+    Hessian at u of the height v -> <f(v) - f(u), N>, differenced at 36
+    points around u: h_kk from u +- s e_k, and h_kl from the second
+    difference along e_k + e_l, which is h_kk + 2 h_kl + h_ll.  Each chart
+    point is evaluated once per call: without a jacobian, the tangent
+    differences and the Hessian's diagonal read the same points u +- s e_k,
+    37 points in all.  The gallery judges the negative control by its angle
+    alone and takes only its unit normals, so the control reaches this path
+    from the tests, not from the CLI.
     """
     u = np.asarray(u, dtype=float)
     points: dict[bytes, ProductPoint] = {}
@@ -427,12 +431,8 @@ def shape_operator(
         for k in range(3):
             h[k, k] = (height(u + e[k]) + height(u - e[k])) / s**2
             for l in range(k):
-                h[k, l] = h[l, k] = (
-                    height(u + e[k] + e[l])
-                    - height(u + e[k] - e[l])
-                    - height(u - e[k] + e[l])
-                    + height(u - e[k] - e[l])
-                ) / (4.0 * s**2)
+                d = e[k] + e[l]
+                h[k, l] = h[l, k] = ((height(u + d) + height(u - d)) / s**2 - h[k, k] - h[l, l]) / 2.0
         return h
 
     def closed_hessian() -> np.ndarray:

@@ -2,14 +2,16 @@
 
 Each row plants one fault in a function that ``cli`` calls, runs one command
 and names the checks that must fail: one or more in each of the three cases,
-or one in each gallery example.  The paper's finiteness step (C is a root of
-a cubic with constant coefficients that are not all zero) is judged by the
-``cases`` checks alone.
+one in each gallery example, or the gallery's negative control.  The
+paper's finiteness step (C is a root of a cubic with constant coefficients
+that are not all zero) is judged by the ``cases`` checks alone.
 """
 
 from dataclasses import replace
+from decimal import Decimal
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from prodform_geo import cli
@@ -22,8 +24,8 @@ from prodform_geo.classify import (
     gallery_specs,
     invariants_from_alphas,
 )
-from prodform_geo.hypersurface import ricci
-from prodform_geo.jacobi import detq_and_slope
+from prodform_geo.hypersurface import ricci, unit_normal
+from prodform_geo.jacobi import detq_and_slope, detq_derivative_formula
 
 CASES_ARGV = ["cases", "--samples", "50"]
 IDENTITIES_ARGV = ["identities", "--samples", "50"]
@@ -76,6 +78,15 @@ def _ricci_off(e, rec):
     return ricci(e, rec) + 1e-6
 
 
+def _order_2_off(k, cp, **invariants):
+    value = detq_derivative_formula(k, cp, **invariants)
+    return value + Decimal("0.000001") if k == 2 else value
+
+
+def _normal_at_origin(imm, u):
+    return unit_normal(imm, np.zeros(3))
+
+
 #: (mutant, patched ``cli`` attribute, argv, the checks that must fail)
 MUTANTS = [
     (_constant_coefficient_off, "constancy_polynomial", CASES_ARGV, _in_every_case("cubic_annihilates_angle")),
@@ -95,7 +106,9 @@ MUTANTS = [
         _in_every_case("p_eq_minus_j1j2", "p_eq_minus_j2j1"),
     ),
     (_slope_off, "detq_and_slope", DETQ_ARGV, _in_every_case("trace_vs_log_derivative")),
+    (_order_2_off, "detq_derivative_formula", DETQ_ARGV, _in_every_case("derivative_order_2")),
     (_ricci_off, "ricci", GALLERY_ARGV, _in_every_example("ricci_trace_vs_scalar")),
+    (_normal_at_origin, "unit_normal", GALLERY_ARGV, {"psi_negative_control_fails"}),
 ]
 
 
