@@ -344,6 +344,37 @@ def build_example(spec: ExampleSpec) -> Immersion:
     )
 
 
+@dataclass(frozen=True)
+class KnownGeometry:
+    """What the classification says of one example: its angle C and its
+    principal curvatures, ascending, for one choice of the normal's sign."""
+
+    C: float
+    principal_curvatures: tuple[float, float, float]
+
+    def principal_gap(self, measured: Sequence[float]) -> float:
+        """The largest gap of ``measured`` to the known principal curvatures,
+        the smaller over the normal's two global signs."""
+        got = sorted(measured)
+        return min(
+            max(abs(g - w) for g, w in zip(got, known))
+            for known in (self.principal_curvatures, sorted(-x for x in self.principal_curvatures))
+        )
+
+
+def known_geometry(spec: ExampleSpec) -> KnownGeometry:
+    """The known angle and principal curvatures of a classified example.
+
+    A curve of curvature k times a full factor has C = 1 with the curve in
+    the first factor, C = -1 in the second, and principal curvatures
+    (k, 0, 0); psi has C = 1 - 2c and (0, 0, sqrt(1 - c)).
+    """
+    if spec.family == FAMILY_PSI:
+        return KnownGeometry(1.0 - 2.0 * spec.c, (0.0, 0.0, math.sqrt(1.0 - spec.c)))
+    # k >= 0, so (0, 0, k) is ascending
+    return KnownGeometry(1.0 if spec.family == FAMILY_CURVE_X_FACTOR else -1.0, (0.0, 0.0, spec.k))
+
+
 def horocycle_with_normal(r: float) -> tuple[list[float], list[float]]:
     """The reference horocycle ((2+r^2)/2, r, r^2/2) and its unit normal, as Python floats."""
     return [(2.0 + r * r) / 2.0, r, r * r / 2.0], [r * r / 2.0, r, (-2.0 + r * r) / 2.0]

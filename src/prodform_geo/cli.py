@@ -45,7 +45,6 @@ from .classify import (
     CaseId,
     ExampleSpec,
     FAMILIES,
-    FAMILY_CURVE_X_FACTOR,
     FAMILY_PSI,
     StatSummary,
     build_control,
@@ -55,6 +54,7 @@ from .classify import (
     gallery_specs,
     invariants_from_alphas,
     isoparametric_report,
+    known_geometry,
 )
 # nothing here calls shape_operator, but perfbench's gallery workload cuts its
 # run into segments on calls of cli.shape_operator, so the name must stay
@@ -451,26 +451,17 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
             f"{name}.ricci_trace_vs_scalar", "hypersurface.ricci.trace", tol_ricci, judge_abs=True
         )
 
+        known = known_geometry(spec)
         angle.record_abs(rep.angle.max_dev)
+        angle.record(rep.angle.mean, known.C)
         if spec.family == FAMILY_PSI:
-            angle.record(rep.angle.mean, 1.0 - 2.0 * spec.c)
             control = build_control(imm)
-        else:
-            expected = 1.0 if spec.family == FAMILY_CURVE_X_FACTOR else -1.0
-            angle.record(rep.angle.mean, expected)
 
         for stat in rep.principal:
             curvature.record_abs(stat.max_dev)
         for stats in rep.mean_curvature.values():
             curvature.record_abs(stats.max_dev)
-        if spec.family != FAMILY_PSI:
-            got = sorted(s.mean for s in rep.principal)
-            want = sorted((spec.k, 0.0, 0.0))
-            gap = min(
-                max(abs(g - w) for g, w in zip(got, sorted(want))),
-                max(abs(g - w) for g, w in zip(got, sorted(-x for x in want))),
-            )
-            curvature.record_abs(gap)
+        curvature.record_abs(known.principal_gap([s.mean for s in rep.principal]))
 
         for rec in rep.records:
             ricci_trace.record(sum(ricci(e, rec) for e in rec.basis), rec.rho)

@@ -14,11 +14,11 @@ import pytest
 from prodform_geo.classify import (
     CaseId,
     ExampleSpec,
-    FAMILY_CURVE_X_FACTOR,
     FAMILY_FACTOR_X_CURVE,
     FAMILY_PSI,
     build_example,
     gallery_specs,
+    known_geometry,
 )
 from prodform_geo.cli import RunConfig, run
 from prodform_geo.hypersurface import shape_operator
@@ -198,20 +198,14 @@ def test_criterion_8_product_families(default_gallery):
     angle_exact = True
     points = 0
     for spec in specs:
-        expected_angle = 1.0 if spec.family == FAMILY_CURVE_X_FACTOR else -1.0
-        want = np.sort(np.array([spec.k, 0.0, 0.0]))
+        known = known_geometry(spec)
         for rec in reports[spec.label()].records:
             points += 1
-            factor = rec.normal.second if spec.family == FAMILY_CURVE_X_FACTOR else rec.normal.first
-            if rec.C != expected_angle or np.any(factor.coords):
+            # the normal lies in the curve's factor: the first where C = 1
+            factor = rec.normal.second if known.C > 0 else rec.normal.first
+            if rec.C != known.C or np.any(factor.coords):
                 angle_exact = False
-            pcs = np.sort(rec.principal_curvatures())
-            # the normal's sign is a convention: compare up to one global sign
-            gap = min(
-                float(np.max(np.abs(pcs - want))),
-                float(np.max(np.abs(np.sort(-pcs) - want))),
-            )
-            worst_curvature = max(worst_curvature, gap)
+            worst_curvature = max(worst_curvature, known.principal_gap(rec.principal_curvatures()))
     ok = points == len(specs) * 5**3 and angle_exact and worst_curvature < 1e-6
     _report(
         8,

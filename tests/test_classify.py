@@ -21,10 +21,12 @@ from prodform_geo.classify import (
     horocycle_with_normal,
     invariants_from_alphas,
     isoparametric_report,
+    known_geometry,
 )
 from prodform_geo.cli import RunConfig
 from prodform_geo.hypersurface import shape_operator
 from prodform_geo.spaceform import (
+    KAPPAS,
     GeometryError,
     ModelPoint,
     ModelVector,
@@ -343,6 +345,37 @@ def test_psi_chart_and_jacobian_match_the_array_reference_bitwise(c, monkeypatch
             assert x.first.base.coords.tobytes() == p.coords.tobytes()
             assert x.first.coords.tobytes() == a.coords.tobytes()
             assert x.second.coords.tobytes() == b.coords.tobytes()
+
+
+#: curve curvatures off the gallery's GALLERY_CURVATURES: either side of the
+#: horocycle k = 1, and circles of small radius
+OFF_GALLERY_SPECS = [
+    ExampleSpec(family=family, kappa1=kappa1, kappa2=kappa2, k=k)
+    for kappa1 in KAPPAS
+    for kappa2 in KAPPAS
+    if kappa1 != kappa2
+    for family in (FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE)
+    for k in (0.3, 0.999, 1.001, 3.0, 10.0)
+] + [ExampleSpec(family=FAMILY_PSI, c=c) for c in (1e-6, 0.01, 0.5, 0.9, 0.999999)]
+
+
+class TestKnownGeometry:
+    def test_gap_is_taken_up_to_the_normals_sign(self):
+        known = known_geometry(ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=1, kappa2=0, k=2.0))
+        assert known.C == -1.0
+        assert known.principal_curvatures == (0.0, 0.0, 2.0)
+        assert known.principal_gap([0.0, 2.0, 0.0]) == 0.0
+        assert known.principal_gap([-2.0, 0.0, 0.0]) == 0.0
+        assert known.principal_gap([-2.0, 0.0, 1e-3]) == 1e-3
+
+    @pytest.mark.parametrize("spec", OFF_GALLERY_SPECS, ids=ExampleSpec.label)
+    def test_measured_shape_matches_known_geometry(self, spec):
+        known = known_geometry(spec)
+        imm = build_example(spec)
+        for u in imm.grid(3):
+            rec = shape_operator(imm, u)
+            assert abs(rec.C - known.C) <= 1e-12, u
+            assert known.principal_gap(rec.principal_curvatures()) <= 1e-12 * max(1.0, spec.k), u
 
 
 def _max_deviation(rep) -> float:

@@ -23,6 +23,7 @@ from prodform_geo.classify import (
     constancy_polynomial,
     gallery_specs,
     invariants_from_alphas,
+    known_geometry,
 )
 from prodform_geo.hypersurface import ricci, unit_normal
 from prodform_geo.jacobi import detq_and_slope, detq_derivative_formula
@@ -87,6 +88,17 @@ def _normal_at_origin(imm, u):
     return unit_normal(imm, np.zeros(3))
 
 
+def _known_angle_off(spec):
+    known = known_geometry(spec)
+    return replace(known, C=known.C + 1e-6)
+
+
+def _known_largest_curvature_off(spec):
+    known = known_geometry(spec)
+    *rest, largest = known.principal_curvatures
+    return replace(known, principal_curvatures=(*rest, largest + 1e-5))
+
+
 #: (mutant, patched ``cli`` attribute, argv, the checks that must fail)
 MUTANTS = [
     (_constant_coefficient_off, "constancy_polynomial", CASES_ARGV, _in_every_case("cubic_annihilates_angle")),
@@ -107,14 +119,19 @@ MUTANTS = [
     ),
     (_slope_off, "detq_and_slope", DETQ_ARGV, _in_every_case("trace_vs_log_derivative")),
     (_order_2_off, "detq_derivative_formula", DETQ_ARGV, _in_every_case("derivative_order_2")),
+    (_known_angle_off, "known_geometry", GALLERY_ARGV, _in_every_example("angle_constancy")),
+    (_known_largest_curvature_off, "known_geometry", GALLERY_ARGV, _in_every_example("curvature_constancy")),
     (_ricci_off, "ricci", GALLERY_ARGV, _in_every_example("ricci_trace_vs_scalar")),
     (_normal_at_origin, "unit_normal", GALLERY_ARGV, {"psi_negative_control_fails"}),
 ]
 
 
+def _checks(argv):
+    return cli.run(cli.build_config(cli._build_parser().parse_args(argv))).checks
+
+
 def _failing_checks(argv) -> set[str]:
-    report = cli.run(cli.build_config(cli._build_parser().parse_args(argv)))
-    return {check.name for check in report.checks if not check.passed}
+    return {check.name for check in _checks(argv) if not check.passed}
 
 
 @pytest.mark.parametrize("argv", [CASES_ARGV, IDENTITIES_ARGV, DETQ_ARGV, GALLERY_ARGV], ids=lambda argv: argv[0])
@@ -128,3 +145,9 @@ def test_unpatched_run_passes(argv):
 def test_mutant_fails_exactly_its_checks(mutant, attribute, argv, expected):
     with mock.patch.object(cli, attribute, mutant):
         assert _failing_checks(argv) == expected
+
+
+def test_every_gallery_check_has_a_mutant():
+    names = {check.name for check in _checks(GALLERY_ARGV)}
+    assert len(names) == 76
+    assert names <= set().union(*(expected for *_, expected in MUTANTS))
