@@ -205,8 +205,8 @@ class ExampleSpec:
         return f"curve(k={self.k:g},{side})x({self.kappa1},{self.kappa2})"
 
 
-def constant_curvature_curve(kappa: int, k: float) -> tuple[Callable, Callable, Callable]:
-    """Unit-speed curve of constant geodesic curvature k and its first two derivatives.
+def constant_curvature_curve(kappa: int, k: float) -> Callable[..., list[list[float]]]:
+    """Unit-speed curve of constant geodesic curvature k, with its unit normal.
 
     Flat plane: lines and circles of radius 1/k.  Sphere: great and small
     circles.  Hyperbolic plane: geodesics (k = 0), equidistants (k < 1), the
@@ -218,7 +218,13 @@ def constant_curvature_curve(kappa: int, k: float) -> tuple[Callable, Callable, 
     I = (1 - C)/delta = 2 S(t/2)^2, which is t^2/2 at delta = 0 and keeps
     its digits near it, where 1 - C cancels.  The curve starts at p0, the
     origin or (1, 0, 0), along the first leg T0 of its ``tangent_frame``,
-    and turns towards J T0: <gamma'', J gamma'> = k.
+    and turns towards J T0: <gamma'', J gamma'> = k.  Its unit normal
+    nu = J gamma' starts at J T0 with nu' = -k gamma', so
+    nu = J T0 - k (S T0 + I W).
+
+    ``curve(t, order)`` evaluates the stability pair once and returns the
+    frame [gamma, nu], then gamma' and gamma'' up to ``order``, as lists of
+    Python floats.
     """
     if k < 0.0:
         raise GeometryError("curve curvature must be nonnegative")
@@ -228,72 +234,77 @@ def constant_curvature_curve(kappa: int, k: float) -> tuple[Callable, Callable, 
     p0 = ModelPoint(kappa, [1.0, 0.0, 0.0] if kappa else [0.0, 0.0])
     t0, jt0 = tangent_frame(p0)
     w0 = -kappa * p0.coords + k * jt0.coords
-    # (p0, T0, W) coordinate by coordinate, in Python floats
-    columns = list(zip(p0.coords.tolist(), t0.coords.tolist(), w0.tolist()))
+    # (p0, T0, W, J T0) coordinate by coordinate, in Python floats
+    columns = list(zip(p0.coords.tolist(), t0.coords.tolist(), w0.tolist(), jt0.coords.tolist()))
 
-    def gamma(t: float) -> np.ndarray:
-        s, _ = stability_functions(delta, t)
+    def curve(t: float, order: int = 0) -> list[list[float]]:
+        s, c = stability_functions(delta, t)
         half, _ = stability_functions(delta, t / 2.0)
         i = 2.0 * half * half
-        return np.array([p + s * a + i * w for p, a, w in columns])
+        frame = [
+            [p + s * a + i * w for p, a, w, _ in columns],
+            [j - k * (s * a + i * w) for _, a, w, j in columns],
+        ]
+        if order > 0:
+            frame.append([c * a + s * w for _, a, w, _ in columns])
+        if order > 1:
+            frame.append([-delta * s * a + c * w for _, a, w, _ in columns])
+        return frame
 
-    def dgamma(t: float) -> np.ndarray:
-        s, c = stability_functions(delta, t)
-        return np.array([c * a + s * w for _, a, w in columns])
-
-    def ddgamma(t: float) -> np.ndarray:
-        s, c = stability_functions(delta, t)
-        return np.array([-delta * s * a + c * w for _, a, w in columns])
-
-    return gamma, dgamma, ddgamma
+    return curve
 
 
-def _factor_chart(kappa: int) -> tuple[Callable, Callable, Callable, Callable]:
-    """Chart of a full factor in two parameters, with both partials and the
-    three second partials (aa, ab, bb)."""
-    if kappa == 0:
+def fermi_chart(kappa: int, k: float) -> tuple[Callable, Callable, Callable]:
+    """Fermi coordinates along the curve of constant curvature k.
+
+    F(a, b) = C(b) gamma(a) + S(b) nu(a), with (S, C) the stability pair at
+    delta = kappa, lies at distance b along the curve's normal geodesic at
+    gamma(a), so b = const is a parallel of the curve (Cecil & Ryan,
+    Geometry of Hypersurfaces, 2015).  Since nu' = -k gamma',
+    F_a = (C - kS) gamma', F_b = -kappa S gamma + C nu, F_aa = (C - kS) gamma'',
+    F_ab = -(kappa S + kC) gamma' and F_bb = -kappa F.  At b = 0 the chart is
+    positively oriented, (F_a, F_b) = (gamma', J gamma'); at k = 0 it covers
+    the whole factor.  Returns F, (F, F_a, F_b) and (F_aa, F_ab, F_bb) as
+    functions of (a, b), each evaluating one curve frame.
+    """
+    curve = constant_curvature_curve(kappa, k)
+
+    def point(a: float, b: float) -> list[float]:
+        gamma, nu = curve(a)
+        s, c = stability_functions(kappa, b)
+        return [c * g + s * n for g, n in zip(gamma, nu)]
+
+    def partials(a: float, b: float) -> tuple[list[float], list[float], list[float]]:
+        gamma, nu, dgamma = curve(a, 1)
+        s, c = stability_functions(kappa, b)
+        stretch = c - k * s
         return (
-            lambda a, b: np.array([a, b]),
-            lambda a, b: np.array([1.0, 0.0]),
-            lambda a, b: np.array([0.0, 1.0]),
-            lambda a, b: (np.zeros(2), np.zeros(2), np.zeros(2)),
-        )
-    if kappa == 1:
-
-        def sphere_second(a: float, b: float) -> tuple:
-            ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
-            return (
-                np.array([-ca * cb, -ca * sb, -sa]),
-                np.array([sa * sb, -sa * cb, 0.0]),
-                np.array([-ca * cb, -ca * sb, 0.0]),
-            )
-
-        return (
-            lambda a, b: np.array([math.cos(a) * math.cos(b), math.cos(a) * math.sin(b), math.sin(a)]),
-            lambda a, b: np.array([-math.sin(a) * math.cos(b), -math.sin(a) * math.sin(b), math.cos(a)]),
-            lambda a, b: np.array([-math.cos(a) * math.sin(b), math.cos(a) * math.cos(b), 0.0]),
-            sphere_second,
-        )
-
-    def hyperboloid_second(a: float, b: float) -> tuple:
-        w = math.sqrt(1.0 + a * a + b * b)
-        w3 = w * w * w
-        return (
-            np.array([(1.0 + b * b) / w3, 0.0, 0.0]),
-            np.array([-a * b / w3, 0.0, 0.0]),
-            np.array([(1.0 + a * a) / w3, 0.0, 0.0]),
+            [c * g + s * n for g, n in zip(gamma, nu)],
+            [stretch * x for x in dgamma],
+            [-kappa * s * g + c * n for g, n in zip(gamma, nu)],
         )
 
-    return (
-        lambda a, b: np.array([math.sqrt(1.0 + a * a + b * b), a, b]),
-        lambda a, b: np.array([a / math.sqrt(1.0 + a * a + b * b), 1.0, 0.0]),
-        lambda a, b: np.array([b / math.sqrt(1.0 + a * a + b * b), 0.0, 1.0]),
-        hyperboloid_second,
-    )
+    def second_partials(a: float, b: float) -> tuple[list[float], list[float], list[float]]:
+        gamma, nu, dgamma, ddgamma = curve(a, 2)
+        s, c = stability_functions(kappa, b)
+        stretch, turn = c - k * s, -(kappa * s + k * c)
+        return (
+            [stretch * x for x in ddgamma],
+            [turn * x for x in dgamma],
+            [-kappa * (c * g + s * n) for g, n in zip(gamma, nu)],
+        )
+
+    return point, partials, second_partials
 
 
 def build_example(spec: ExampleSpec) -> Immersion:
-    """Immersion of a classified example, with its analytic jacobian and hessian."""
+    """Immersion of a classified example, with its analytic jacobian and hessian.
+
+    A curve times a full factor is (gamma(t), F(a, b)) with F the factor's
+    ``fermi_chart`` at k = 0; psi is the horocycle's Fermi sweep ruled
+    against a line, (F(r, -sqrt(c) t), (s, sqrt(1 - c) t)) with
+    F = ``fermi_chart(-1, 1)``.
+    """
     if spec.family == FAMILY_PSI:
         return _build_psi(spec)
     curve_first = spec.family == FAMILY_CURVE_X_FACTOR
@@ -303,24 +314,25 @@ def build_example(spec: ExampleSpec) -> Immersion:
         return (curve_part, factor_part) if curve_first else (factor_part, curve_part)
 
     curve_kappa, factor_kappa = ordered(spec.kappa1, spec.kappa2)
-    gamma, dgamma, ddgamma = constant_curvature_curve(curve_kappa, spec.k)
-    chart2, d2a, d2b, d2 = _factor_chart(factor_kappa)
+    curve = constant_curvature_curve(curve_kappa, spec.k)
+    factor, factor_partials, factor_second = fermi_chart(factor_kappa, 0.0)
     curve_dim, factor_dim = (2 if kappa == 0 else 3 for kappa in (curve_kappa, factor_kappa))
 
     def chart(u: np.ndarray) -> ProductPoint:
         # Python floats: numpy scalar arithmetic is slower and rounds the same
         t, a, b = u.tolist()
-        return ProductPoint(*ordered(ModelPoint(curve_kappa, gamma(t)), ModelPoint(factor_kappa, chart2(a, b))))
+        return ProductPoint(*ordered(ModelPoint(curve_kappa, curve(t)[0]), ModelPoint(factor_kappa, factor(a, b))))
 
     def jacobian(u: np.ndarray):
         t, a, b = u.tolist()
-        p = chart(u)
-        pc, pf = ordered(p.first, p.second)
+        gamma, _, dgamma = curve(t, 1)
+        f, fa, fb = factor_partials(a, b)
+        pc, pf = ModelPoint(curve_kappa, gamma), ModelPoint(factor_kappa, f)
         zc, zf = zero_vector(pc), zero_vector(pf)
         return (
-            ProductVector(*ordered(ModelVector(pc, dgamma(t)), zf)),
-            ProductVector(*ordered(zc, ModelVector(pf, d2a(a, b)))),
-            ProductVector(*ordered(zc, ModelVector(pf, d2b(a, b)))),
+            ProductVector(*ordered(ModelVector(pc, dgamma), zf)),
+            ProductVector(*ordered(zc, ModelVector(pf, fa))),
+            ProductVector(*ordered(zc, ModelVector(pf, fb))),
         )
 
     def hessian(u: np.ndarray):
@@ -328,10 +340,10 @@ def build_example(spec: ExampleSpec) -> Immersion:
         t, a, b = u.tolist()
         zc, zf = np.zeros(curve_dim), np.zeros(factor_dim)
         return (
-            ordered(ddgamma(t), zf),
+            ordered(np.array(curve(t, 2)[3]), zf),
             ordered(zc, zf),
             ordered(zc, zf),
-            *(ordered(zc, d) for d in d2(a, b)),
+            *(ordered(zc, np.array(d)) for d in factor_second(a, b)),
         )
 
     return Immersion(
@@ -347,19 +359,14 @@ def build_example(spec: ExampleSpec) -> Immersion:
 @dataclass(frozen=True)
 class KnownGeometry:
     """What the classification says of one example: its angle C and its
-    principal curvatures, ascending, for one choice of the normal's sign."""
+    principal curvatures, ascending, for the normal ``unit_normal`` gives."""
 
     C: float
     principal_curvatures: tuple[float, float, float]
 
     def principal_gap(self, measured: Sequence[float]) -> float:
-        """The largest gap of ``measured`` to the known principal curvatures,
-        the smaller over the normal's two global signs."""
-        got = sorted(measured)
-        return min(
-            max(abs(g - w) for g, w in zip(got, known))
-            for known in (self.principal_curvatures, sorted(-x for x in self.principal_curvatures))
-        )
+        """The largest gap of ``measured``, sorted, to the known principal curvatures."""
+        return max(abs(g - w) for g, w in zip(sorted(measured), self.principal_curvatures))
 
 
 def known_geometry(spec: ExampleSpec) -> KnownGeometry:
@@ -367,7 +374,9 @@ def known_geometry(spec: ExampleSpec) -> KnownGeometry:
 
     A curve of curvature k times a full factor has C = 1 with the curve in
     the first factor, C = -1 in the second, and principal curvatures
-    (k, 0, 0); psi has C = 1 - 2c and (0, 0, sqrt(1 - c)).
+    (k, 0, 0); psi has C = 1 - 2c and (0, 0, sqrt(1 - c)).  Every chart of
+    ``build_example`` has its curve's nu as normal, so the signs hold as
+    written and the first focal point lies at l > 0.
     """
     if spec.family == FAMILY_PSI:
         return KnownGeometry(1.0 - 2.0 * spec.c, (0.0, 0.0, math.sqrt(1.0 - spec.c)))
@@ -375,59 +384,35 @@ def known_geometry(spec: ExampleSpec) -> KnownGeometry:
     return KnownGeometry(1.0 if spec.family == FAMILY_CURVE_X_FACTOR else -1.0, (0.0, 0.0, spec.k))
 
 
-def horocycle_with_normal(r: float) -> tuple[list[float], list[float]]:
-    """The reference horocycle ((2+r^2)/2, r, r^2/2) and its unit normal, as Python floats."""
-    return [(2.0 + r * r) / 2.0, r, r * r / 2.0], [r * r / 2.0, r, (-2.0 + r * r) / 2.0]
-
-
-def _ruled(t: float, r: float, s: float, c: float) -> tuple[ProductPoint, list[float], list[float], float, float]:
-    """The ruled point at strip constant c, with what places it: the horocycle
-    g and its normal n at r, and cosh and sinh of t sqrt(c).
-
-    The coordinates are formed in Python floats, coordinate by coordinate,
-    which round as numpy's elementwise products and sums do.
-    """
-    g, n = horocycle_with_normal(r)
-    sc = math.sqrt(c)
-    ch, sh = math.cosh(t * sc), math.sinh(t * sc)
-    point = ProductPoint(
-        ModelPoint(-1, [ch * a + sh * b for a, b in zip(g, n)]),
-        ModelPoint(0, [s, t * math.sqrt(1.0 - c)]),
-    )
-    return point, g, n, ch, sh
-
-
 def _build_psi(spec: ExampleSpec) -> Immersion:
     c = spec.c
-    sc = math.sqrt(c)
+    sc, flat_speed = math.sqrt(c), math.sqrt(1.0 - c)
+    sweep, sweep_partials, sweep_second = fermi_chart(-1, 1.0)
+
+    def chart(u: np.ndarray) -> ProductPoint:
+        t, r, s = u.tolist()
+        return ProductPoint(ModelPoint(-1, sweep(r, -sc * t)), ModelPoint(0, [s, t * flat_speed]))
 
     def jacobian(u: np.ndarray):
         t, r, s = u.tolist()
-        point, g, n, ch, sh = _ruled(t, r, s, c)
-        p, q = point.first, point.second
-        dt = ProductVector(
-            ModelVector(p, [sc * (sh * a + ch * b) for a, b in zip(g, n)]),
-            ModelVector(q, np.array([0.0, math.sqrt(1.0 - c)])),
+        f, fr, fb = sweep_partials(r, -sc * t)
+        p, q = ModelPoint(-1, f), ModelPoint(0, [s, t * flat_speed])
+        return (
+            ProductVector(ModelVector(p, [-sc * x for x in fb]), ModelVector(q, [0.0, flat_speed])),
+            ProductVector(ModelVector(p, fr), zero_vector(q)),
+            ProductVector(zero_vector(p), ModelVector(q, [1.0, 0.0])),
         )
-        # both the horocycle and its normal differentiate to (r, 1, r)
-        dr = ProductVector(
-            ModelVector(p, [(ch + sh) * x for x in (r, 1.0, r)]),
-            zero_vector(q),
-        )
-        ds = ProductVector(zero_vector(p), ModelVector(q, np.array([1.0, 0.0])))
-        return dt, dr, ds
 
     def hessian(u: np.ndarray):
         # the second factor (s, t sqrt(1 - c)) is linear, and nothing depends on s
         t, r, s = u.tolist()
-        _, g, n, ch, sh = _ruled(t, r, s, c)
-        e = ch + sh
+        frr, frb, fbb = sweep_second(r, -sc * t)
         zero, flat = np.zeros(3), np.zeros(2)
         return (
-            (np.array([c * (ch * a + sh * b) for a, b in zip(g, n)]), flat),
-            (np.array([sc * e * x for x in (r, 1.0, r)]), flat),
+            (np.array([c * x for x in fbb]), flat),
+            (np.array([-sc * x for x in frb]), flat),
             (zero, flat),
-            (np.array([e, 0.0, e]), flat),
+            (np.array(frr), flat),
             (zero, flat),
             (zero, flat),
         )
@@ -435,7 +420,7 @@ def _build_psi(spec: ExampleSpec) -> Immersion:
     return Immersion(
         kappa1=-1,
         kappa2=0,
-        chart=lambda u: _ruled(*u.tolist(), c)[0],
+        chart=chart,
         jacobian=jacobian,
         hessian=hessian,
         name=spec.label(),

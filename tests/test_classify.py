@@ -17,14 +17,15 @@ from prodform_geo.classify import (
     case_alphas,
     constancy_polynomial,
     constant_curvature_curve,
+    fermi_chart,
     gallery_specs,
-    horocycle_with_normal,
     invariants_from_alphas,
     isoparametric_report,
     known_geometry,
 )
 from prodform_geo.cli import RunConfig
 from prodform_geo.hypersurface import shape_operator
+from prodform_geo.jacobi import flow_mean_curvature, frame_shape_at
 from prodform_geo.spaceform import (
     KAPPAS,
     GeometryError,
@@ -167,34 +168,33 @@ class TestConstantCurvatureCurves:
     @pytest.mark.parametrize("kappa", [-1, 0, 1])
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
     def test_unit_speed(self, kappa, k):
-        gamma, dgamma, _ = constant_curvature_curve(kappa, k)
-        from prodform_geo.spaceform import form
-
+        curve = constant_curvature_curve(kappa, k)
         for t in (-1.0, 0.0, 0.7):
-            speed = form(kappa, dgamma(t), dgamma(t))
+            _, _, dgamma = curve(t, 1)
+            speed = form(kappa, dgamma, dgamma)
             assert abs(speed - 1.0) < 1e-12
 
     @pytest.mark.parametrize("kappa", [-1, 1])
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
     def test_stays_on_quadric(self, kappa, k):
-        gamma, _, _ = constant_curvature_curve(kappa, k)
-        from prodform_geo.spaceform import form
-
+        curve = constant_curvature_curve(kappa, k)
         for t in (-1.3, 0.0, 2.1):
-            assert abs(form(kappa, gamma(t), gamma(t)) - kappa) < 1e-12
+            gamma, _ = curve(t)
+            assert abs(form(kappa, gamma, gamma) - kappa) < 1e-12
 
     @pytest.mark.parametrize("kappa", [-1, 0, 1])
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
     def test_turns_towards_j_by_k(self, kappa, k):
         # <gamma'', J gamma'> = k, with gamma'' a central difference of dgamma
         # and the closed gamma''
-        gamma, dgamma, ddgamma = constant_curvature_curve(kappa, k)
+        curve = constant_curvature_curve(kappa, k)
         h = 1e-4
         for t in (-1.3, 0.0, 0.7, 2.1):
-            accel = (dgamma(t + h) - dgamma(t - h)) / (2.0 * h)
-            j_velocity = complex_structure(ModelVector(ModelPoint(kappa, gamma(t)), dgamma(t)))
+            accel = (np.array(curve(t + h, 1)[2]) - np.array(curve(t - h, 1)[2])) / (2.0 * h)
+            gamma, _, dgamma, ddgamma = curve(t, 2)
+            j_velocity = complex_structure(ModelVector(ModelPoint(kappa, gamma), dgamma))
             assert abs(form(kappa, accel, j_velocity.coords) - k) < 1e-6
-            assert abs(form(kappa, ddgamma(t), j_velocity.coords) - k) < 1e-12
+            assert abs(form(kappa, ddgamma, j_velocity.coords) - k) < 1e-12
 
     def test_negative_curvature_rejected(self):
         with pytest.raises(GeometryError):
@@ -210,9 +210,9 @@ class TestConstantCurvatureCurves:
     def test_largest_finite_delta_builds(self, kappa):
         # k^2 = 1e308 is still a float: the curve starts at the origin or
         # (1, 0, 0) with a finite velocity
-        gamma, dgamma, _ = constant_curvature_curve(kappa, 1e154)
-        assert gamma(0.0).tolist() == ([1.0, 0.0, 0.0] if kappa else [0.0, 0.0])
-        assert np.all(np.isfinite(dgamma(0.5)))
+        curve = constant_curvature_curve(kappa, 1e154)
+        assert curve(0.0)[0] == ([1.0, 0.0, 0.0] if kappa else [0.0, 0.0])
+        assert np.all(np.isfinite(curve(0.5, 1)[2]))
 
     @pytest.mark.parametrize(
         "kappa1, kappa2, k",
@@ -230,17 +230,86 @@ class TestConstantCurvatureCurves:
             assert abs(max(abs(curvatures)) - k) < 1e-10, u
 
 
-class TestHorocycle:
-    def test_on_hyperboloid_for_all_parameters(self):
-        for r in np.linspace(-3, 3, 25):
-            g, _ = horocycle_with_normal(r)
-            assert abs(form(-1, g, g) + 1.0) < 1e-12
+#: curve curvatures of the normal and focal tests: either side of the
+#: horocycle k = 1, and circles of small radius
+NORMAL_CURVATURES = (0.3, 0.5, 0.999, 1.0, 1.001, 2.0, 3.0, 10.0)
 
-    def test_normal_is_unit_and_orthogonal(self):
-        for r in np.linspace(-3, 3, 25):
-            g, n = horocycle_with_normal(r)
-            assert abs(form(-1, g, n)) < 1e-12
-            assert abs(form(-1, n, n) - 1.0) < 1e-12
+
+class TestCurveNormal:
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    @pytest.mark.parametrize("k", NORMAL_CURVATURES)
+    def test_unit_and_orthogonal(self, kappa, k):
+        curve = constant_curvature_curve(kappa, k)
+        for t in np.linspace(-1.0, 1.0, 21).tolist():
+            gamma, nu, dgamma = curve(t, 1)
+            assert abs(form(kappa, nu, nu) - 1.0) <= 2.5e-15
+            assert abs(form(kappa, nu, dgamma)) <= 1.2e-15
+            if kappa:
+                # the point is a vector of the ambient space only on a quadric
+                assert abs(form(kappa, nu, gamma)) <= 1.2e-15
+
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    @pytest.mark.parametrize("k", NORMAL_CURVATURES)
+    def test_normal_is_j_of_the_velocity(self, kappa, k):
+        curve = constant_curvature_curve(kappa, k)
+        for t in np.linspace(-1.0, 1.0, 21).tolist():
+            gamma, nu, dgamma = curve(t, 1)
+            j_velocity = complex_structure(ModelVector(ModelPoint(kappa, gamma), dgamma))
+            assert np.max(np.abs(np.array(nu) - j_velocity.coords)) <= 1.6e-15
+
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    @pytest.mark.parametrize("k", NORMAL_CURVATURES)
+    def test_normal_turns_back_by_k(self, kappa, k):
+        # nu' = -k gamma', with nu' Richardson-extrapolated from central differences
+        curve = constant_curvature_curve(kappa, k)
+        h = 1e-3
+
+        def difference(step: float, t: float) -> np.ndarray:
+            return (np.array(curve(t + step)[1]) - np.array(curve(t - step)[1])) / (2.0 * step)
+
+        for t in np.linspace(-1.0, 1.0, 21).tolist():
+            dnu = (4.0 * difference(h, t) - difference(2.0 * h, t)) / 3.0
+            want = -k * np.array(curve(t, 1)[2])
+            # one Richardson round leaves about h^4 k^5 / 30 of truncation and eps / h of rounding
+            assert np.max(np.abs(dnu - want)) <= 1e-11 + h**4 * k**5 / 10.0
+
+    def test_horocycle_and_its_normal_by_hand(self):
+        # psi's curve: the horocycle ((2 + r^2)/2, r, r^2/2) with -nu = (r^2/2, r, (r^2 - 2)/2)
+        curve = constant_curvature_curve(-1, 1.0)
+        for r in np.linspace(-3, 3, 25).tolist():
+            gamma, nu = curve(r)
+            assert gamma == [(2.0 + r * r) / 2.0, r, r * r / 2.0]
+            assert [-x for x in nu] == [r * r / 2.0, r, (r * r - 2.0) / 2.0]
+
+
+class TestFermiChart:
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
+    def test_partials_match_differences(self, kappa, k):
+        # F's first and second partials against central differences of F and
+        # of its first partials, at |b| below every focal distance 1/k,
+        # arccot k, arcoth k of these curves
+        point, partials, second_partials = fermi_chart(kappa, k)
+        h = 1e-5
+
+        def difference(i, a, b, da, db):
+            """The central difference of F (i = 0), F_a (1) or F_b (2) along (da, db)."""
+            return (np.array(partials(a + da, b + db)[i]) - np.array(partials(a - da, b - db)[i])) / (2.0 * h)
+
+        for a, b in ((0.0, 0.0), (0.7, -0.3), (-1.2, 0.2)):
+            f, fa, fb = partials(a, b)
+            assert f == point(a, b)
+            if kappa:
+                assert abs(form(kappa, f, f) - kappa) < 1e-12
+            faa, fab, fbb = second_partials(a, b)
+            for i, (da, db), want in (
+                (0, (h, 0.0), fa),
+                (0, (0.0, h), fb),
+                (1, (h, 0.0), faa),
+                (1, (0.0, h), fab),
+                (2, (0.0, h), fbb),
+            ):
+                assert np.max(np.abs(difference(i, a, b, da, db) - want)) < 1e-9
 
 
 class TestBuildExample:
@@ -325,25 +394,38 @@ def reference_psi(u, c):
     )
 
 
+def same_coords(got: np.ndarray, want: np.ndarray, bitwise: bool) -> bool:
+    """Equal bit for bit, or value for value when ``bitwise`` is False."""
+    return got.tobytes() == want.tobytes() if bitwise else np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("c", [1e-7, 0.25, 0.5, 0.9])
 def test_psi_chart_and_jacobian_match_the_array_reference_bitwise(c, monkeypatch):
     calls = []
-    horocycle = classify.horocycle_with_normal
-    monkeypatch.setattr(classify, "horocycle_with_normal", lambda r: calls.append(r) or horocycle(r))
+    curve = classify.constant_curvature_curve
+
+    def counted_curve(kappa, k):
+        frame = curve(kappa, k)
+        return lambda *args: calls.append(args) or frame(*args)
+
+    monkeypatch.setattr(classify, "constant_curvature_curve", counted_curve)
     imm = build_example(ExampleSpec(family=FAMILY_PSI, c=c))
     axis = (-1.0, -0.3, -0.0, 0.0, 0.7)
     for u in (np.array([t, r, s]) for t in axis for r in axis for s in (-0.5, 0.0)):
+        # at r = +-0 the curve adds p0's +0.0 to the coordinate the reference
+        # takes r for, so only there a zero may carry another sign
+        bitwise = u[1] != 0.0
         (p, q), want = reference_psi(u, c)
         point = imm.chart(u)
-        assert point.first.coords.tobytes() == p.coords.tobytes()
+        assert same_coords(point.first.coords, p.coords, bitwise)
         assert point.second.coords.tobytes() == q.coords.tobytes()
         del calls[:]
         got = imm.jacobian(u)
-        # one horocycle per jacobian: the ruled point and its derivatives share it
+        # one curve frame per jacobian: the point and both partials share it
         assert len(calls) == 1
         for x, (a, b) in zip(got, want):
-            assert x.first.base.coords.tobytes() == p.coords.tobytes()
-            assert x.first.coords.tobytes() == a.coords.tobytes()
+            assert same_coords(x.first.base.coords, p.coords, bitwise)
+            assert same_coords(x.first.coords, a.coords, bitwise)
             assert x.second.coords.tobytes() == b.coords.tobytes()
 
 
@@ -359,14 +441,51 @@ OFF_GALLERY_SPECS = [
 ] + [ExampleSpec(family=FAMILY_PSI, c=c) for c in (1e-6, 0.01, 0.5, 0.9, 0.999999)]
 
 
+#: every curve example with a focal point: a curve of the flat plane or the
+#: sphere with k > 0, or a circle (k > 1) of the hyperbolic plane
+FOCAL_SPECS = [
+    ExampleSpec(family=family, kappa1=kappa1, kappa2=kappa2, k=k)
+    for kappa1 in KAPPAS
+    for kappa2 in KAPPAS
+    if kappa1 != kappa2
+    for family in (FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE)
+    for k in NORMAL_CURVATURES
+    if (kappa1 if family == FAMILY_CURVE_X_FACTOR else kappa2) != -1 or k > 1.0
+]
+
+
+def first_focal_distance(spec: ExampleSpec) -> float:
+    """Where C - k S of the curve's factor first vanishes: 1/k, arccot k or arcoth k."""
+    kappa = spec.kappa1 if spec.family == FAMILY_CURVE_X_FACTOR else spec.kappa2
+    if kappa == 0:
+        return 1.0 / spec.k
+    return math.atan(1.0 / spec.k) if kappa == 1 else math.atanh(1.0 / spec.k)
+
+
 class TestKnownGeometry:
-    def test_gap_is_taken_up_to_the_normals_sign(self):
+    def test_gap_is_signed(self):
         known = known_geometry(ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=1, kappa2=0, k=2.0))
         assert known.C == -1.0
         assert known.principal_curvatures == (0.0, 0.0, 2.0)
         assert known.principal_gap([0.0, 2.0, 0.0]) == 0.0
-        assert known.principal_gap([-2.0, 0.0, 0.0]) == 0.0
-        assert known.principal_gap([-2.0, 0.0, 1e-3]) == 1e-3
+        assert known.principal_gap([0.0, 2.0, 1e-3]) == 1e-3
+        # a negated measurement is no match: sorted, -k meets 0 and 0 meets k
+        assert known.principal_gap([0.0, 0.0, -2.0]) == 2.0
+
+    def test_every_curve_spec_with_a_focal_point_is_counted(self):
+        assert len(FOCAL_SPECS) == 80
+
+    @pytest.mark.parametrize("spec", FOCAL_SPECS, ids=ExampleSpec.label)
+    def test_focal_point_lies_at_positive_l(self, spec):
+        # det Q = C - k S of the curve's factor first vanishes at l = d > 0,
+        # and at no l in [-1.01 d, 0]
+        d = first_focal_distance(spec)
+        imm = build_example(spec)
+        for u in imm.grid(2):
+            fs, cp, _ = frame_shape_at(imm, u)
+            assert flow_mean_curvature(fs, cp, 1.01 * d) is None, u
+            assert flow_mean_curvature(fs, cp, 0.99 * d) is not None, u
+            assert flow_mean_curvature(fs, cp, -1.01 * d) is not None, u
 
     @pytest.mark.parametrize("spec", OFF_GALLERY_SPECS, ids=ExampleSpec.label)
     def test_measured_shape_matches_known_geometry(self, spec):
@@ -431,15 +550,15 @@ class TestIsoparametricReport:
         assert len(k_reads) == 2**3 * 4
 
     def test_focal_samples_are_left_out_of_h_statistics(self):
-        # a curvature-2 circle focalizes at distance 1/2 on one side; past
-        # that point the closed det Q = 1 + 2 l is negative, and still focal
+        # a curvature-2 circle focalizes at distance 1/2 along its normal;
+        # past that point the closed det Q = 1 - 2 l is negative, and still focal
         imm = build_example(
             ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=1, kappa2=0, k=2.0)
         )
-        rep = isoparametric_report(imm, grid=imm.grid(2), l_samples=(0.5, -0.5, -0.7, 0.1))
+        rep = isoparametric_report(imm, grid=imm.grid(2), l_samples=(-0.5, 0.5, 0.7, -0.1))
         assert [[h is None for h in hs] for hs in rep.h_values] == [[False, True, True, False]] * 2**3
         assert rep.focal_events == 2 * 2**3
-        assert set(rep.mean_curvature) == {0.5, 0.1}
+        assert set(rep.mean_curvature) == {-0.5, -0.1}
 
     def test_gallery_covers_all_cases(self):
         specs = gallery_specs()

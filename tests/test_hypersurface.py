@@ -19,7 +19,6 @@ from prodform_geo.classify import (
     FAMILY_CURVE_X_FACTOR,
     FAMILY_FACTOR_X_CURVE,
     FAMILY_PSI,
-    _ruled,
     build_control,
     build_example,
     gallery_specs,
@@ -91,6 +90,15 @@ def reference_tangent_frame(p):
     return a, complex_structure(a)
 
 
+def ruled_point(t, r, c=0.25):
+    """psi's hyperbolic point at (t, r): cosh(t sqrt c) g + sinh(t sqrt c) n on
+    the horocycle g = ((2 + r^2)/2, r, r^2/2) and its normal n, written with
+    r itself as a coordinate, so that a zero r keeps its sign."""
+    g = np.array([(2.0 + r * r) / 2.0, r, r * r / 2.0])
+    n = np.array([r * r / 2.0, r, (-2.0 + r * r) / 2.0])
+    return ModelPoint(-1, math.cosh(t * math.sqrt(c)) * g + math.sinh(t * math.sqrt(c)) * n)
+
+
 def frame_test_points():
     """Random sphere and hyperboloid points, and points whose zero coordinates carry a sign."""
     rng = np.random.default_rng(19)
@@ -98,7 +106,7 @@ def frame_test_points():
     points += [ModelPoint(-1, [1.0, 0.0, 0.0]), ModelPoint(1, [0.0, 0.0, 1.0])]
     points += [ModelPoint(-1, [1.0, -0.0, -0.0]), ModelPoint(1, [-0.0, 0.0, -1.0]), ModelPoint(1, [0.0, -1.0, -0.0])]
     # the ruled example's horocycle at r = 0 (and -0.0), flowed both ways
-    points += [_ruled(t, r, 0.0, 0.25)[0].first for t in (-0.5, 0.0, 0.5) for r in (0.0, -0.0)]
+    points += [ruled_point(t, r) for t in (-0.5, 0.0, 0.5) for r in (0.0, -0.0)]
     return points
 
 

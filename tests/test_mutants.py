@@ -17,6 +17,7 @@ import pytest
 from prodform_geo import cli
 from prodform_geo.ambient import curvature_tensor
 from prodform_geo.classify import (
+    FAMILY_PSI,
     CaseId,
     ConstancyPolynomial,
     build_example,
@@ -38,8 +39,13 @@ def _in_every_case(*checks: str) -> set[str]:
     return {f"{case.value}.{check}" for case in CaseId for check in checks}
 
 
-def _in_every_example(check: str) -> set[str]:
-    return {f"{build_example(spec).name}.{check}" for spec in gallery_specs()}
+def _in_every_example(check: str, keep=lambda spec: True) -> set[str]:
+    return {f"{build_example(spec).name}.{check}" for spec in gallery_specs() if keep(spec)}
+
+
+def _curved(spec) -> bool:
+    """A principal curvature is nonzero: psi, or a curve with k > 0."""
+    return spec.family == FAMILY_PSI or spec.k > 0.0
 
 
 def _constant_coefficient_off(case, ar):
@@ -99,6 +105,11 @@ def _known_largest_curvature_off(spec):
     return replace(known, principal_curvatures=(*rest, largest + 1e-5))
 
 
+def _known_curvatures_negated(spec):
+    known = known_geometry(spec)
+    return replace(known, principal_curvatures=tuple(sorted(-x for x in known.principal_curvatures)))
+
+
 #: (mutant, patched ``cli`` attribute, argv, the checks that must fail)
 MUTANTS = [
     (_constant_coefficient_off, "constancy_polynomial", CASES_ARGV, _in_every_case("cubic_annihilates_angle")),
@@ -121,6 +132,7 @@ MUTANTS = [
     (_order_2_off, "detq_derivative_formula", DETQ_ARGV, _in_every_case("derivative_order_2")),
     (_known_angle_off, "known_geometry", GALLERY_ARGV, _in_every_example("angle_constancy")),
     (_known_largest_curvature_off, "known_geometry", GALLERY_ARGV, _in_every_example("curvature_constancy")),
+    (_known_curvatures_negated, "known_geometry", GALLERY_ARGV, _in_every_example("curvature_constancy", _curved)),
     (_ricci_off, "ricci", GALLERY_ARGV, _in_every_example("ricci_trace_vs_scalar")),
     (_normal_at_origin, "unit_normal", GALLERY_ARGV, {"psi_negative_control_fails"}),
 ]
