@@ -202,7 +202,9 @@ class ExampleSpec:
         if self.family == FAMILY_PSI:
             return f"psi(c={self.c!r})"
         side = "first" if self.family == FAMILY_CURVE_X_FACTOR else "second"
-        return f"curve(k={self.k:g},{side})x({self.kappa1},{self.kappa2})"
+        # the shortest repr that reads back as k, so distinct k give distinct names
+        k = repr(float(self.k)).removesuffix(".0")
+        return f"curve(k={k},{side})x({self.kappa1},{self.kappa2})"
 
 
 def constant_curvature_curve(kappa: int, k: float) -> Callable[..., list[list[float]]]:

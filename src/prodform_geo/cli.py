@@ -473,7 +473,7 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
         # the check reads only the angle C = <PN, N>, so the control takes its
         # unit normals and no shape operator
         grid = control.grid(cfg.grid)
-        angle = StatSummary.of([angle_of_normal(unit_normal(control, u))[0] for u in grid])
+        angle = StatSummary.of([angle_of_normal(unit_normal(control, u)) for u in grid])
         report.add(
             CheckResult(
                 name="psi_negative_control_fails",

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .ambient import ProductPoint, ProductVector, _product_pairing, product_metric, product_structure
+from .ambient import ProductPoint, ProductVector, _product_pairing, product_metric
 from .spaceform import (
     DegeneratePointError,
     GeometryError,
@@ -246,16 +246,15 @@ def unit_normal(
     return normal
 
 
-def angle_of_normal(n: ProductVector) -> tuple[float, ProductVector]:
-    """Product angle C = <PN, N> and the tangent part V = PN - C N.
+def angle_of_normal(n: ProductVector) -> float:
+    """Product angle C = <PN, N> / <N, N>.
 
     Both pairings are product_metric's bit for bit, on n's factor
     coordinates read once; P negates the second factor's.
     """
     pair = _product_pairing(n.first.kappa, n.second.kappa)
     x = (n.first.coords.tolist(), n.second.coords.tolist())
-    c = pair((x[0], [-v for v in x[1]]), x) / pair(x, x)
-    return c, product_structure(n) - n.scale(c)
+    return pair((x[0], [-v for v in x[1]]), x) / pair(x, x)
 
 
 def gram_schmidt(vectors: Sequence[ProductVector]) -> tuple[ProductVector, ...]:
@@ -444,8 +443,7 @@ def shape_operator(
     h = closed_hessian() if imm.hessian is not None else _richardson(second_difference)
     a = coeff @ h @ coeff.T
     a = 0.5 * (a + a.T)
-    c, _ = angle_of_normal(n)
-    return ShapeRecord(A=a, basis=basis, normal=n, kappa1=imm.kappa1, kappa2=imm.kappa2, C=c)
+    return ShapeRecord(A=a, basis=basis, normal=n, kappa1=imm.kappa1, kappa2=imm.kappa2, C=angle_of_normal(n))
 
 
 def ricci(x: ProductVector, rec: ShapeRecord) -> float:

@@ -21,19 +21,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .ambient import (
-    ProductPoint,
-    ProductVector,
-    complex_structures,
-    product_exp,
-    product_metric,
-)
-from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, angle_of_normal, gram_schmidt, shape_operator, unit_normal
+from .ambient import ProductPoint, ProductVector, product_exp
+from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, shape_operator, unit_normal
 from .hypersurface import at_most, is_finite
 from .spaceform import GeometryError, KAPPAS, complex_structure, geodesic_transport, stability_functions, tangent_frame, zero_vector
-
-#: flow_frame uses the adapted frame where 1 - C^2 >= FRAME_EPS, the legs for C^2 = 1 closer in
-FRAME_EPS = 1e-6
 
 #: below this |det Q| the flow has hit a focal point
 FOCAL_TOL = 1e-10
@@ -429,43 +420,24 @@ def detq_derivative_formula(k: int, cp: CaseParams, H=None, rho=None, H12=None, 
 
 
 def flow_frame(n: ProductVector) -> tuple[ProductVector, ProductVector, ProductVector]:
-    """Frame at the unit normal n that diagonalizes the Jacobi blocks, also at C^2 = 1.
+    """Frame at the unit normal n that diagonalizes the Jacobi blocks, at every angle value C.
 
-    The angle value C and the tangent part V come from n through
-    ``angle_of_normal``.  Where 1 - C^2 >= ``FRAME_EPS`` this is the adapted
-    frame.  At C = 1 the normal lies in the first factor: the curvature block
-    acts on (J N1, 0) while the whole second factor is flat, so any
-    orthonormal pair there fills the two zero-frequency slots (and
-    symmetrically at C = -1).  Near those values J N1 and J N2 have norms
-    sqrt((1 + C)/2) and sqrt((1 - C)/2), and are scaled to unit length; the
-    normal still has a small part in the factor of the pair, so the pair is
-    projected onto the tangent space.
+    With n = (n1, n2), |n1|^2 = (1 + C)/2 and |n2|^2 = (1 - C)/2, and d_i the
+    unit direction of n_i, the adapted frame (V/|V|, (J1+J2)N/sqrt(2(1+C)),
+    (J1-J2)N/sqrt(2(1-C))) with V = PN - CN is (|n2| d1, -|n1| d2), (J d1, 0)
+    and (0, J d2): orthonormal and tangent by construction, with no division
+    by 1 - C^2.  A factor part of zero length (C = +-1) has no direction and
+    takes the first leg of its factor's ``tangent_frame``: both of that
+    factor's slots then flow as flat ones, so any unit direction gives the
+    same Jacobi blocks.
     """
-    c, v = angle_of_normal(n)
-    if 1.0 - c * c >= FRAME_EPS:
-        # the adapted frame (V/|V|, (J1+J2)N/sqrt(2(1+C)), (J1-J2)N/sqrt(2(1-C))):
-        # its second and third legs split the normal's rotations between the factors
-        j1n, j2n = complex_structures(n)
-        return (
-            v.scale(1.0 / math.sqrt(1.0 - c * c)),
-            (j1n + j2n).scale(1.0 / math.sqrt(2.0 * (1.0 + c))),
-            (j1n - j2n).scale(1.0 / math.sqrt(2.0 * (1.0 - c))),
-        )
-    normal_first = c > 0.0
-
-    # the (first, second) order of a (normal's factor, other factor) pair; a swap is its own inverse
-    def ordered(normal_part, flat_part) -> tuple:
-        return (normal_part, flat_part) if normal_first else (flat_part, normal_part)
-
-    p_normal, p_flat = ordered(n.first.base, n.second.base)
-    jn = complex_structure(ordered(n.first, n.second)[0])
-    e1, e_flat = (ProductVector(*ordered(zero_vector(p_normal), b)) for b in tangent_frame(p_flat))
-    if abs(c) != 1.0:  # at C = +-1 exactly the legs are unit and tangent already
-        jn = jn.scale(1.0 / math.sqrt((1.0 + abs(c)) / 2.0))
-        e1, e_flat = gram_schmidt([e - n.scale(product_metric(e, n)) for e in (e1, e_flat)])
-    e_normal = ProductVector(*ordered(jn, zero_vector(p_flat)))
-    # J N1 is the second leg of the adapted frame at C -> 1, J N2 the third at C -> -1
-    return (e1, *ordered(e_normal, e_flat))
+    r1, r2 = n.first.norm(), n.second.norm()
+    d1, d2 = (part.scale(1.0 / r) if r else tangent_frame(part.base)[0] for part, r in ((n.first, r1), (n.second, r2)))
+    return (
+        ProductVector(d1.scale(r2), d2.scale(-r1)),
+        ProductVector(complex_structure(d1), zero_vector(d2.base)),
+        ProductVector(zero_vector(d1.base), complex_structure(d2)),
+    )
 
 
 def frame_shape_at(imm: Immersion, u: np.ndarray) -> tuple[FrameShape, CaseParams, ShapeRecord]:

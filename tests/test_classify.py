@@ -325,6 +325,16 @@ class TestBuildExample:
         with pytest.raises(GeometryError):
             ExampleSpec(family=FAMILY_PSI, c=0.0)
 
+    @pytest.mark.parametrize("family", [FAMILY_CURVE_X_FACTOR, FAMILY_FACTOR_X_CURVE])
+    def test_distinct_curvatures_give_distinct_names(self, family):
+        # k to 6 digits named the H2 circle k = 1.0000001 after the horocycle k = 1;
+        # the gallery's k = 0, 0.5, 1 and 2 keep their short names
+        ks = (0.0, 0.5, 1.0, 2.0, 1.0000001, 1.0 + 2.0**-52, 1234567.0, 1e-20, 1e20)
+        names = [ExampleSpec(family=family, kappa1=-1, kappa2=0, k=k).label() for k in ks]
+        assert len(set(names)) == len(ks)
+        side = "first" if family == FAMILY_CURVE_X_FACTOR else "second"
+        assert names[:5] == [f"curve(k={k},{side})x(-1,0)" for k in ("0", "0.5", "1", "2", "1.0000001")]
+
     @pytest.mark.parametrize(
         "family, field, value",
         [

@@ -208,7 +208,7 @@ class TestCommands:
         imm = build_control(build_example(ExampleSpec(family=FAMILY_PSI, c=c)))
         grid = imm.grid(2)
         ref = isoparametric_report(imm, grid, l_samples=RunConfig(command="gallery").l_values)
-        values = [angle_of_normal(unit_normal(imm, u))[0] for u in grid]
+        values = [angle_of_normal(unit_normal(imm, u)) for u in grid]
         assert np.array(values).tobytes() == np.array([rec.C for rec in ref.records]).tobytes()
         got = StatSummary.of(values)
         assert got.mean == ref.angle.mean and got.max_dev == ref.angle.max_dev

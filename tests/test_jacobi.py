@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from prodform_geo import jacobi, spaceform
-from prodform_geo.ambient import ProductVector, product_exp, product_metric
+from prodform_geo.ambient import ProductVector, product_exp, product_metric, product_structure
 from prodform_geo.classify import (
     CaseId,
     ExampleSpec,
@@ -16,11 +16,11 @@ from prodform_geo.classify import (
     FAMILY_FACTOR_X_CURVE,
     FAMILY_PSI,
     build_example,
+    gallery_specs,
 )
 from prodform_geo.cli import exact_derivatives, random_frame_shape
-from prodform_geo.hypersurface import ORTHONORMAL_TOL, SYMMETRY_TOL, angle_of_normal, gram_schmidt, unit_normal
+from prodform_geo.hypersurface import ORTHONORMAL_TOL, SYMMETRY_TOL, angle_of_normal, unit_normal
 from prodform_geo.jacobi import (
-    FRAME_EPS,
     CaseParams,
     FocalPointError,
     FrameShape,
@@ -42,7 +42,7 @@ from prodform_geo.jacobi import (
     stability_series,
     transported_frame,
 )
-from prodform_geo.spaceform import GeometryError, complex_structure, tangent_frame, zero_vector
+from prodform_geo.spaceform import GeometryError
 
 
 def random_exact_shape(case, rng, den=100):
@@ -274,11 +274,10 @@ class TestAdaptedFrame:
         imm = build_example(ExampleSpec(family=FAMILY_PSI, c=c))
         u = np.array([0.2, -0.3, 0.4])
         n = unit_normal(imm, u)
-        angle, v = angle_of_normal(n)
-        return n, angle, v
+        return n, angle_of_normal(n)
 
     def test_orthonormal_gram_matrix(self):
-        n, c, v = self._psi_frame(0.25)
+        n, c = self._psi_frame(0.25)
         frame = flow_frame(n)
         gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
@@ -286,14 +285,14 @@ class TestAdaptedFrame:
     def test_balanced_case_denominators(self):
         from prodform_geo.ambient import complex_structures
 
-        n, c, v = self._psi_frame(0.5)  # C = 0
+        n, c = self._psi_frame(0.5)  # C = 0
         assert abs(c) < 1e-12
         j1n, j2n = complex_structures(n)
         assert abs(product_metric(j1n + j2n, j1n + j2n) - 2.0) < 1e-10
         assert abs(product_metric(j1n - j2n, j1n - j2n) - 2.0) < 1e-10
 
     def test_tangent_to_hypersurface(self):
-        n, c, v = self._psi_frame(0.25)
+        n, c = self._psi_frame(0.25)
         for e in flow_frame(n):
             assert abs(product_metric(e, n)) < 1e-10
 
@@ -302,8 +301,8 @@ class TestAdaptedFrame:
             ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=0, k=1.0)
         )
         n = unit_normal(imm, np.zeros(3))
-        c, _ = angle_of_normal(n)
-        assert 1.0 - c * c < FRAME_EPS
+        c = angle_of_normal(n)
+        assert 1.0 - c * c < 1e-6
         # the flow frame covers the degenerate case and stays orthonormal
         frame = flow_frame(n)
         gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
@@ -311,70 +310,42 @@ class TestAdaptedFrame:
 
     @pytest.mark.parametrize("strip", [0.9999999, 1e-7])
     def test_flow_frame_orthonormal_near_degenerate_angle(self, strip):
-        # 0 < 1 - C^2 < FRAME_EPS: the fallback legs J N1, J N2 need scaling,
-        # and the other factor's pair loses its small normal part
-        n, c, v = self._psi_frame(strip)
-        assert 0.0 < 1.0 - c * c < FRAME_EPS
+        # 0 < 1 - C^2 < 1e-6: one factor part of the normal is short, and its
+        # unit direction is that short part scaled up
+        n, c = self._psi_frame(strip)
+        assert 0.0 < 1.0 - c * c < 1e-6
         frame = flow_frame(n)
         gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
         assert np.max(np.abs(gram - np.eye(3))) <= ORTHONORMAL_TOL
         assert max(abs(product_metric(e, n)) for e in frame) < 1e-12
 
 
-def reference_degenerate_flow_frame(n):
-    """``flow_frame`` where 1 - C^2 < FRAME_EPS, as written with one branch per sign of C."""
-    c, _ = angle_of_normal(n)
-    p = n.base
-    if c > 0.0:
-        jn1 = complex_structure(n.first)
-        b1, b2 = tangent_frame(p.second)
-        e1 = ProductVector(zero_vector(p.first), b1)
-        e3 = ProductVector(zero_vector(p.first), b2)
-        if c != 1.0:
-            jn1 = jn1.scale(1.0 / math.sqrt((1.0 + c) / 2.0))
-            e1, e3 = gram_schmidt([e - n.scale(product_metric(e, n)) for e in (e1, e3)])
-        e2 = ProductVector(jn1, zero_vector(p.second))
-    else:
-        jn2 = complex_structure(n.second)
-        a1, a2 = tangent_frame(p.first)
-        e1 = ProductVector(a1, zero_vector(p.second))
-        e2 = ProductVector(a2, zero_vector(p.second))
-        if c != -1.0:
-            jn2 = jn2.scale(1.0 / math.sqrt((1.0 - c) / 2.0))
-            e1, e2 = gram_schmidt([e - n.scale(product_metric(e, n)) for e in (e1, e2)])
-        e3 = ProductVector(zero_vector(p.first), jn2)
-    return e1, e2, e3
+#: every curve example (C = +-1, a factor part of the normal is zero) and psi
+#: from C -> 1 through C = 0 to C -> -1
+FRAME_SPECS = [spec for spec in gallery_specs() if spec.family != FAMILY_PSI] + [
+    ExampleSpec(family=FAMILY_PSI, c=c) for c in (1e-300, 1e-7, 0.25, 0.5, 0.9999999, 0.9999999999999999)
+]
 
 
-def frame_bytes(frame):
-    return [(e.first.coords.tobytes(), e.second.coords.tobytes()) for e in frame]
-
-
-class TestFlowFrameDegenerateBranch:
-    """The one C -> +-1 branch equals the two mirrored branches it replaced, bit for bit."""
-
-    @pytest.mark.parametrize(
-        "spec, angle",
-        [
-            (ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=-1, k=1.0), 1.0),
-            (ExampleSpec(family=FAMILY_FACTOR_X_CURVE, kappa1=-1, kappa2=0, k=0.5), -1.0),
-        ],
-    )
-    def test_exact_degenerate_angle(self, spec, angle):
+class TestFlowFrameStructure:
+    @pytest.mark.parametrize("spec", FRAME_SPECS, ids=lambda spec: spec.label())
+    def test_orthonormal_tangent_split_by_factor(self, spec):
         imm = build_example(spec)
         for u in imm.grid(3):
             n = unit_normal(imm, u)
-            assert angle_of_normal(n)[0] == angle
-            assert frame_bytes(flow_frame(n)) == frame_bytes(reference_degenerate_flow_frame(n))
-
-    @pytest.mark.parametrize("strip", [1e-7, 0.9999999])
-    def test_near_degenerate_strip(self, strip):
-        imm = build_example(ExampleSpec(family=FAMILY_PSI, c=strip))
-        for u in imm.grid(3):
-            n = unit_normal(imm, u)
-            c = angle_of_normal(n)[0]
-            assert 0.0 < 1.0 - c * c < FRAME_EPS and (c > 0.0) == (strip < 0.5)
-            assert frame_bytes(flow_frame(n)) == frame_bytes(reference_degenerate_flow_frame(n))
+            frame = e1, e2, e3 = flow_frame(n)
+            gram = np.array([[product_metric(a, b) for b in frame] for a in frame])
+            assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
+            assert max(abs(product_metric(e, n)) for e in frame) <= 1e-12
+            # e2 lies in the first factor and e3 in the second
+            assert not e2.second.coords.any() and not e3.first.coords.any()
+            c = angle_of_normal(n)
+            assert isinstance(c, float)
+            if 1.0 - c * c >= 1e-6:
+                # e1 is V/|V|, V = PN - CN, where |V|^2 = 1 - C^2
+                v = (product_structure(n) - n.scale(c)).scale(1.0 / math.sqrt(1.0 - c * c))
+                for got, want in ((e1.first, v.first), (e1.second, v.second)):
+                    assert np.max(np.abs(got.coords - want.coords)) <= 1e-12
 
 
 class TestQMatrix:
@@ -625,10 +596,10 @@ class TestParallelImmersion:
         u = np.array([0.2, 0.4, -0.1])
         for spec in specs:
             imm = build_example(spec)
-            base_c, _ = angle_of_normal(unit_normal(imm, u))
+            base_c = angle_of_normal(unit_normal(imm, u))
             for l in (0.1, -0.1, 0.2, -0.2):
                 flowed = parallel_immersion(imm, l)
-                c_l, _ = angle_of_normal(unit_normal(flowed, u))
+                c_l = angle_of_normal(unit_normal(flowed, u))
                 assert abs(c_l - base_c) < 1e-8
 
     def test_transported_frame_stays_orthonormal(self):

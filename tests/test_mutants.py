@@ -2,9 +2,10 @@
 
 Each row plants one fault in a function that ``cli`` calls, runs one command
 and names the checks that must fail: one or more in each of the three cases,
-one in each gallery example, or the gallery's negative control.  The
-paper's finiteness step (C is a root of a cubic with constant coefficients
-that are not all zero) is judged by the ``cases`` checks alone.
+one in each gallery example, or the gallery's negative control.  Every
+check of ``cases``, ``identities``, ``detq`` and ``gallery`` is some row's
+target.  The paper's finiteness step (C is a root of a cubic with constant
+coefficients that are not all zero) is judged by the ``cases`` checks alone.
 """
 
 from dataclasses import replace
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from prodform_geo import cli
-from prodform_geo.ambient import curvature_tensor
+from prodform_geo.ambient import ProductVector, complex_structures, curvature_tensor, product_metric, product_structure
 from prodform_geo.classify import (
     FAMILY_PSI,
     CaseId,
@@ -76,6 +77,43 @@ def _product_structure_identity(x):
     return x
 
 
+class _Image(ProductVector):
+    """A vector that a mutant below returned, tagged with the map that made it."""
+
+    def __init__(self, v, by):
+        super().__init__(v.first, v.second)
+        object.__setattr__(self, "by", by)
+
+
+def _product_structure_idempotent(x):
+    # P leaves its own image alone, so P P = P: only P applied twice shows it
+    return x if getattr(x, "by", None) == "P" else _Image(product_structure(x), "P")
+
+
+def _complex_structure_off_on_its_image(index):
+    # J1 (index 0) or J2 (index 1) is off by 1e-9 on its own image only, so only its square shows it
+    def mutant(x):
+        pair = list(complex_structures(x))
+        if getattr(x, "by", None) == index:
+            pair[index] = pair[index].scale(1.0 + 1e-9)
+        return tuple(_Image(v, i) for i, v in enumerate(pair))
+
+    mutant.__name__ = f"_j{index + 1}_off_on_its_image"
+    return mutant
+
+
+def _metric_first_leaning(x, y):
+    # a term in X alone: <X, Y> is no longer symmetric, but P keeps X's first part
+    return product_metric(x, y) + 1e-9 * float(x.first.coords[0])
+
+
+def _metric_cross_term(x, y):
+    # an antisymmetric term across the factors, odd under X2 -> -X2: <PX, Y>
+    # stays symmetric in X and Y, but <PX, PY> moves off <X, Y>
+    cross = x.first.coords[0] * y.second.coords[0] - x.second.coords[0] * y.first.coords[0]
+    return product_metric(x, y) + 1e-9 * float(cross)
+
+
 def _slope_off(fsf, cpf, l):
     det, slope = detq_and_slope(fsf, cpf, l)
     return det, slope + 1e-9
@@ -85,9 +123,20 @@ def _ricci_off(e, rec):
     return ricci(e, rec) + 1e-6
 
 
-def _order_2_off(k, cp, **invariants):
-    value = detq_derivative_formula(k, cp, **invariants)
-    return value + Decimal("0.000001") if k == 2 else value
+def _order_off(order):
+    # one closed form off by 1e-6 of its size, at least 1e-6
+    def mutant(k, cp, **invariants):
+        value = detq_derivative_formula(k, cp, **invariants)
+        return value + max(1, abs(value)) * Decimal("0.000001") if k == order else value
+
+    mutant.__name__ = f"_order_{order}_off"
+    return mutant
+
+
+def _detq_and_slope_scaled(fsf, cpf, l):
+    # det Q and its slope off by the same factor: the log derivative cannot see it
+    det, slope = detq_and_slope(fsf, cpf, l)
+    return det * (1.0 + 1e-9), slope * (1.0 + 1e-9)
 
 
 def _normal_at_origin(imm, u):
@@ -128,8 +177,18 @@ MUTANTS = [
         IDENTITIES_ARGV,
         _in_every_case("p_eq_minus_j1j2", "p_eq_minus_j2j1"),
     ),
+    (_product_structure_idempotent, "product_structure", IDENTITIES_ARGV, _in_every_case("p_involution")),
+    (_metric_first_leaning, "product_metric", IDENTITIES_ARGV, _in_every_case("p_symmetric")),
+    (_metric_cross_term, "product_metric", IDENTITIES_ARGV, _in_every_case("p_isometry")),
+    (_complex_structure_off_on_its_image(0), "complex_structures", IDENTITIES_ARGV, _in_every_case("j1_squared")),
+    (_complex_structure_off_on_its_image(1), "complex_structures", IDENTITIES_ARGV, _in_every_case("j2_squared")),
     (_slope_off, "detq_and_slope", DETQ_ARGV, _in_every_case("trace_vs_log_derivative")),
-    (_order_2_off, "detq_derivative_formula", DETQ_ARGV, _in_every_case("derivative_order_2")),
+    (_detq_and_slope_scaled, "detq_and_slope", DETQ_ARGV, _in_every_case("detq_matrix_vs_closed_form")),
+    *(
+        (_order_off(k), "detq_derivative_formula", DETQ_ARGV, _in_every_case(f"derivative_order_{k}"))
+        for k in (1, 2, 4, 6)
+    ),
+    (_order_off(10), "detq_derivative_formula", DETQ_ARGV, {f"{CaseId.S2xH2.value}.derivative_order_10"}),
     (_known_angle_off, "known_geometry", GALLERY_ARGV, _in_every_example("angle_constancy")),
     (_known_largest_curvature_off, "known_geometry", GALLERY_ARGV, _in_every_example("curvature_constancy")),
     (_known_curvatures_negated, "known_geometry", GALLERY_ARGV, _in_every_example("curvature_constancy", _curved)),
@@ -160,6 +219,8 @@ def test_mutant_fails_exactly_its_checks(mutant, attribute, argv, expected):
 
 
 def test_every_gallery_check_has_a_mutant():
-    names = {check.name for check in _checks(GALLERY_ARGV)}
-    assert len(names) == 76
-    assert names <= set().union(*(expected for *_, expected in MUTANTS))
+    covered = set().union(*(expected for *_, expected in MUTANTS))
+    for argv, count in ((GALLERY_ARGV, 76), (CASES_ARGV, 9), (IDENTITIES_ARGV, 30), (DETQ_ARGV, 19)):
+        names = {check.name for check in _checks(argv)}
+        assert len(names) == count
+        assert names <= covered
