@@ -106,8 +106,8 @@ def curvature_tensor(x: ProductVector, y: ProductVector, z: ProductVector, w: Pr
         _require_same_base(u.first, v.first)
         _require_same_base(u.second, v.second)
     pairing = _product_pairing(x.first.kappa, x.second.kappa)
-    xs = (x.first.coords.tolist(), x.second.coords.tolist())
-    ys = (y.first.coords.tolist(), y.second.coords.tolist())
+    xs = (x.first.xs, x.second.xs)
+    ys = (y.first.xs, y.second.xs)
     pw_plus_w, pw_minus_w = _sum_and_difference(w)
     pz_plus_z, pz_minus_z = _sum_and_difference(z)
     term1 = (
@@ -126,7 +126,7 @@ def _sum_and_difference(w: ProductVector) -> tuple[tuple, tuple]:
     and PW - W = (W1-W1, (-W2)-W2), the exact sums the vector arithmetic
     forms: x + (-x) and x - x are +0.0, and (-x) - x is -(x+x).
     """
-    w1, w2 = w.first.coords.tolist(), w.second.coords.tolist()
+    w1, w2 = w.first.xs, w.second.xs
     return ([a + a for a in w1], [0.0] * len(w2)), ([0.0] * len(w1), [-(b + b) for b in w2])
 
 

@@ -235,9 +235,8 @@ def constant_curvature_curve(kappa: int, k: float) -> Callable[..., list[list[fl
         raise GeometryError(f"curve curvature k = {k!r} overflows delta = kappa + k^2")
     p0 = ModelPoint(kappa, [1.0, 0.0, 0.0] if kappa else [0.0, 0.0])
     t0, jt0 = tangent_frame(p0)
-    w0 = -kappa * p0.coords + k * jt0.coords
     # (p0, T0, W, J T0) coordinate by coordinate, in Python floats
-    columns = list(zip(p0.coords.tolist(), t0.coords.tolist(), w0.tolist(), jt0.coords.tolist()))
+    columns = [(p, a, -kappa * p + k * j, j) for p, a, j in zip(p0._xs, t0.xs, jt0.xs)]
 
     def curve(t: float, order: int = 0) -> list[list[float]]:
         s, c = stability_functions(delta, t)

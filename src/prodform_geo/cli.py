@@ -292,11 +292,11 @@ def run_identities(cfg: RunConfig, report: VerificationReport) -> None:
 
 
 def _vector_gap(x: ProductVector, y: ProductVector) -> float:
-    """Largest coordinate gap; the same subtractions as numpy, and an exact max."""
+    """Largest coordinate gap, on the vectors' Python floats; the max is exact."""
     return max(
         abs(a - b)
         for u, v in ((x.first, y.first), (x.second, y.second))
-        for a, b in zip(u.coords.tolist(), v.coords.tolist())
+        for a, b in zip(u.xs, v.xs)
     )
 
 

@@ -27,9 +27,9 @@ from .spaceform import (
     GeometryError,
     ModelVector,
     _pairing,
+    _project,
     _require_same_base,
     tangent_frame,
-    tangent_project,
 )
 
 #: smallest of the three central-difference steps STEP, 2 STEP, 4 STEP
@@ -116,10 +116,11 @@ def _tangents(imm: Immersion, u: np.ndarray) -> tuple[tuple[ProductVector, Produ
         vectors = []
         for du in np.eye(3):
             d = _richardson(lambda s: (_chart_coords(imm, u + s * du) - _chart_coords(imm, u - s * du)) / (2 * s))
+            d = d.tolist()
             vectors.append(
                 ProductVector(
-                    ModelVector(p.first, tangent_project(p.first, d[:split])),
-                    ModelVector(p.second, tangent_project(p.second, d[split:])),
+                    ModelVector(p.first, _project(p.first, d[:split])),
+                    ModelVector(p.second, _project(p.second, d[split:])),
                 )
             )
         basis = tuple(vectors)
@@ -133,7 +134,7 @@ def _factor_coords(vectors: Sequence[ProductVector], at: ProductVector) -> list[
     for v in vectors:
         _require_same_base(v.first, at.first)
         _require_same_base(v.second, at.second)
-        coords.append((v.first.coords.tolist(), v.second.coords.tolist()))
+        coords.append((v.first.xs, v.second.xs))
     return coords
 
 
@@ -222,11 +223,11 @@ def unit_normal(
     # product_metric against the legs (a, 0), (Ja, 0), (0, b), (0, Jb) of the
     # ambient frame; each tangent's and each leg's coordinates are read once
     pair1, pair2 = _pairing(k1), _pairing(k2)
-    legs1 = [e.coords.tolist() for e in (a, ja)]
-    legs2 = [e.coords.tolist() for e in (b, jb)]
+    legs1 = [a.xs, ja.xs]
+    legs2 = [b.xs, jb.xs]
     rows = []
     for t in basis:
-        x, y = t.first.coords.tolist(), t.second.coords.tolist()
+        x, y = t.first.xs, t.second.xs
         z1, z2 = pair1(x, [0.0] * len(x)), pair2(y, [0.0] * len(y))
         rows.append([pair1(x, e) + z2 for e in legs1] + [z1 + pair2(y, e) for e in legs2])
 
@@ -253,7 +254,7 @@ def angle_of_normal(n: ProductVector) -> float:
     coordinates read once; P negates the second factor's.
     """
     pair = _product_pairing(n.first.kappa, n.second.kappa)
-    x = (n.first.coords.tolist(), n.second.coords.tolist())
+    x = (n.first.xs, n.second.xs)
     return pair((x[0], [-v for v in x[1]]), x) / pair(x, x)
 
 
@@ -356,7 +357,7 @@ def _check_orthonormal(basis: Sequence[ProductVector], n: ProductVector) -> list
     gram = np.array([[pair(a, b) for b in coords] for a in coords])
     if float(np.max(np.abs(gram - np.eye(3)))) > ORTHONORMAL_TOL:
         raise GeometryError("supplied basis is not orthonormal within 1e-8")
-    normal = (n.first.coords.tolist(), n.second.coords.tolist())
+    normal = (n.first.xs, n.second.xs)
     if max(abs(pair(b, normal)) for b in coords) > ORTHONORMAL_TOL:
         raise GeometryError("supplied basis is not tangent within 1e-8")
     return coords
@@ -413,7 +414,7 @@ def shape_operator(
     coeff = np.linalg.solve(tangent_gram, gram.T).T
 
     # the factor forms against the normal's factor coordinates, read once
-    normal = (n.first.coords.tolist(), n.second.coords.tolist())
+    normal = (n.first.xs, n.second.xs)
 
     def normal_part(first: np.ndarray, second: np.ndarray) -> float:
         return pair((first.tolist(), second.tolist()), normal)
@@ -459,7 +460,7 @@ def ricci(x: ProductVector, rec: ShapeRecord) -> float:
     n = rec.normal
     pair = _product_pairing(k1, k2)
     xs, *basis = _factor_coords([x, *rec.basis], n)
-    normal = (n.first.coords.tolist(), n.second.coords.tolist())
+    normal = (n.first.xs, n.second.xs)
     pxs = (xs[0], [-v for v in xs[1]])
     xx = pair(xs, xs)
     xpx = pair(xs, pxs)

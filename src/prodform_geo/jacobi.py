@@ -465,7 +465,9 @@ def parallel_immersion(imm: Immersion, l: float) -> Immersion:
     The angle function of the flowed immersion agrees with the original
     because the product structure is parallel.
     """
-    return normal_graph(imm, lambda u: l, f"{imm.name}|flow l={l:g}" if imm.name else f"flow l={l:g}")
+    # the shortest repr that reads back as l, so distinct l give distinct names
+    flow = f"flow l={repr(float(l)).removesuffix('.0')}"
+    return normal_graph(imm, lambda u: l, f"{imm.name}|{flow}" if imm.name else flow)
 
 
 def transported_frame(

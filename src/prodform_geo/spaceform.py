@@ -4,7 +4,9 @@ The sphere and the hyperbolic plane are handled in their standard embeddings
 (unit sphere in R^3, upper hyperboloid sheet in Minkowski R^3), the flat case
 directly in R^2.  Geodesics, parallel transport and the rotation operator J
 are all closed form, so long flows stay on-manifold up to a cheap
-re-projection.
+re-projection.  A tangent vector is stored as its checked coordinates, a list
+of Python floats, and every operation here reads and forms those floats; its
+``coords`` ndarray is derived from them.
 
 The stability pair (S, C) solves f'' + delta f = 0 with (f(0), f'(0)) equal
 to (0, 1) and (1, 0), so S' = C and C' = -delta S.  It gives the Jacobi
@@ -58,8 +60,8 @@ def _euclid(a, b) -> float:
 
 def _pairing(kappa: int):
     """The ambient form of the curvature-``kappa`` factor on coordinates as
-    Python floats (``ndarray.tolist()``): the Lorentz pairing for -1, the
-    Euclidean one for 0 and 1, each a sum of products taken left to right.
+    Python floats: the Lorentz pairing for -1, the Euclidean one for 0 and 1,
+    each a sum of products taken left to right.
 
     Every pairing of factor coordinates goes through it.  <p, p> = kappa on
     the model space, so kappa <p, p> is each quadric; on the hyperboloid it
@@ -99,54 +101,69 @@ class ModelPoint:
     def __init__(self, kappa: int, coords):
         if kappa not in KAPPAS:
             raise GeometryError(f"kappa must be in {KAPPAS}, got {kappa}")
-        coords = np.asarray(coords, dtype=float)
+        array = np.asarray(coords, dtype=float)
         dim = 2 if kappa == 0 else 3
-        if coords.shape != (dim,):
-            raise GeometryError(f"kappa={kappa} point needs {dim} coordinates, got shape {coords.shape}")
-        xs = coords.tolist()
+        if array.shape != (dim,):
+            raise GeometryError(f"kappa={kappa} point needs {dim} coordinates, got shape {array.shape}")
+        xs = array.tolist()
         # fields set with object.__setattr__, not through the instance dict,
         # which would slow every later read of them
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", array)
         if kappa == 0:
             if not (math.isfinite(xs[0]) and math.isfinite(xs[1])):
                 raise GeometryError(f"flat point coordinates must be finite, got {xs}")
-            return
-        q = kappa * _pairing(kappa)(xs, xs)
-        # written so that a non-finite coordinate, which makes q NaN or inf, fails too
-        if not abs(q - 1.0) <= CONSTRAINT_TOL:
-            raise GeometryError(f"coordinates violate the kappa={kappa} quadric: q={q!r}")
-        x0, x1, x2 = xs
-        if kappa == -1 and x0 <= 0:
-            raise GeometryError("hyperboloid points must have positive first coordinate")
+        else:
+            q = kappa * _pairing(kappa)(xs, xs)
+            # written so that a non-finite coordinate, which makes q NaN or inf, fails too
+            if not abs(q - 1.0) <= CONSTRAINT_TOL:
+                raise GeometryError(f"coordinates violate the kappa={kappa} quadric: q={q!r}")
+            if kappa == -1 and xs[0] <= 0:
+                raise GeometryError("hyperboloid points must have positive first coordinate")
         # the coordinates as Python floats and max(1, max|x_i|), the point's
         # share of every tangency scale; not fields, so equality, repr and
         # hashing ignore them
         object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_scale", max(1.0, abs(x0), abs(x1), abs(x2)))
+        object.__setattr__(self, "_scale", max(1.0, *map(abs, xs)))
 
 
-def _tangent_check(base: ModelPoint, coords) -> np.ndarray:
-    """Tangent coordinates at ``base``, kept as given.
+def _python_floats(coords) -> bool:
+    """Whether ``coords`` is a list of Python floats, which
+    ``np.asarray(coords, dtype=float).tolist()`` would return unchanged."""
+    if type(coords) is not list:
+        return False
+    # a loop, not all() over a generator, which costs twice as much here
+    for x in coords:
+        if type(x) is not float:
+            return False
+    return True
 
-    The defect is <p, v> in the factor form ``_pairing``, on the point's and
-    the vector's Python floats.  A defect above ``CONSTRAINT_TOL`` times the
-    scale is rejected, as a point that far off its quadric is.
+
+def _tangent_check(base: ModelPoint, coords) -> list[float]:
+    """Tangent coordinates at ``base`` as a list of Python floats, kept as given.
+
+    A list of Python floats is taken as it is, not copied; any other input
+    is converted as ``np.asarray(coords, dtype=float)`` converts it.  The
+    defect is <p, v> in the factor form ``_pairing``, on the point's and the
+    vector's floats.  A defect above ``CONSTRAINT_TOL`` times the scale is
+    rejected, as a point that far off its quadric is.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != base.coords.shape:
+    if not _python_floats(coords):
+        array = np.asarray(coords, dtype=float)
+        # a scalar or nested input has no length to match the point's
+        coords = array.tolist() if array.ndim == 1 else []
+    if len(coords) != len(base._xs):
         raise GeometryError("vector and base point dimensions differ")
-    xs = coords.tolist()
-    if not all(map(math.isfinite, xs)):
-        raise GeometryError(f"tangent vector coordinates must be finite, got {xs}")
+    if not all(map(math.isfinite, coords)):
+        raise GeometryError(f"tangent vector coordinates must be finite, got {coords}")
     kappa = base.kappa
     if kappa == 0:
         return coords
     # the maximum of Python floats is exact, so the scale is the one a numpy
     # reduction would give, bit for bit
-    x0, x1, x2 = xs
+    x0, x1, x2 = coords
     scale = max(1.0, abs(x0), abs(x1), abs(x2)) * base._scale
-    t = _pairing(kappa)(base._xs, xs)
+    t = _pairing(kappa)(base._xs, coords)
     if abs(t) > CONSTRAINT_TOL * scale:
         raise GeometryError(f"vector is not tangent at its base point (defect {t!r})")
     return coords
@@ -154,18 +171,24 @@ def _tangent_check(base: ModelPoint, coords) -> np.ndarray:
 
 @dataclass(frozen=True, init=False)
 class ModelVector:
-    """Tangent vector at a :class:`ModelPoint`.
+    """Tangent vector at a :class:`ModelPoint`, stored as its checked
+    coordinates ``xs``, a list of Python floats that nothing may change.
 
     Construction enforces tangency through ``_tangent_check``, which keeps the
-    coordinates as given or rejects them.
+    coordinates as given or rejects them; ``coords`` is an ndarray formed
+    from ``xs`` on each read.
     """
 
     base: ModelPoint
-    coords: np.ndarray
+    xs: list[float]
 
     def __init__(self, base: ModelPoint, coords):
         # the instance dict of a frozen dataclass, written directly
-        self.__dict__.update(base=base, coords=_tangent_check(base, coords))
+        self.__dict__.update(base=base, xs=_tangent_check(base, coords))
+
+    @property
+    def coords(self) -> np.ndarray:
+        return np.array(self.xs)
 
     @property
     def kappa(self) -> int:
@@ -173,22 +196,22 @@ class ModelVector:
 
     def __add__(self, other: "ModelVector") -> "ModelVector":
         _require_same_base(self, other)
-        return ModelVector(self.base, self.coords + other.coords)
+        return ModelVector(self.base, [a + b for a, b in zip(self.xs, other.xs)])
 
     def __sub__(self, other: "ModelVector") -> "ModelVector":
         _require_same_base(self, other)
-        return ModelVector(self.base, self.coords - other.coords)
+        return ModelVector(self.base, [a - b for a, b in zip(self.xs, other.xs)])
 
     def __neg__(self) -> "ModelVector":
         """-v without a second check: rounding to nearest is symmetric under a
         change of sign (Higham 2002, 2.2), so the defect of -c is exactly -t,
         at the same scale, and the check decides the same."""
         v = object.__new__(ModelVector)
-        v.__dict__.update(base=self.base, coords=-self.coords)
+        v.__dict__.update(base=self.base, xs=[-x for x in self.xs])
         return v
 
     def scale(self, a: float) -> "ModelVector":
-        return ModelVector(self.base, a * self.coords)
+        return ModelVector(self.base, [a * x for x in self.xs])
 
     def norm(self) -> float:
         return math.sqrt(max(metric(self, self), 0.0))
@@ -198,7 +221,7 @@ def _same_point(p: ModelPoint, q: ModelPoint) -> bool:
     """Whether p and q are the same point up to 1e-9 in each coordinate."""
     if p is q:
         return True
-    return p.kappa == q.kappa and bool(np.max(np.abs(p.coords - q.coords)) <= 1e-9)
+    return p.kappa == q.kappa and max(abs(a - b) for a, b in zip(p._xs, q._xs)) <= 1e-9
 
 
 def _require_same_base(u: ModelVector, v: ModelVector) -> None:
@@ -213,20 +236,24 @@ def metric(u: ModelVector, v: ModelVector) -> float:
     (positive definite on tangent vectors of the hyperboloid).
     """
     _require_same_base(u, v)
-    return _pairing(u.kappa)(u.coords.tolist(), v.coords.tolist())
+    return _pairing(u.kappa)(u.xs, v.xs)
 
 
 def zero_vector(p: ModelPoint) -> ModelVector:
-    return ModelVector(p, np.zeros(p.coords.shape))
+    return ModelVector(p, [0.0] * len(p._xs))
+
+
+def _project(p: ModelPoint, xs: Sequence[float]) -> Sequence[float]:
+    """``tangent_project`` on Python floats: xs - kappa <p, xs> p."""
+    if p.kappa == 0:
+        return xs
+    kt = p.kappa * _pairing(p.kappa)(p._xs, xs)
+    return [x - kt * y for x, y in zip(xs, p._xs)]
 
 
 def tangent_project(p: ModelPoint, coords) -> np.ndarray:
     """Orthogonal projection of raw coordinates onto the tangent space at p."""
-    coords = np.asarray(coords, dtype=float)
-    if p.kappa == 0:
-        return coords
-    t = form(p.kappa, p.coords, coords)
-    return coords - p.kappa * t * p.coords
+    return np.array(_project(p, _floats(coords)))
 
 
 def complex_structure(v: ModelVector) -> ModelVector:
@@ -235,17 +262,17 @@ def complex_structure(v: ModelVector) -> ModelVector:
     Flat case: J(x1, x2) = (-x2, x1).  Sphere: p x v.  Hyperbolic plane:
     the Lorentzian cross product of p and v.  J is an isometry with J^2 = -Id.
     """
-    p = v.base
+    p, xs = v.base, v.xs
     if p.kappa == 0:
-        return ModelVector(p, np.array([-v.coords[1], v.coords[0]]))
-    return ModelVector(p, np.array(_cross(p.kappa, p._xs, v.coords.tolist())))
+        return ModelVector(p, [-xs[1], xs[0]])
+    return ModelVector(p, _cross(p.kappa, p._xs, xs))
 
 
-def _renormalized(kappa: int, coords: np.ndarray) -> np.ndarray:
+def _renormalized(kappa: int, xs: list[float]) -> list[float]:
     if kappa == 0:
-        return coords
-    xs = coords.tolist()
-    return coords / math.sqrt(kappa * _pairing(kappa)(xs, xs))
+        return xs
+    r = math.sqrt(kappa * _pairing(kappa)(xs, xs))
+    return [x / r for x in xs]
 
 
 def stability_functions(delta: float, l: float) -> tuple[float, float]:
@@ -268,19 +295,19 @@ def stability_functions(delta: float, l: float) -> tuple[float, float]:
 def _geodesic(p: ModelPoint, v: ModelVector, l: float, velocity: bool = False):
     """End point C p + S v at delta = kappa <v, v>, and the velocity -delta S p + C v if asked.
 
-    The velocity comes as raw coordinates, None unless asked for; a zero
+    The velocity comes as Python floats, None unless asked for; a zero
     velocity stays at p, with velocity v.  The end point is re-projected onto
     the quadric to suppress drift in long flows.
     """
     _require_vector_at(p, v)
-    x = v.coords.tolist()
+    x = v.xs
     vv = max(_pairing(p.kappa)(x, x), 0.0)
     if vv == 0.0:
-        return p, v.coords.copy()
+        return p, x
     delta = p.kappa * vv
     s, c = stability_functions(delta, l)
-    q = ModelPoint(p.kappa, _renormalized(p.kappa, c * p.coords + s * v.coords))
-    return q, (-delta * s * p.coords + c * v.coords) if velocity else None
+    q = ModelPoint(p.kappa, _renormalized(p.kappa, [c * a + s * b for a, b in zip(p._xs, x)]))
+    return q, [-delta * s * a + c * b for a, b in zip(p._xs, x)] if velocity else None
 
 
 def exp_map(p: ModelPoint, v: ModelVector, l: float) -> ModelPoint:
@@ -305,12 +332,12 @@ def geodesic_transport(
         _require_vector_at(p, w)
     q, velocity = _geodesic(p, v, l, velocity=True)
     pair = _pairing(p.kappa)
-    x = v.coords.tolist()
+    x = v.xs
     vv = pair(x, x)
     moved = []
     for w in ws:
-        beta = pair(w.coords.tolist(), x) / vv if vv > 0.0 else 0.0
-        moved.append(ModelVector(q, beta * velocity + (w.coords - beta * v.coords)))
+        beta = pair(w.xs, x) / vv if vv > 0.0 else 0.0
+        moved.append(ModelVector(q, [beta * a + (b - beta * c) for a, b, c in zip(velocity, w.xs, x)]))
     return tuple(moved), ModelVector(q, velocity)
 
 
@@ -333,25 +360,11 @@ def tangent_frame(p: ModelPoint) -> tuple[ModelVector, ModelVector]:
     orientation class are frame-independent.
     """
     if p.kappa == 0:
-        return (
-            ModelVector(p, np.array([1.0, 0.0])),
-            ModelVector(p, np.array([0.0, 1.0])),
-        )
-    kappa, xs = p.kappa, p._xs
-    pair = _pairing(kappa)
-    best = None
-    best_norm = -1.0
-    for i in range(3):
-        # tangent_project(p, e_i) on the point's floats: form(kappa, p, e_i)
-        # is exactly -p_0 (Lorentz, i = 0) or p_i, and a zero of either sign
-        # projects e_i to the same coordinates
-        kt = kappa * (-xs[0] if kappa == -1 and i == 0 else xs[i])
-        cand = [(1.0 if j == i else 0.0) - kt * x for j, x in enumerate(xs)]
-        n = pair(cand, cand)
-        if n > best_norm:
-            best_norm = n
-            best = cand
-    scale = math.sqrt(best_norm)
+        return ModelVector(p, [1.0, 0.0]), ModelVector(p, [0.0, 1.0])
+    pair = _pairing(p.kappa)
+    # max keeps the first of equal keys
+    best = max((_project(p, [float(j == i) for j in range(3)]) for i in range(3)), key=lambda c: pair(c, c))
+    scale = math.sqrt(pair(best, best))
     a = ModelVector(p, [x / scale for x in best])
     return a, complex_structure(a)
 
@@ -368,5 +381,4 @@ def random_point(kappa: int, rng: np.random.Generator) -> ModelPoint:
 
 
 def random_tangent(p: ModelPoint, rng: np.random.Generator) -> ModelVector:
-    dim = 2 if p.kappa == 0 else 3
-    return ModelVector(p, tangent_project(p, rng.normal(size=dim)))
+    return ModelVector(p, _project(p, rng.normal(size=len(p._xs)).tolist()))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prodform_geo import classify, cli, hypersurface, jacobi
+from prodform_geo import classify, cli, hypersurface, jacobi, spaceform
 from prodform_geo.ambient import (
     complex_structures,
     curvature_tensor,
@@ -124,6 +124,21 @@ class TestCommands:
         names = {c.name for c in report.checks}
         assert "s2h2.p_involution" in names
         assert "h2r2.sectional_mixed" in names
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_identities_checks_every_vector_it_builds(self, case, monkeypatch):
+        # every vector but a negation passes _tangent_check, and a sample
+        # builds 20 of them
+        original = spaceform._tangent_check
+        calls = []
+
+        def counting(base, coords):
+            calls.append(coords)
+            return original(base, coords)
+
+        monkeypatch.setattr(spaceform, "_tangent_check", counting)
+        assert run(make_config(command="identities", case=case, samples=1, seed=1)).all_passed
+        assert len(calls) == 20
 
     def test_detq_all_pass(self):
         report = run(make_config(command="detq", samples=25, seed=7))

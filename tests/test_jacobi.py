@@ -522,6 +522,13 @@ def reference_parallel_chart(imm, l):
 
 
 class TestParallelImmersion:
+    def test_names_carry_l_exactly(self):
+        imm = build_example(ExampleSpec(family=FAMILY_PSI, c=0.25))
+        assert parallel_immersion(imm, 0.1).name == "psi(c=0.25)|flow l=0.1"
+        assert parallel_immersion(imm, -0.2).name == "psi(c=0.25)|flow l=-0.2"
+        assert parallel_immersion(imm, 0.1000001).name == "psi(c=0.25)|flow l=0.1000001"
+        assert parallel_immersion(imm, 1.0).name == "psi(c=0.25)|flow l=1"
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -638,7 +645,7 @@ class TestParallelImmersion:
             q, velocity = spaceform._geodesic(p, v, l, velocity=True)
             vv = spaceform.form(p.kappa, v.coords, v.coords)
             beta = spaceform.form(p.kappa, w.coords, v.coords) / vv if vv > 0.0 else 0.0
-            return spaceform.ModelVector(q, beta * velocity + (w.coords - beta * v.coords))
+            return spaceform.ModelVector(q, beta * np.array(velocity) + (w.coords - beta * v.coords))
 
         def velocity(p, v, l):
             return spaceform.ModelVector(*spaceform._geodesic(p, v, l, velocity=True))

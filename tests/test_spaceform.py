@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -388,7 +390,70 @@ def defect_candidates(p, rng):
     return out
 
 
+def reference_vector_outcome(base, coords):
+    """The coordinate bytes of the vector stored as
+    ``np.asarray(coords, dtype=float)``, or the error it was rejected with."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != base.coords.shape:
+        raise GeometryError("vector and base point dimensions differ")
+    if not np.all(np.isfinite(coords)):
+        raise GeometryError(f"tangent vector coordinates must be finite, got {coords.tolist()}")
+    if reference_vector(base, coords)[0] == "reject":
+        t = reference_form(base.kappa, base.coords, coords)
+        raise GeometryError(f"vector is not tangent at its base point (defect {t!r})")
+    return coords.tobytes()
+
+
+#: a point of each factor, a tangent there and an integer tangent there
+BOUNDARY_BASES = {
+    1: ([0.6, 0.8, 0.0], [0.8, -0.6, 0.25], [4, -3, 7]),
+    -1: ([1.25, 0.75, 0.0], [0.6, 1.0, 0.3], [3, 5, 2]),
+    0: ([0.5, -2.0], [0.8, -0.6], [1, -2]),
+}
+
+#: each input kind built from (point, tangent, integer tangent)
+BOUNDARY_INPUTS = {
+    "list": lambda p, t, n: list(t),
+    "tuple": lambda p, t, n: tuple(t),
+    "ndarray": lambda p, t, n: np.array(t),
+    "float32 ndarray": lambda p, t, n: np.array(t, dtype=np.float32),
+    "np.float64 list": lambda p, t, n: [np.float64(x) for x in t],
+    "int list": lambda p, t, n: list(n),
+    "int ndarray": lambda p, t, n: np.array(n),
+    "Fraction list": lambda p, t, n: [Fraction(str(x)) for x in t],
+    "Decimal list": lambda p, t, n: [Decimal(str(x)) for x in t],
+    "mixed list": lambda p, t, n: [Fraction(str(t[0])), np.float64(t[1]), *t[2:]],
+    "nan": lambda p, t, n: [math.nan, *t[1:]],
+    "inf": lambda p, t, n: [*t[:-1], math.inf],
+    "-inf ndarray": lambda p, t, n: np.array([-math.inf, *t[1:]]),
+    "Decimal NaN": lambda p, t, n: [Decimal("NaN"), *t[1:]],
+    "short": lambda p, t, n: list(t[:-1]),
+    "long": lambda p, t, n: [*t, 0.0],
+    "empty": lambda p, t, n: [],
+    "scalar": lambda p, t, n: 0.5,
+    "nested": lambda p, t, n: [list(t)],
+    "column": lambda p, t, n: [[x] for x in t],
+    "ragged": lambda p, t, n: [list(t), [1.0]],
+    "non-tangent": lambda p, t, n: [x + 1e-3 * y for x, y in zip(t, p)],
+}
+
+
 class TestFloatValidationEquivalence:
+    @pytest.mark.parametrize("kappa", [-1, 0, 1])
+    @pytest.mark.parametrize("kind", list(BOUNDARY_INPUTS))
+    def test_every_input_kind_matches_reference(self, kappa, kind):
+        point, tangent, integers = BOUNDARY_BASES[kappa]
+        base = ModelPoint(kappa, point)
+        coords = BOUNDARY_INPUTS[kind](point, tangent, integers)
+        want = outcome(lambda: reference_vector_outcome(base, coords))
+        got = outcome(lambda: ModelVector(base, coords))
+        if want[0] != "ok":
+            assert got == want
+            return
+        v = got[1]
+        assert v.coords.tobytes() == want[1]
+        assert type(v.xs) is list and all(type(x) is float for x in v.xs)
+
     @pytest.mark.parametrize("kappa", [-1, 0, 1])
     def test_decisions_and_coordinates_match_reference(self, kappa):
         rng = np.random.default_rng(2024 + kappa)
@@ -484,12 +549,15 @@ class TestNegation:
                 assert (-v).coords.tobytes() == ModelVector(p, -coords).coords.tobytes()
                 assert (-(-v)).coords.tobytes() == v.coords.tobytes()
 
-    def test_fields_and_repr_are_unchanged(self):
+    def test_fields_and_repr_show_the_stored_floats(self):
         p = sphere_point(0.0, 0.0, 1.0)
         v = ModelVector(p, [1.0, -0.0, 0.0])
-        assert [f.name for f in dataclasses.fields(ModelVector)] == ["base", "coords"]
+        assert [f.name for f in dataclasses.fields(ModelVector)] == ["base", "xs"]
+        assert (-v).xs == [-1.0, 0.0, -0.0]
         for u in (v, -v):
-            assert repr(u) == f"ModelVector(base={p!r}, coords={u.coords!r})"
+            assert type(u.xs) is list and all(type(x) is float for x in u.xs)
+            assert repr(u) == f"ModelVector(base={p!r}, xs={u.xs!r})"
+            assert u.coords.tobytes() == np.array(u.xs).tobytes()
 
 
 # ModelPoint's checks as a __post_init__ on numpy arrays and scalars, before
@@ -497,7 +565,7 @@ class TestNegation:
 # kappa <p, p> with the products summed left to right on Python floats, as the
 # factor form sums them, no longer as np.dot (sphere) or numpy's scalar powers
 # (hyperboloid).  Every verdict, message and attribute of the float version
-# must match it.
+# must match it; flat points carry the same _xs and _scale as curved ones.
 
 
 def reference_point(kappa, coords):
@@ -515,6 +583,9 @@ def reference_point(kappa, coords):
     if self.kappa == 0:
         if not (math.isfinite(coords[0]) and math.isfinite(coords[1])):
             raise GeometryError(f"flat point coordinates must be finite, got {coords.tolist()}")
+        x0, x1 = xs = coords.tolist()
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_scale", max(1.0, abs(x0), abs(x1)))
         return self
     c0, c1, c2 = coords.tolist()
     if self.kappa == 1:
