@@ -184,34 +184,37 @@ class FrameShape(ShapeInvariants):
 # ---------------------------------------------------------------------------
 
 
-def q_matrix(fs: FrameShape, cp: CaseParams, l: float) -> np.ndarray:
-    """Jacobi component matrix Q(l); Q(0) is the identity."""
-    a = np.array(fs.A, dtype=float)
-    s1, c1 = stability_functions(cp.delta1, l)
-    s2, c2 = stability_functions(cp.delta2, l)
-    return np.array(
-        [
-            [1.0 - l * a[0, 0], -l * a[0, 1], -l * a[0, 2]],
-            [-a[0, 1] * s1, c1 - a[1, 1] * s1, -a[1, 2] * s1],
-            [-a[0, 2] * s2, -a[1, 2] * s2, c2 - a[2, 2] * s2],
-        ]
+def q_rows(a, l: float, s1: float, c1: float, s2: float, c2: float) -> tuple:
+    """Rows of Q(l) from the upper triangle of the shape matrix ``a`` and the stability pairs at l."""
+    return (
+        (1.0 - l * a[0][0], -l * a[0][1], -l * a[0][2]),
+        (-a[0][1] * s1, c1 - a[1][1] * s1, -a[1][2] * s1),
+        (-a[0][2] * s2, -a[1][2] * s2, c2 - a[2][2] * s2),
     )
+
+
+def q_prime_rows(a, d1: float, d2: float, s1: float, c1: float, s2: float, c2: float) -> tuple:
+    """Rows of the l-derivative of Q, using S' = C and C' = -delta S."""
+    return (
+        (-a[0][0], -a[0][1], -a[0][2]),
+        (-a[0][1] * c1, -d1 * s1 - a[1][1] * c1, -a[1][2] * c1),
+        (-a[0][2] * c2, -a[1][2] * c2, -d2 * s2 - a[2][2] * c2),
+    )
+
+
+def q_matrix(fs: FrameShape, cp: CaseParams, l: float) -> np.ndarray:
+    """Jacobi component matrix Q(l), the array of ``q_rows``; Q(0) is the identity."""
+    # the entries as floats, whatever their type in fs
+    a = np.array(fs.A, dtype=float).tolist()
+    return np.array(q_rows(a, l, *stability_functions(cp.delta1, l), *stability_functions(cp.delta2, l)))
 
 
 def q_matrix_prime(fs: FrameShape, cp: CaseParams, l: float) -> np.ndarray:
-    """Analytic l-derivative of Q, using S' = C and C' = -delta S."""
-    a = np.array(fs.A, dtype=float)
+    """Analytic l-derivative of Q, the array of ``q_prime_rows``."""
+    a = np.array(fs.A, dtype=float).tolist()
     d1 = float(cp.delta1)
     d2 = float(cp.delta2)
-    s1, c1 = stability_functions(d1, l)
-    s2, c2 = stability_functions(d2, l)
-    return np.array(
-        [
-            [-a[0, 0], -a[0, 1], -a[0, 2]],
-            [-a[0, 1] * c1, -d1 * s1 - a[1, 1] * c1, -a[1, 2] * c1],
-            [-a[0, 2] * c2, -a[1, 2] * c2, -d2 * s2 - a[2, 2] * c2],
-        ]
-    )
+    return np.array(q_prime_rows(a, d1, d2, *stability_functions(d1, l), *stability_functions(d2, l)))
 
 
 def _detq_terms(fs: FrameShape, s1, c1, s2, c2) -> tuple:
@@ -251,10 +254,19 @@ def detq_closed_form(fs: FrameShape, cp: CaseParams, l: float) -> float:
 
 
 def parallel_shape(q: np.ndarray, q_prime: np.ndarray) -> np.ndarray:
-    """Shape operator of the parallel hypersurface, A_l = -Q' Q^{-1}."""
-    det = float(np.linalg.det(q))
-    if abs(det) < FOCAL_TOL:
-        raise FocalPointError(f"det Q = {det:.3e}: focal point reached")
+    """Shape operator of the parallel hypersurface, A_l = -Q' Q^{-1}, of one Q and Q' or of
+    each pair in a (..., 3, 3) stack of them; a focal point, |det Q| < FOCAL_TOL, raises.
+
+    det, inv and matmul run once per matrix of a stack, so each A_l of a stack
+    is bit for bit the A_l of its own call.
+    """
+    det = np.linalg.det(q)
+    focal = np.abs(det) < FOCAL_TOL
+    if focal.any():
+        # the first focal matrix in C order; one matrix is index 0 and is not named
+        i = int(np.argmax(focal))
+        where = f" at stacked matrix {i}" if det.ndim else ""
+        raise FocalPointError(f"det Q = {det.flat[i]:.3e}{where}: focal point reached")
     return -q_prime @ np.linalg.inv(q)
 
 

@@ -164,6 +164,68 @@ class TestCommands:
         # one float sample per case and draw
         assert len(calls) == 3 * 1000
 
+    def test_detq_evaluates_each_stability_pair_twice_per_float_sample(self, monkeypatch):
+        calls = []
+        original = spaceform.stability_functions
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        # detq_and_slope's name in jacobi and the matrix rows' in cli
+        monkeypatch.setattr(jacobi, "stability_functions", counted)
+        monkeypatch.setattr(cli, "stability_functions", counted)
+        assert run(make_config(command="detq", samples=100, seed=1)).all_passed
+        # both pairs once for the closed expansion and once for Q and Q'
+        assert len(calls) == 4 * 3 * 100
+
+    @staticmethod
+    def _per_sample_detq(cfg):
+        """``run_detq`` as one matrix per float sample: det, A_l and its trace of each Q alone."""
+        checks = []
+        tol, tol_matrix = cfg.tolerance("detq"), cfg.tolerance("detq_matrix")
+        for case in cfg.selected_cases():
+            orders = jacobi.formula_orders(case.kappa1, case.kappa2)
+            rng = np.random.default_rng(cfg.seed)
+            tag = case.value
+            derivative = {k: ErrorTracker(f"{tag}.derivative_order_{k}", "", tol) for k in orders}
+            det_tracker = ErrorTracker(f"{tag}.detq_matrix_vs_closed_form", "", tol_matrix, judge_abs=True)
+            trace_tracker = ErrorTracker(f"{tag}.trace_vs_log_derivative", "", tol)
+            for _ in range(cfg.samples):
+                closed, oracle = cli.exact_derivatives(cli.random_frame_shape(case, rng, exact=True), orders)
+                for k in orders:
+                    derivative[k].record(float(closed[k]), float(oracle[k]))
+                fsf = cli.random_frame_shape(case, rng, exact=False)
+                cpf = fsf.case
+                l = float(rng.uniform(-0.4, 0.4))
+                q = jacobi.q_matrix(fsf, cpf, l)
+                det_closed, slope = jacobi.detq_and_slope(fsf, cpf, l)
+                det_tracker.record_abs(float(np.linalg.det(q)) - det_closed)
+                if abs(det_closed) > 1e-3:
+                    trace = float(np.trace(jacobi.parallel_shape(q, jacobi.q_matrix_prime(fsf, cpf, l))))
+                    trace_tracker.record(trace, jacobi.parallel_mean_curvature(det_closed, slope, l))
+            checks += [t.check(cfg.samples) for t in (*derivative.values(), det_tracker, trace_tracker)]
+        return checks
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("samples", [1, 2 * cli.DETQ_BLOCK + 1])
+    def test_detq_blocks_equal_one_matrix_per_sample(self, seed, samples):
+        cfg = make_config(command="detq", samples=samples, seed=seed)
+        got, want = run(cfg).checks, self._per_sample_detq(cfg)
+
+        def errors(checks):
+            return [(c.name, c.max_abs_err.hex(), c.max_rel_err.hex(), c.passed) for c in checks]
+
+        assert len(got) == 19
+        assert errors(got) == errors(want)
+
+    def test_detq_report_bytes_do_not_depend_on_the_block_size(self, monkeypatch):
+        cfg = make_config(command="detq", samples=40, seed=7)
+        reference = render_json(run(cfg))
+        for size in (1, 7):
+            monkeypatch.setattr(cli, "DETQ_BLOCK", size)
+            assert render_json(run(cfg)) == reference
+
     def test_cases_all_pass(self):
         report = run(make_config(command="cases", samples=50, seed=9))
         assert report.all_passed

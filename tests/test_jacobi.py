@@ -371,6 +371,13 @@ class TestQMatrix:
             direct = float(np.linalg.det(q_matrix(fs, fs.case, l)))
             assert abs(direct - detq_closed_form(fs, fs.case, l)) < 1e-12
 
+    def test_exact_entries_give_the_float_matrices(self):
+        # q_matrix and q_matrix_prime read every entry as its float
+        fs = random_exact_shape(CaseId.S2xH2, np.random.default_rng(4))
+        floats = FrameShape(A=np.array(fs.A, dtype=float).tolist(), kappa1=1, kappa2=-1, C=float(fs.C))
+        for build in (q_matrix, q_matrix_prime):
+            assert build(fs, floats.case, 0.3).tobytes() == build(floats, floats.case, 0.3).tobytes()
+
     def test_prime_matches_divided_difference(self):
         rng = np.random.default_rng(2)
         fs = random_frame_shape(CaseId.S2xR2, rng, exact=False)
@@ -502,6 +509,48 @@ class TestParallelShape:
             parallel_shape(q_matrix(fs, cp, 0.5), q_matrix_prime(fs, cp, 0.5))
         with pytest.raises(FocalPointError):
             parallel_mean_curvature(*jacobi.detq_and_slope(fs, cp, 0.5), 0.5)
+
+    @staticmethod
+    def _random_pairs(count):
+        rng = np.random.default_rng(11)
+        pairs = []
+        for i in range(count):
+            fs = random_frame_shape(list(CaseId)[i % 3], rng, exact=False)
+            l = float(rng.uniform(-0.4, 0.4))
+            pairs.append((q_matrix(fs, fs.case, l), q_matrix_prime(fs, fs.case, l)))
+        return pairs
+
+    def test_stack_equals_each_matrix_alone(self):
+        pairs = self._random_pairs(300)
+        stacked = parallel_shape(np.array([q for q, _ in pairs]), np.array([qp for _, qp in pairs]))
+        assert stacked.shape == (300, 3, 3)
+        assert stacked.tobytes() == b"".join(parallel_shape(q, qp).tobytes() for q, qp in pairs)
+        # a (2, 150, 3, 3) stack too
+        nested = parallel_shape(
+            np.array([q for q, _ in pairs]).reshape(2, 150, 3, 3),
+            np.array([qp for _, qp in pairs]).reshape(2, 150, 3, 3),
+        )
+        assert nested.tobytes() == stacked.tobytes()
+
+    def test_one_focal_matrix_in_a_stack_raises(self):
+        qs, q_primes = (list(m) for m in zip(*self._random_pairs(5)))
+        # det Q = (1 - 2 l) for this data, singular at l = 1/2
+        fs = FrameShape(A=((2, 0, 0), (0, 0, 0), (0, 0, 0)), kappa1=1, kappa2=0, C=0.0)
+        qs[3], q_primes[3] = q_matrix(fs, fs.case, 0.5), q_matrix_prime(fs, fs.case, 0.5)
+        with pytest.raises(FocalPointError, match=r"^det Q = 0\.000e\+00 at stacked matrix 3: focal point reached$"):
+            parallel_shape(np.array(qs), np.array(q_primes))
+
+    def test_one_matrix_value_and_message(self):
+        for q, q_prime in self._random_pairs(20):
+            assert parallel_shape(q, q_prime).tobytes() == (-q_prime @ np.linalg.inv(q)).tobytes()
+        fs = FrameShape(A=((2, 0, 0), (0, 0, 0), (0, 0, 0)), kappa1=1, kappa2=0, C=0.0)
+        l = 0.5 - 1e-12
+        q = q_matrix(fs, fs.case, l)
+        det = float(np.linalg.det(q))
+        assert 0.0 < det < jacobi.FOCAL_TOL
+        with pytest.raises(FocalPointError) as raised:
+            parallel_shape(q, q_matrix_prime(fs, fs.case, l))
+        assert str(raised.value) == f"det Q = {det:.3e}: focal point reached"
 
     def test_overflowed_det_q_is_not_a_focal_point(self):
         # C_delta(709) = cosh(709) is a float, but det Q = (1 - 709) cosh(709) is not

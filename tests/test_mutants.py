@@ -28,7 +28,7 @@ from prodform_geo.classify import (
     known_geometry,
 )
 from prodform_geo.hypersurface import ricci, unit_normal
-from prodform_geo.jacobi import detq_and_slope, detq_derivative_formula
+from prodform_geo.jacobi import detq_and_slope, detq_derivative_formula, parallel_shape, q_rows
 
 CASES_ARGV = ["cases", "--samples", "50"]
 IDENTITIES_ARGV = ["identities", "--samples", "50"]
@@ -139,6 +139,17 @@ def _detq_and_slope_scaled(fsf, cpf, l):
     return det * (1.0 + 1e-9), slope * (1.0 + 1e-9)
 
 
+def _q_row_reads_s2(a, l, s1, c1, s2, c2):
+    # Q's (2, 3) entry takes the second factor's S where the first's belongs
+    first, (q21, q22, _), third = q_rows(a, l, s1, c1, s2, c2)
+    return first, (q21, q22, -a[1][2] * s2), third
+
+
+def _stack_rolled(q, q_prime):
+    # each A_l of a block lands one sample later: the stack and its samples out of step
+    return np.roll(parallel_shape(q, q_prime), 1, axis=0)
+
+
 def _normal_at_origin(imm, u):
     return unit_normal(imm, np.zeros(3))
 
@@ -184,6 +195,13 @@ MUTANTS = [
     (_complex_structure_off_on_its_image(1), "complex_structures", IDENTITIES_ARGV, _in_every_case("j2_squared")),
     (_slope_off, "detq_and_slope", DETQ_ARGV, _in_every_case("trace_vs_log_derivative")),
     (_detq_and_slope_scaled, "detq_and_slope", DETQ_ARGV, _in_every_case("detq_matrix_vs_closed_form")),
+    (
+        _q_row_reads_s2,
+        "q_rows",
+        DETQ_ARGV,
+        _in_every_case("detq_matrix_vs_closed_form", "trace_vs_log_derivative"),
+    ),
+    (_stack_rolled, "parallel_shape", DETQ_ARGV, _in_every_case("trace_vs_log_derivative")),
     *(
         (_order_off(k), "detq_derivative_formula", DETQ_ARGV, _in_every_case(f"derivative_order_{k}"))
         for k in (1, 2, 4, 6)
