@@ -236,7 +236,7 @@ def constant_curvature_curve(kappa: int, k: float) -> Callable[..., list[list[fl
     p0 = ModelPoint(kappa, [1.0, 0.0, 0.0] if kappa else [0.0, 0.0])
     t0, jt0 = tangent_frame(p0)
     # (p0, T0, W, J T0) coordinate by coordinate, in Python floats
-    columns = [(p, a, -kappa * p + k * j, j) for p, a, j in zip(p0._xs, t0.xs, jt0.xs)]
+    columns = [(p, a, -kappa * p + k * j, j) for p, a, j in zip(p0.xs, t0.xs, jt0.xs)]
 
     def curve(t: float, order: int = 0) -> list[list[float]]:
         s, c = stability_functions(delta, t)

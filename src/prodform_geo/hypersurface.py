@@ -26,10 +26,10 @@ from .spaceform import (
     DegeneratePointError,
     GeometryError,
     ModelVector,
+    _frame_legs,
     _pairing,
     _project,
     _require_same_base,
-    tangent_frame,
 )
 
 #: smallest of the three central-difference steps STEP, 2 STEP, 4 STEP
@@ -92,7 +92,7 @@ def _richardson(difference: Callable[[float], np.ndarray]) -> np.ndarray:
 
 def _chart_coords(imm: Immersion, u: np.ndarray) -> np.ndarray:
     q = imm.chart(u)
-    return np.concatenate((q.first.coords, q.second.coords))
+    return np.array(q.first.xs + q.second.xs)
 
 
 def tangent_basis(imm: Immersion, u: np.ndarray) -> tuple[ProductVector, ProductVector, ProductVector]:
@@ -105,14 +105,16 @@ def tangent_basis(imm: Immersion, u: np.ndarray) -> tuple[ProductVector, Product
     return _tangents(imm, u)[0]
 
 
-def _tangents(imm: Immersion, u: np.ndarray) -> tuple[tuple[ProductVector, ProductVector, ProductVector], np.ndarray]:
-    """``tangent_basis`` at u with its Gram matrix, which the rank check computes."""
+def _tangents(
+    imm: Immersion, u: np.ndarray
+) -> tuple[tuple[ProductVector, ProductVector, ProductVector], list[list[float]]]:
+    """``tangent_basis`` at u with the rows of its Gram matrix, which the rank check computes."""
     u = np.asarray(u, dtype=float)
     if imm.jacobian is not None:
         basis = imm.jacobian(u)
     else:
         p = imm.chart(u)
-        split = p.first.coords.size
+        split = len(p.first.xs)
         vectors = []
         for du in np.eye(3):
             d = _richardson(lambda s: (_chart_coords(imm, u + s * du) - _chart_coords(imm, u - s * du)) / (2 * s))
@@ -138,8 +140,9 @@ def _factor_coords(vectors: Sequence[ProductVector], at: ProductVector) -> list[
     return coords
 
 
-def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> np.ndarray:
-    """The Gram matrix of ``basis``, once its smallest singular value is at least RANK_TOL."""
+def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> list[list[float]]:
+    """The rows of the Gram matrix of ``basis`` as Python floats, once its
+    smallest singular value is at least RANK_TOL."""
     # both factor forms are bitwise symmetric
     pair = _product_pairing(basis[0].first.kappa, basis[0].second.kappa)
     coords = _factor_coords(basis, basis[0])
@@ -147,14 +150,13 @@ def _check_rank(basis: Sequence[ProductVector], u: np.ndarray) -> np.ndarray:
     for i, x in enumerate(coords):
         for j in range(i + 1):
             rows[i][j] = rows[j][i] = pair(x, coords[j])
-    gram = np.array(rows)
     if not _clearly_full_rank(rows):
-        smallest = min(np.linalg.eigvalsh(gram))
+        smallest = min(np.linalg.eigvalsh(np.array(rows)))
         if smallest < RANK_TOL**2:
             raise DegeneratePointError(
                 f"immersion is degenerate at u={u.tolist()} (sigma_min ~ {math.sqrt(max(smallest, 0.0)):.3e})"
             )
-    return gram
+    return rows
 
 
 def _clearly_full_rank(g: Sequence[Sequence[float]]) -> bool:
@@ -194,6 +196,11 @@ def _det3(a):
     )
 
 
+#: det(e1, e2, e3, n) expanded along n: the sign of each component's
+#: cofactor and the three columns of its minor
+_COFACTORS = ((-1.0, (1, 2, 3)), (1.0, (0, 2, 3)), (-1.0, (0, 1, 3)), (1.0, (0, 1, 2)))
+
+
 def unit_normal(
     imm: Immersion,
     u: np.ndarray,
@@ -209,38 +216,37 @@ def unit_normal(
     and does not depend on the frame representative.  A ``hint`` vector at
     the same point overrides the sign to keep a family of normals coherent.
     A given ``basis`` must come from ``tangent_basis`` at u, whose rank check
-    then covers the normal too.  Each of the 12 tangent components is a
-    product_metric pairing, taken on factor coordinates through the factor
-    forms ``_pairing``; a zero leg is paired as the form with zeros, so each
-    component is the product metric's bit for bit.
+    then covers the normal too.  The frame's legs are ``tangent_frame``'s
+    coordinates as Python floats, from the same ``_frame_legs``; they are
+    checked once, through the normal, each of whose factor parts is a
+    combination of its factor's two legs.  Each of the 12 tangent components
+    is a product_metric pairing, taken on factor coordinates through the
+    factor forms ``_pairing``; a zero leg is paired as the form with zeros,
+    so each component is the product metric's bit for bit.
     """
     if basis is None:
         basis = tangent_basis(imm, u)
     p1, p2 = basis[0].first.base, basis[0].second.base
-    k1, k2 = p1.kappa, p2.kappa
-    a, ja = tangent_frame(p1)
-    b, jb = tangent_frame(p2)
     # product_metric against the legs (a, 0), (Ja, 0), (0, b), (0, Jb) of the
-    # ambient frame; each tangent's and each leg's coordinates are read once
-    pair1, pair2 = _pairing(k1), _pairing(k2)
-    legs1 = [a.xs, ja.xs]
-    legs2 = [b.xs, jb.xs]
+    # ambient frame; each tangent's coordinates are read once
+    pair1, pair2 = _pairing(p1.kappa), _pairing(p2.kappa)
+    (a, ja), (b, jb) = _frame_legs(p1), _frame_legs(p2)
+    zeros1, zeros2 = [0.0] * len(p1.xs), [0.0] * len(p2.xs)
     rows = []
     for t in basis:
         x, y = t.first.xs, t.second.xs
-        z1, z2 = pair1(x, [0.0] * len(x)), pair2(y, [0.0] * len(y))
-        rows.append([pair1(x, e) + z2 for e in legs1] + [z1 + pair2(y, e) for e in legs2])
+        z1, z2 = pair1(x, zeros1), pair2(y, zeros2)
+        rows.append([pair1(x, a) + z2, pair1(x, ja) + z2, z1 + pair2(y, b), z1 + pair2(y, jb)])
 
     # cofactor expansion: det(e1, e2, e3, n) = |n|^2 > 0 by construction; the
     # norm is np.linalg.norm's, whose dot may sum in another order than a loop
-    cols = [0, 1, 2, 3]
-    n = [(-1.0) ** (j + 1) * _det3([[row[c] for c in cols if c != j] for row in rows]) for j in cols]
+    n = [sign * _det3([[row[i], row[j], row[k]] for row in rows]) for sign, (i, j, k) in _COFACTORS]
     norm = math.sqrt(float(np.dot(n, n)))
-    n0, n1, n2, n3 = (x / norm for x in n)
+    n0, n1, n2, n3 = [x / norm for x in n]
 
     normal = ProductVector(
-        ModelVector(p1, [n0 * x + n1 * y for x, y in zip(*legs1)]),
-        ModelVector(p2, [n2 * x + n3 * y for x, y in zip(*legs2)]),
+        ModelVector(p1, [n0 * x + n1 * y for x, y in zip(a, ja)]),
+        ModelVector(p2, [n2 * x + n3 * y for x, y in zip(b, jb)]),
     )
     if hint is not None and product_metric(normal, hint) < 0.0:
         normal = -normal
@@ -419,11 +425,11 @@ def shape_operator(
     def normal_part(first: np.ndarray, second: np.ndarray) -> float:
         return pair((first.tolist(), second.tolist()), normal)
 
-    p = n.base
+    p1, p2 = n.first.base.xs, n.second.base.xs
 
     def height(v: np.ndarray) -> float:
         q = chart(v)
-        return normal_part(q.first.coords - p.first.coords, q.second.coords - p.second.coords)
+        return pair(([a - b for a, b in zip(q.first.xs, p1)], [a - b for a, b in zip(q.second.xs, p2)]), normal)
 
     def second_difference(s: float) -> np.ndarray:
         e = s * np.eye(3)

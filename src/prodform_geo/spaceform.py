@@ -4,9 +4,9 @@ The sphere and the hyperbolic plane are handled in their standard embeddings
 (unit sphere in R^3, upper hyperboloid sheet in Minkowski R^3), the flat case
 directly in R^2.  Geodesics, parallel transport and the rotation operator J
 are all closed form, so long flows stay on-manifold up to a cheap
-re-projection.  A tangent vector is stored as its checked coordinates, a list
-of Python floats, and every operation here reads and forms those floats; its
-``coords`` ndarray is derived from them.
+re-projection.  A point and a tangent vector are each stored as their checked
+coordinates ``xs``, a list of Python floats, and every operation here reads
+and forms those floats; their ``coords`` ndarray is derived from them.
 
 The stability pair (S, C) solves f'' + delta f = 0 with (f(0), f'(0)) equal
 to (0, 1) and (1, 0), so S' = C and C' = -delta S.  It gives the Jacobi
@@ -85,48 +85,6 @@ def _cross(kappa: int, a, b) -> list[float]:
     return [a2 * b1 - a1 * b2, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-@dataclass(frozen=True, init=False)
-class ModelPoint:
-    """Point of the curvature-``kappa`` model space in embedding coordinates.
-
-    Construction checks the point once, on its coordinates as Python floats:
-    the quadric is kappa <p, p>, through the factor form ``_pairing``.  A
-    coordinate too large to square makes it inf or NaN, which fails the
-    quadric check as any other violation does.
-    """
-
-    kappa: int
-    coords: np.ndarray
-
-    def __init__(self, kappa: int, coords):
-        if kappa not in KAPPAS:
-            raise GeometryError(f"kappa must be in {KAPPAS}, got {kappa}")
-        array = np.asarray(coords, dtype=float)
-        dim = 2 if kappa == 0 else 3
-        if array.shape != (dim,):
-            raise GeometryError(f"kappa={kappa} point needs {dim} coordinates, got shape {array.shape}")
-        xs = array.tolist()
-        # fields set with object.__setattr__, not through the instance dict,
-        # which would slow every later read of them
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "coords", array)
-        if kappa == 0:
-            if not (math.isfinite(xs[0]) and math.isfinite(xs[1])):
-                raise GeometryError(f"flat point coordinates must be finite, got {xs}")
-        else:
-            q = kappa * _pairing(kappa)(xs, xs)
-            # written so that a non-finite coordinate, which makes q NaN or inf, fails too
-            if not abs(q - 1.0) <= CONSTRAINT_TOL:
-                raise GeometryError(f"coordinates violate the kappa={kappa} quadric: q={q!r}")
-            if kappa == -1 and xs[0] <= 0:
-                raise GeometryError("hyperboloid points must have positive first coordinate")
-        # the coordinates as Python floats and max(1, max|x_i|), the point's
-        # share of every tangency scale; not fields, so equality, repr and
-        # hashing ignore them
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_scale", max(1.0, *map(abs, xs)))
-
-
 def _python_floats(coords) -> bool:
     """Whether ``coords`` is a list of Python floats, which
     ``np.asarray(coords, dtype=float).tolist()`` would return unchanged."""
@@ -137,6 +95,58 @@ def _python_floats(coords) -> bool:
         if type(x) is not float:
             return False
     return True
+
+
+@dataclass(frozen=True, init=False)
+class ModelPoint:
+    """Point of the curvature-``kappa`` model space, stored as its checked
+    embedding coordinates ``xs``, a list of Python floats that nothing may
+    change.
+
+    A list of Python floats is copied and checked as given; any other input
+    is converted as ``np.asarray(coords, dtype=float)`` converts it.
+    Construction checks the point once, on those floats: the quadric is
+    kappa <p, p>, through the factor form ``_pairing``.  A coordinate too
+    large to square makes it inf or NaN, which fails the quadric check as any
+    other violation does.  ``coords`` is an ndarray formed from ``xs`` on
+    each read.
+    """
+
+    kappa: int
+    xs: list[float]
+
+    def __init__(self, kappa: int, coords):
+        if kappa not in KAPPAS:
+            raise GeometryError(f"kappa must be in {KAPPAS}, got {kappa}")
+        dim = 2 if kappa == 0 else 3
+        if _python_floats(coords):
+            # a copy, so that the caller's list cannot move the checked point
+            xs = coords[:]
+            shape = (len(xs),)
+        else:
+            array = np.asarray(coords, dtype=float)
+            xs = array.tolist()
+            shape = array.shape
+        if shape != (dim,):
+            raise GeometryError(f"kappa={kappa} point needs {dim} coordinates, got shape {shape}")
+        if kappa == 0:
+            if not (math.isfinite(xs[0]) and math.isfinite(xs[1])):
+                raise GeometryError(f"flat point coordinates must be finite, got {xs}")
+        else:
+            q = kappa * _pairing(kappa)(xs, xs)
+            # written so that a non-finite coordinate, which makes q NaN or inf, fails too
+            if not abs(q - 1.0) <= CONSTRAINT_TOL:
+                raise GeometryError(f"coordinates violate the kappa={kappa} quadric: q={q!r}")
+            if kappa == -1 and xs[0] <= 0:
+                raise GeometryError("hyperboloid points must have positive first coordinate")
+        # the instance dict of a frozen dataclass, written directly; _scale,
+        # max(1, max|x_i|), is the point's share of every tangency scale, not
+        # a field, so equality, repr and hashing ignore it
+        self.__dict__.update(kappa=kappa, xs=xs, _scale=max(1.0, *map(abs, xs)))
+
+    @property
+    def coords(self) -> np.ndarray:
+        return np.array(self.xs)
 
 
 def _tangent_check(base: ModelPoint, coords) -> list[float]:
@@ -152,7 +162,7 @@ def _tangent_check(base: ModelPoint, coords) -> list[float]:
         array = np.asarray(coords, dtype=float)
         # a scalar or nested input has no length to match the point's
         coords = array.tolist() if array.ndim == 1 else []
-    if len(coords) != len(base._xs):
+    if len(coords) != len(base.xs):
         raise GeometryError("vector and base point dimensions differ")
     if not all(map(math.isfinite, coords)):
         raise GeometryError(f"tangent vector coordinates must be finite, got {coords}")
@@ -163,7 +173,7 @@ def _tangent_check(base: ModelPoint, coords) -> list[float]:
     # reduction would give, bit for bit
     x0, x1, x2 = coords
     scale = max(1.0, abs(x0), abs(x1), abs(x2)) * base._scale
-    t = _pairing(kappa)(base._xs, coords)
+    t = _pairing(kappa)(base.xs, coords)
     if abs(t) > CONSTRAINT_TOL * scale:
         raise GeometryError(f"vector is not tangent at its base point (defect {t!r})")
     return coords
@@ -221,7 +231,7 @@ def _same_point(p: ModelPoint, q: ModelPoint) -> bool:
     """Whether p and q are the same point up to 1e-9 in each coordinate."""
     if p is q:
         return True
-    return p.kappa == q.kappa and max(abs(a - b) for a, b in zip(p._xs, q._xs)) <= 1e-9
+    return p.kappa == q.kappa and max(abs(a - b) for a, b in zip(p.xs, q.xs)) <= 1e-9
 
 
 def _require_same_base(u: ModelVector, v: ModelVector) -> None:
@@ -240,15 +250,15 @@ def metric(u: ModelVector, v: ModelVector) -> float:
 
 
 def zero_vector(p: ModelPoint) -> ModelVector:
-    return ModelVector(p, [0.0] * len(p._xs))
+    return ModelVector(p, [0.0] * len(p.xs))
 
 
 def _project(p: ModelPoint, xs: Sequence[float]) -> Sequence[float]:
     """``tangent_project`` on Python floats: xs - kappa <p, xs> p."""
     if p.kappa == 0:
         return xs
-    kt = p.kappa * _pairing(p.kappa)(p._xs, xs)
-    return [x - kt * y for x, y in zip(xs, p._xs)]
+    kt = p.kappa * _pairing(p.kappa)(p.xs, xs)
+    return [x - kt * y for x, y in zip(xs, p.xs)]
 
 
 def tangent_project(p: ModelPoint, coords) -> np.ndarray:
@@ -265,7 +275,7 @@ def complex_structure(v: ModelVector) -> ModelVector:
     p, xs = v.base, v.xs
     if p.kappa == 0:
         return ModelVector(p, [-xs[1], xs[0]])
-    return ModelVector(p, _cross(p.kappa, p._xs, xs))
+    return ModelVector(p, _cross(p.kappa, p.xs, xs))
 
 
 def _renormalized(kappa: int, xs: list[float]) -> list[float]:
@@ -306,8 +316,8 @@ def _geodesic(p: ModelPoint, v: ModelVector, l: float, velocity: bool = False):
         return p, x
     delta = p.kappa * vv
     s, c = stability_functions(delta, l)
-    q = ModelPoint(p.kappa, _renormalized(p.kappa, [c * a + s * b for a, b in zip(p._xs, x)]))
-    return q, [-delta * s * a + c * b for a, b in zip(p._xs, x)] if velocity else None
+    q = ModelPoint(p.kappa, _renormalized(p.kappa, [c * a + s * b for a, b in zip(p.xs, x)]))
+    return q, [-delta * s * a + c * b for a, b in zip(p.xs, x)] if velocity else None
 
 
 def exp_map(p: ModelPoint, v: ModelVector, l: float) -> ModelPoint:
@@ -351,22 +361,41 @@ def _require_vector_at(p: ModelPoint, v: ModelVector) -> None:
         raise GeometryError("vector is not based at the given point")
 
 
+#: the coordinate axes of the embedding space, projected for the first frame leg
+_AXES = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+
+
+def _frame_legs(p: ModelPoint) -> tuple[list[float], list[float]]:
+    """The coordinates of ``tangent_frame(p)`` as new lists of Python floats, unchecked.
+
+    A caller that hands out a vector built from them checks that vector.
+    """
+    if p.kappa == 0:
+        return [1.0, 0.0], [0.0, 1.0]
+    pair = _pairing(p.kappa)
+    # the longest projection, the first of equal lengths as max keeps it
+    best = _project(p, _AXES[0])
+    longest = pair(best, best)
+    for axis in _AXES[1:]:
+        c = _project(p, axis)
+        length = pair(c, c)
+        if length > longest:
+            best, longest = c, length
+    scale = math.sqrt(longest)
+    a = [x / scale for x in best]
+    return a, _cross(p.kappa, p.xs, a)
+
+
 def tangent_frame(p: ModelPoint) -> tuple[ModelVector, ModelVector]:
-    """Orthonormal tangent frame (a, Ja) at p.
+    """Orthonormal tangent frame (a, Ja) at p, each leg checked.
 
     a is the unit tangent projection of the coordinate axis with the longest
     projection, the first one on a tie.  Any such frame differs from any other
     by a rotation, so constructions that only depend on the frame's
     orientation class are frame-independent.
     """
-    if p.kappa == 0:
-        return ModelVector(p, [1.0, 0.0]), ModelVector(p, [0.0, 1.0])
-    pair = _pairing(p.kappa)
-    # max keeps the first of equal keys
-    best = max((_project(p, [float(j == i) for j in range(3)]) for i in range(3)), key=lambda c: pair(c, c))
-    scale = math.sqrt(pair(best, best))
-    a = ModelVector(p, [x / scale for x in best])
-    return a, complex_structure(a)
+    a, ja = _frame_legs(p)
+    return ModelVector(p, a), ModelVector(p, ja)
 
 
 def random_point(kappa: int, rng: np.random.Generator) -> ModelPoint:
@@ -381,4 +410,4 @@ def random_point(kappa: int, rng: np.random.Generator) -> ModelPoint:
 
 
 def random_tangent(p: ModelPoint, rng: np.random.Generator) -> ModelVector:
-    return ModelVector(p, _project(p, rng.normal(size=len(p._xs)).tolist()))
+    return ModelVector(p, _project(p, rng.normal(size=len(p.xs)).tolist()))

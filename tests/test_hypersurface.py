@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prodform_geo import hypersurface, jacobi
+from prodform_geo import hypersurface, jacobi, spaceform
 from prodform_geo.ambient import (
     ProductPoint,
     ProductVector,
@@ -114,6 +114,46 @@ def test_tangent_frame_matches_reference_bitwise():
     for p in frame_test_points():
         for leg, ref in zip(tangent_frame(p), reference_tangent_frame(p), strict=True):
             assert leg.coords.tobytes() == ref.coords.tobytes()
+
+
+def test_frame_legs_are_tangent_frames_legs_bitwise():
+    for p in [*frame_test_points(), ModelPoint(0, [0.5, -2.0]), ModelPoint(0, [-0.0, 0.0])]:
+        legs = spaceform._frame_legs(p)
+        for xs, leg in zip(legs, tangent_frame(p), strict=True):
+            assert type(xs) is list and all(type(x) is float for x in xs)
+            assert np.array(xs).tobytes() == leg.coords.tobytes()
+            assert spaceform._tangent_check(p, xs) is xs
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ExampleSpec(family=FAMILY_PSI, c=0.25), ExampleSpec(family=FAMILY_CURVE_X_FACTOR, kappa1=1, kappa2=-1, k=1.0)],
+    ids=["psi-H2", "curve-S2"],
+)
+def test_unit_normal_checks_its_legs_through_the_normal(spec, monkeypatch):
+    """A first leg pushed off its tangent plane, a + 0.1 p, reaches the normal's
+    first factor part, whose check rejects it: the legs are checked there.
+    At the origin of the box that part is along Ja alone, so the grid's other
+    points are taken."""
+    imm = build_example(spec)
+    legs = spaceform._frame_legs
+
+    def pushed(p):
+        a, ja = legs(p)
+        return ([x + 0.1 * y for x, y in zip(a, p.xs)] if p is first else a), ja
+
+    for u in GRID[1:]:
+        basis = tangent_basis(imm, u)
+        first = basis[0].first.base
+        checked = []
+        monkeypatch.setattr(spaceform, "_tangent_check", counting(spaceform._tangent_check, checked))
+        monkeypatch.setattr(hypersurface, "_frame_legs", pushed)
+        with pytest.raises(GeometryError, match="not tangent at its base point"):
+            unit_normal(imm, u, basis=basis)
+        # the one vector built, and rejected, is the normal's first part
+        assert [args[0] for args in checked] == [first]
+        monkeypatch.undo()
+        assert_same_bits(unit_normal(imm, u, basis=basis), frame_unit_normal(imm, u))
 
 
 def ambient_frame(p):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -561,31 +562,31 @@ class TestNegation:
 
 
 # ModelPoint's checks as a __post_init__ on numpy arrays and scalars, before
-# they ran once on the point's Python floats.  The quadric is written out as
-# kappa <p, p> with the products summed left to right on Python floats, as the
-# factor form sums them, no longer as np.dot (sphere) or numpy's scalar powers
-# (hyperboloid).  Every verdict, message and attribute of the float version
-# must match it; flat points carry the same _xs and _scale as curved ones.
+# they ran once on the point's Python floats, and its storage as that version
+# kept it: the coordinate ndarray, with the floats and their scale beside it.
+# The quadric is written out as kappa <p, p> with the products summed left to
+# right on Python floats, as the factor form sums them, no longer as np.dot
+# (sphere) or numpy's scalar powers (hyperboloid).  Every verdict and message
+# of the stored-float version must match it, and its xs, _scale and derived
+# coords must be the reference's bit for bit.
 
 
 def reference_point(kappa, coords):
-    """A ModelPoint whose fields are set, and checked, as the numpy version did."""
-    self = object.__new__(ModelPoint)
-    object.__setattr__(self, "kappa", kappa)
-    object.__setattr__(self, "coords", coords)
+    """The point as the numpy version checked and stored it: kappa, the
+    ``coords`` ndarray, and the coordinates ``xs`` as Python floats with
+    their ``_scale``."""
+    self = types.SimpleNamespace(kappa=kappa, coords=coords)
     if self.kappa not in spaceform.KAPPAS:
         raise GeometryError(f"kappa must be in {spaceform.KAPPAS}, got {self.kappa}")
-    coords = np.asarray(self.coords, dtype=float)
-    object.__setattr__(self, "coords", coords)
+    coords = self.coords = np.asarray(self.coords, dtype=float)
     dim = 2 if self.kappa == 0 else 3
     if coords.shape != (dim,):
         raise GeometryError(f"kappa={self.kappa} point needs {dim} coordinates, got shape {coords.shape}")
     if self.kappa == 0:
         if not (math.isfinite(coords[0]) and math.isfinite(coords[1])):
             raise GeometryError(f"flat point coordinates must be finite, got {coords.tolist()}")
-        x0, x1 = xs = coords.tolist()
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_scale", max(1.0, abs(x0), abs(x1)))
+        x0, x1 = self.xs = coords.tolist()
+        self._scale = max(1.0, abs(x0), abs(x1))
         return self
     c0, c1, c2 = coords.tolist()
     if self.kappa == 1:
@@ -597,10 +598,8 @@ def reference_point(kappa, coords):
         raise GeometryError(f"coordinates violate the kappa={self.kappa} quadric: q={q!r}")
     if self.kappa == -1 and coords[0] <= 0:
         raise GeometryError("hyperboloid points must have positive first coordinate")
-    xs = coords.tolist()
-    x0, x1, x2 = xs
-    object.__setattr__(self, "_xs", xs)
-    object.__setattr__(self, "_scale", max(1.0, abs(x0), abs(x1), abs(x2)))
+    x0, x1, x2 = self.xs = coords.tolist()
+    self._scale = max(1.0, abs(x0), abs(x1), abs(x2))
     return self
 
 
@@ -614,18 +613,10 @@ def outcome(fn):
             return type(exc), str(exc)
 
 
-def attributes(p):
-    """Every instance attribute, floats and arrays by their bytes."""
-    out = {}
-    for name, value in vars(p).items():
-        if isinstance(value, np.ndarray):
-            value = (value.dtype.str, value.shape, value.tobytes())
-        elif isinstance(value, list):
-            value = np.array(value).tobytes()
-        elif isinstance(value, float):
-            value = value.hex()
-        out[name] = (type(value), value)
-    return out
+def float_bytes(xs):
+    """A list of Python floats by its bytes, signed zeros apart."""
+    assert type(xs) is list and all(type(x) is float for x in xs)
+    return np.array(xs).tobytes()
 
 
 def assert_same_point(kappa, coords):
@@ -636,13 +627,18 @@ def assert_same_point(kappa, coords):
         return
     assert got[0] == "ok"
     p, ref = got[1], want[1]
-    assert attributes(p) == attributes(ref)
-    assert repr(p) == repr(ref)
+    assert sorted(vars(p)) == ["_scale", "kappa", "xs"]
+    assert (type(p.kappa), p.kappa) == (type(ref.kappa), ref.kappa)
+    assert float_bytes(p.xs) == float_bytes(ref.xs)
+    assert p._scale.hex() == ref._scale.hex()
+    assert (p.coords.dtype, p.coords.shape, p.coords.tobytes()) == (ref.coords.dtype, ref.coords.shape, ref.coords.tobytes())
+    # the fields are kappa and xs: repr shows the floats, == compares them
+    # (the ndarray field made p == twin raise ValueError), and hashing still
+    # raises TypeError, now on the list
+    assert repr(p) == f"ModelPoint(kappa={kappa!r}, xs={ref.xs!r})"
     twin = ModelPoint(kappa, np.array(coords, dtype=float))
-    ref_twin = reference_point(kappa, np.array(coords, dtype=float))
-    assert outcome(lambda: p == p) == outcome(lambda: ref == ref) == ("ok", True)
-    assert outcome(lambda: p == twin) == outcome(lambda: ref == ref_twin)
-    assert outcome(lambda: hash(p)) == outcome(lambda: hash(ref))
+    assert outcome(lambda: p == p) == outcome(lambda: p == twin) == ("ok", True)
+    assert outcome(lambda: hash(p)) == (TypeError, "unhashable type: 'list'")
 
 
 def on_sphere_with_quadric(x, q):
@@ -786,3 +782,36 @@ class TestPointChecksMatchReference:
     def test_negative_zero_coordinates(self, kappa, coords):
         assert_same_point(kappa, coords)
         assert_same_point(kappa, np.array(coords))
+
+
+class TestPointsOwnTheirFloats:
+    """A point keeps a copy of a list of Python floats it is given, so a
+    later change to that list moves no checked point."""
+
+    @pytest.mark.parametrize(
+        "kappa, coords, moved",
+        [(1, [0.0, 0.0, 1.0], 5.0), (-1, [1.0, 0.0, 0.0], 5.0), (0, [0.5, -2.0], math.nan)],
+    )
+    def test_a_change_to_the_input_list_moves_no_point(self, kappa, coords, moved):
+        c = list(coords)
+        p = ModelPoint(kappa, c)
+        c[-1] = moved
+        assert p.xs is not c
+        assert float_bytes(p.xs) == float_bytes(coords)
+        assert p.coords.tobytes() == np.array(coords).tobytes()
+        # still on its quadric (or finite), and a tangent there is judged at the checked point
+        assert_same_point(kappa, p.xs)
+        w = [0.0, 1.0] if kappa == 0 else [0.0, 1.0, 0.0]
+        assert ModelVector(p, w).xs == w
+        if kappa:
+            with pytest.raises(GeometryError, match="not tangent"):
+                ModelVector(p, coords)
+
+    def test_fields_and_repr_show_the_stored_floats(self):
+        p = ModelPoint(1, [-0.0, 0.0, 1.0])
+        assert [f.name for f in dataclasses.fields(ModelPoint)] == ["kappa", "xs"]
+        assert repr(p) == "ModelPoint(kappa=1, xs=[-0.0, 0.0, 1.0])"
+        assert p.coords.tobytes() == np.array([-0.0, 0.0, 1.0]).tobytes()
+        # the ndarray is formed on each read, so writing to it moves nothing
+        p.coords[2] = 5.0
+        assert p.xs == [-0.0, 0.0, 1.0]
