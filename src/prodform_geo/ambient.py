@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .spaceform import (
+    KAPPAS,
     ModelPoint,
     ModelVector,
     _pairing,
@@ -40,10 +41,14 @@ class ProductPoint:
         return self.second.kappa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProductVector:
     first: ModelVector
     second: ModelVector
+
+    def __init__(self, first: ModelVector, second: ModelVector):
+        # the instance dict of a frozen dataclass, written directly
+        self.__dict__.update(first=first, second=second)
 
     @property
     def base(self) -> ProductPoint:
@@ -70,11 +75,19 @@ def product_metric(x: ProductVector, y: ProductVector) -> float:
     return metric(x.first, y.first) + metric(x.second, y.second)
 
 
+#: product_metric bit for bit on (first, second) factor coordinates as
+#: Python floats, one function for each (kappa1, kappa2), built once
+_PRODUCT_PAIRINGS = {
+    (k1, k2): lambda x, y, pair1=_pairing(k1), pair2=_pairing(k2): pair1(x[0], y[0]) + pair2(x[1], y[1])
+    for k1 in KAPPAS
+    for k2 in KAPPAS
+}
+
+
 def _product_pairing(kappa1: int, kappa2: int) -> Callable[[tuple, tuple], float]:
     """The function that gives product_metric bit for bit on (first, second)
     factor coordinates as Python floats."""
-    pair1, pair2 = _pairing(kappa1), _pairing(kappa2)
-    return lambda x, y: pair1(x[0], y[0]) + pair2(x[1], y[1])
+    return _PRODUCT_PAIRINGS[kappa1, kappa2]
 
 
 def product_structure(x: ProductVector) -> ProductVector:
@@ -103,8 +116,10 @@ def curvature_tensor(x: ProductVector, y: ProductVector, z: ProductVector, w: Pr
     """
     # the base pairs the eight product_metric calls would check
     for u, v in ((x, w), (y, z), (x, z), (y, w)):
-        _require_same_base(u.first, v.first)
-        _require_same_base(u.second, v.second)
+        if u.first.base is not v.first.base:
+            _require_same_base(u.first, v.first)
+        if u.second.base is not v.second.base:
+            _require_same_base(u.second, v.second)
     pairing = _product_pairing(x.first.kappa, x.second.kappa)
     xs = (x.first.xs, x.second.xs)
     ys = (y.first.xs, y.second.xs)

@@ -339,12 +339,12 @@ def build_example(spec: ExampleSpec) -> Immersion:
     def hessian(u: np.ndarray):
         # the curve and the factor chart share no parameter, so d_t d_a f = d_t d_b f = 0
         t, a, b = u.tolist()
-        zc, zf = np.zeros(curve_dim), np.zeros(factor_dim)
+        zc, zf = [0.0] * curve_dim, [0.0] * factor_dim
         return (
-            ordered(np.array(curve(t, 2)[3]), zf),
+            ordered(curve(t, 2)[3], zf),
             ordered(zc, zf),
             ordered(zc, zf),
-            *(ordered(zc, np.array(d)) for d in factor_second(a, b)),
+            *(ordered(zc, d) for d in factor_second(a, b)),
         )
 
     return Immersion(
@@ -408,12 +408,12 @@ def _build_psi(spec: ExampleSpec) -> Immersion:
         # the second factor (s, t sqrt(1 - c)) is linear, and nothing depends on s
         t, r, s = u.tolist()
         frr, frb, fbb = sweep_second(r, -sc * t)
-        zero, flat = np.zeros(3), np.zeros(2)
+        zero, flat = [0.0] * 3, [0.0] * 2
         return (
-            (np.array([c * x for x in fbb]), flat),
-            (np.array([-sc * x for x in frb]), flat),
+            ([c * x for x in fbb], flat),
+            ([-sc * x for x in frb], flat),
             (zero, flat),
-            (np.array(frr), flat),
+            (frr, flat),
             (zero, flat),
             (zero, flat),
         )

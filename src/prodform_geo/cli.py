@@ -293,11 +293,7 @@ def run_identities(cfg: RunConfig, report: VerificationReport) -> None:
 
 def _vector_gap(x: ProductVector, y: ProductVector) -> float:
     """Largest coordinate gap, on the vectors' Python floats; the max is exact."""
-    return max(
-        abs(a - b)
-        for u, v in ((x.first, y.first), (x.second, y.second))
-        for a, b in zip(u.xs, v.xs)
-    )
+    return max([abs(a - b) for u, v in ((x.first, y.first), (x.second, y.second)) for a, b in zip(u.xs, v.xs)])
 
 
 def _unit_factor_vectors(p, rng) -> tuple[ProductVector, ProductVector]:

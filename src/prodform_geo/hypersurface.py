@@ -75,8 +75,8 @@ class Immersion:
     chart: Callable[[np.ndarray], ProductPoint]
     jacobian: Optional[Callable[[np.ndarray], tuple[ProductVector, ProductVector, ProductVector]]] = None
     #: the six second partials d_k d_l f, k <= l in the order of ``HESSIAN_PAIRS``,
-    #: each as raw (first, second) factor coordinates
-    hessian: Optional[Callable[[np.ndarray], Sequence[tuple[np.ndarray, np.ndarray]]]] = None
+    #: each as raw (first, second) factor coordinates, lists of Python floats
+    hessian: Optional[Callable[[np.ndarray], Sequence[tuple[list[float], list[float]]]]] = None
     name: str = ""
 
     def grid(self, n: int) -> list[np.ndarray]:
@@ -134,8 +134,10 @@ def _factor_coords(vectors: Sequence[ProductVector], at: ProductVector) -> list[
     once, after one same-base check of the vector against ``at``."""
     coords = []
     for v in vectors:
-        _require_same_base(v.first, at.first)
-        _require_same_base(v.second, at.second)
+        if v.first.base is not at.first.base:
+            _require_same_base(v.first, at.first)
+        if v.second.base is not at.second.base:
+            _require_same_base(v.second, at.second)
         coords.append((v.first.xs, v.second.xs))
     return coords
 
@@ -360,8 +362,9 @@ def _check_orthonormal(basis: Sequence[ProductVector], n: ProductVector) -> list
     within ORTHONORMAL_TOL; the pairings are product_metric's, bit for bit."""
     pair = _product_pairing(n.first.kappa, n.second.kappa)
     coords = _factor_coords(basis, n)
-    gram = np.array([[pair(a, b) for b in coords] for a in coords])
-    if float(np.max(np.abs(gram - np.eye(3)))) > ORTHONORMAL_TOL:
+    gaps = [abs(pair(a, b) - (i == j)) for i, a in enumerate(coords) for j, b in enumerate(coords)]
+    # a NaN gap would make numpy's maximum NaN, which passes
+    if max(gaps) > ORTHONORMAL_TOL and all(g == g for g in gaps):
         raise GeometryError("supplied basis is not orthonormal within 1e-8")
     normal = (n.first.xs, n.second.xs)
     if max(abs(pair(b, normal)) for b in coords) > ORTHONORMAL_TOL:
@@ -404,7 +407,8 @@ def shape_operator(
             points[key] = imm.chart(v)
         return points[key]
 
-    tangents, tangent_gram = _tangents(replace(imm, chart=chart), u)
+    # a jacobian builds its own points, so only a chart without one reads the cache
+    tangents, tangent_gram = _tangents(imm if imm.jacobian is not None else replace(imm, chart=chart), u)
     n = unit_normal(imm, u, hint=hint, basis=tangents)
     if basis is None:
         basis = gram_schmidt(tangents)
@@ -421,9 +425,6 @@ def shape_operator(
 
     # the factor forms against the normal's factor coordinates, read once
     normal = (n.first.xs, n.second.xs)
-
-    def normal_part(first: np.ndarray, second: np.ndarray) -> float:
-        return pair((first.tolist(), second.tolist()), normal)
 
     p1, p2 = n.first.base.xs, n.second.base.xs
 
@@ -444,7 +445,7 @@ def shape_operator(
     def closed_hessian() -> np.ndarray:
         h = np.empty((3, 3))
         for (k, l), partial in zip(HESSIAN_PAIRS, imm.hessian(u)):
-            h[k, l] = h[l, k] = normal_part(*partial)
+            h[k, l] = h[l, k] = pair(partial, normal)
         return h
 
     h = closed_hessian() if imm.hessian is not None else _richardson(second_difference)

@@ -47,12 +47,15 @@ def _lorentz(a, b) -> float:
     return -a0 * b0 + a1 * b1 + a2 * b2
 
 
-def _euclid(a, b) -> float:
-    """Euclidean pairing a1*b1 + a2*b2 (+ a3*b3) on pairs or triples of Python floats."""
-    if len(a) == 2:
-        a0, a1 = a
-        b0, b1 = b
-        return a0 * b0 + a1 * b1
+def _euclid2(a, b) -> float:
+    """Euclidean pairing a1*b1 + a2*b2 on pairs of Python floats."""
+    a0, a1 = a
+    b0, b1 = b
+    return a0 * b0 + a1 * b1
+
+
+def _euclid3(a, b) -> float:
+    """Euclidean pairing a1*b1 + a2*b2 + a3*b3 on triples of Python floats."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return a0 * b0 + a1 * b1 + a2 * b2
@@ -60,14 +63,14 @@ def _euclid(a, b) -> float:
 
 def _pairing(kappa: int):
     """The ambient form of the curvature-``kappa`` factor on coordinates as
-    Python floats: the Lorentz pairing for -1, the Euclidean one for 0 and 1,
-    each a sum of products taken left to right.
+    Python floats: the Lorentz pairing for -1, the Euclidean one on pairs for
+    0 and on triples for 1, each a sum of products taken left to right.
 
     Every pairing of factor coordinates goes through it.  <p, p> = kappa on
     the model space, so kappa <p, p> is each quadric; on the hyperboloid it
     is x0*x0 - x1*x1 - x2*x2 summed left to right, up to the sign of a zero.
     """
-    return _lorentz if kappa == -1 else _euclid
+    return _lorentz if kappa == -1 else _euclid3 if kappa == 1 else _euclid2
 
 
 def form(kappa: int, a, b) -> float:
@@ -85,16 +88,27 @@ def _cross(kappa: int, a, b) -> list[float]:
     return [a2 * b1 - a1 * b2, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def _python_floats(coords) -> bool:
-    """Whether ``coords`` is a list of Python floats, which
-    ``np.asarray(coords, dtype=float).tolist()`` would return unchanged."""
-    if type(coords) is not list:
-        return False
-    # a loop, not all() over a generator, which costs twice as much here
-    for x in coords:
-        if type(x) is not float:
-            return False
-    return True
+def _checked_point(kappa: int, coords) -> list[float]:
+    """The point's tests in order, each with its message, on ``coords`` as
+    ``np.asarray(coords, dtype=float)`` converts it; the checked floats."""
+    if kappa not in KAPPAS:
+        raise GeometryError(f"kappa must be in {KAPPAS}, got {kappa}")
+    dim = 2 if kappa == 0 else 3
+    array = np.asarray(coords, dtype=float)
+    if array.shape != (dim,):
+        raise GeometryError(f"kappa={kappa} point needs {dim} coordinates, got shape {array.shape}")
+    xs = array.tolist()
+    if kappa == 0:
+        if not (math.isfinite(xs[0]) and math.isfinite(xs[1])):
+            raise GeometryError(f"flat point coordinates must be finite, got {xs}")
+    else:
+        q = kappa * _pairing(kappa)(xs, xs)
+        # written so that a non-finite coordinate, which makes q NaN or inf, fails too
+        if not abs(q - 1.0) <= CONSTRAINT_TOL:
+            raise GeometryError(f"coordinates violate the kappa={kappa} quadric: q={q!r}")
+        if kappa == -1 and xs[0] <= 0:
+            raise GeometryError("hyperboloid points must have positive first coordinate")
+    return xs
 
 
 @dataclass(frozen=True, init=False)
@@ -108,37 +122,32 @@ class ModelPoint:
     Construction checks the point once, on those floats: the quadric is
     kappa <p, p>, through the factor form ``_pairing``.  A coordinate too
     large to square makes it inf or NaN, which fails the quadric check as any
-    other violation does.  ``coords`` is an ndarray formed from ``xs`` on
-    each read.
+    other violation does.  Python floats of the factor's length first meet
+    one fused test per factor kind, and ``_checked_point`` takes the rest.
+    ``coords`` is an ndarray formed from ``xs`` on each read.
     """
 
     kappa: int
     xs: list[float]
 
     def __init__(self, kappa: int, coords):
-        if kappa not in KAPPAS:
-            raise GeometryError(f"kappa must be in {KAPPAS}, got {kappa}")
-        dim = 2 if kappa == 0 else 3
-        if _python_floats(coords):
-            # a copy, so that the caller's list cannot move the checked point
-            xs = coords[:]
-            shape = (len(xs),)
-        else:
-            array = np.asarray(coords, dtype=float)
-            xs = array.tolist()
-            shape = array.shape
-        if shape != (dim,):
-            raise GeometryError(f"kappa={kappa} point needs {dim} coordinates, got shape {shape}")
-        if kappa == 0:
-            if not (math.isfinite(xs[0]) and math.isfinite(xs[1])):
-                raise GeometryError(f"flat point coordinates must be finite, got {xs}")
-        else:
-            q = kappa * _pairing(kappa)(xs, xs)
-            # written so that a non-finite coordinate, which makes q NaN or inf, fails too
-            if not abs(q - 1.0) <= CONSTRAINT_TOL:
-                raise GeometryError(f"coordinates violate the kappa={kappa} quadric: q={q!r}")
-            if kappa == -1 and xs[0] <= 0:
-                raise GeometryError("hyperboloid points must have positive first coordinate")
+        xs = None
+        n = len(coords) if type(coords) is list else 0
+        if n == 2 and kappa == 0:
+            x0, x1 = coords
+            if type(x0) is type(x1) is float and math.isfinite(x0) and math.isfinite(x1):
+                xs = [x0, x1]
+        elif n == 3 and (kappa == 1 or kappa == -1):
+            x0, x1, x2 = coords
+            # kappa <p, p> summed as _pairing sums it: kappa x0 is -x0 or x0 exactly
+            if (
+                type(x0) is type(x1) is type(x2) is float
+                and abs(kappa * (kappa * x0 * x0 + x1 * x1 + x2 * x2) - 1.0) <= CONSTRAINT_TOL
+                and (kappa == 1 or x0 > 0.0)
+            ):
+                xs = [x0, x1, x2]
+        if xs is None:
+            xs = _checked_point(kappa, coords)
         # the instance dict of a frozen dataclass, written directly; _scale,
         # max(1, max|x_i|), is the point's share of every tangency scale, not
         # a field, so equality, repr and hashing ignore it
@@ -150,30 +159,46 @@ class ModelPoint:
 
 
 def _tangent_check(base: ModelPoint, coords) -> list[float]:
-    """Tangent coordinates at ``base`` as a list of Python floats, kept as given.
+    """Tangent coordinates at ``base`` as a new list of Python floats.
 
-    A list of Python floats is taken as it is, not copied; any other input
-    is converted as ``np.asarray(coords, dtype=float)`` converts it.  The
-    defect is <p, v> in the factor form ``_pairing``, on the point's and the
-    vector's floats.  A defect above ``CONSTRAINT_TOL`` times the scale is
-    rejected, as a point that far off its quadric is.
+    A list of Python floats is copied; any other input is converted as
+    ``np.asarray(coords, dtype=float)`` converts it.  The defect is <p, v> in
+    the factor form ``_pairing``, on the point's and the vector's floats.  A
+    defect above ``CONSTRAINT_TOL`` times the scale is rejected, as a point
+    that far off its quadric is.  Python floats of the point's length first
+    meet one fused test per factor kind, on a curved factor against the
+    point's share of the scale, which the scale is at least (an inf or NaN
+    defect fails it); what it does not accept goes to the tests in order.
     """
-    if not _python_floats(coords):
-        array = np.asarray(coords, dtype=float)
-        # a scalar or nested input has no length to match the point's
-        coords = array.tolist() if array.ndim == 1 else []
-    if len(coords) != len(base.xs):
+    kappa, ps = base.kappa, base.xs
+    n = len(coords) if type(coords) is list else 0
+    if n == 2 and kappa == 0:
+        x0, x1 = coords
+        if type(x0) is type(x1) is float and math.isfinite(x0) and math.isfinite(x1):
+            return [x0, x1]
+    elif n == 3 and kappa != 0:
+        x0, x1, x2 = coords
+        p0, p1, p2 = ps
+        # the defect summed as _pairing sums it: kappa p0 is -p0 or p0 exactly
+        if (
+            type(x0) is type(x1) is type(x2) is float
+            and abs(kappa * p0 * x0 + p1 * x1 + p2 * x2) <= CONSTRAINT_TOL * base._scale
+        ):
+            return [x0, x1, x2]
+    array = np.asarray(coords, dtype=float)
+    # a scalar or nested input has no length to match the point's
+    coords = array.tolist() if array.ndim == 1 else []
+    if len(coords) != len(ps):
         raise GeometryError("vector and base point dimensions differ")
     if not all(map(math.isfinite, coords)):
         raise GeometryError(f"tangent vector coordinates must be finite, got {coords}")
-    kappa = base.kappa
     if kappa == 0:
         return coords
     # the maximum of Python floats is exact, so the scale is the one a numpy
     # reduction would give, bit for bit
     x0, x1, x2 = coords
     scale = max(1.0, abs(x0), abs(x1), abs(x2)) * base._scale
-    t = _pairing(kappa)(base.xs, coords)
+    t = _pairing(kappa)(ps, coords)
     if abs(t) > CONSTRAINT_TOL * scale:
         raise GeometryError(f"vector is not tangent at its base point (defect {t!r})")
     return coords
@@ -184,8 +209,8 @@ class ModelVector:
     """Tangent vector at a :class:`ModelPoint`, stored as its checked
     coordinates ``xs``, a list of Python floats that nothing may change.
 
-    Construction enforces tangency through ``_tangent_check``, which keeps the
-    coordinates as given or rejects them; ``coords`` is an ndarray formed
+    Construction enforces tangency through ``_tangent_check``, which copies
+    the coordinates or rejects them; ``coords`` is an ndarray formed
     from ``xs`` on each read.
     """
 
@@ -235,7 +260,7 @@ def _same_point(p: ModelPoint, q: ModelPoint) -> bool:
 
 
 def _require_same_base(u: ModelVector, v: ModelVector) -> None:
-    if not _same_point(u.base, v.base):
+    if u.base is not v.base and not _same_point(u.base, v.base):
         raise GeometryError("vectors live at different base points")
 
 
@@ -401,12 +426,13 @@ def tangent_frame(p: ModelPoint) -> tuple[ModelVector, ModelVector]:
 def random_point(kappa: int, rng: np.random.Generator) -> ModelPoint:
     """Random model point; plumbing for seeded verification sweeps."""
     if kappa == 0:
-        return ModelPoint(0, rng.normal(size=2))
+        return ModelPoint(0, rng.normal(size=2).tolist())
     if kappa == 1:
         x = rng.normal(size=3)
-        return ModelPoint(1, x / np.linalg.norm(x))
+        r = math.sqrt(x.dot(x))  # np.linalg.norm(x), as numpy computes it
+        return ModelPoint(1, [a / r for a in x.tolist()])
     y = rng.normal(size=2)
-    return ModelPoint(-1, np.array([math.sqrt(1.0 + y @ y), y[0], y[1]]))
+    return ModelPoint(-1, [math.sqrt(1.0 + y @ y), *y.tolist()])
 
 
 def random_tangent(p: ModelPoint, rng: np.random.Generator) -> ModelVector:

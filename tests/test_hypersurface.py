@@ -122,7 +122,8 @@ def test_frame_legs_are_tangent_frames_legs_bitwise():
         for xs, leg in zip(legs, tangent_frame(p), strict=True):
             assert type(xs) is list and all(type(x) is float for x in xs)
             assert np.array(xs).tobytes() == leg.coords.tobytes()
-            assert spaceform._tangent_check(p, xs) is xs
+            checked = spaceform._tangent_check(p, xs)
+            assert checked == xs and checked is not xs
 
 
 @pytest.mark.parametrize(

@@ -815,3 +815,146 @@ class TestPointsOwnTheirFloats:
         # the ndarray is formed on each read, so writing to it moves nothing
         p.coords[2] = 5.0
         assert p.xs == [-0.0, 0.0, 1.0]
+
+
+class TestVectorsOwnTheirFloats:
+    """A vector keeps a copy of a list of Python floats it is given, as a
+    point does, so a later change to that list moves no checked vector."""
+
+    def test_a_change_to_the_input_list_moves_no_vector(self):
+        c = [0.0, 1.0, 0.0]
+        v = ModelVector(ModelPoint(1, [0.0, 0.0, 1.0]), c)
+        c[2] = 5.0
+        assert v.xs == [0.0, 1.0, 0.0]
+        assert v.xs is not c
+
+    @pytest.mark.parametrize("kappa, coords", [(1, [0.0, 1.0, 0.0]), (-1, [0.0, 1.0, 0.0]), (0, [0.5, -2.0])])
+    def test_the_check_returns_a_copy(self, kappa, coords):
+        p = ModelPoint(kappa, [1.0, 0.0, 0.0] if kappa == -1 else [0.0, 0.0, 1.0] if kappa else [0.0, 0.0])
+        xs = spaceform._tangent_check(p, coords)
+        assert xs == coords and xs is not coords
+
+
+# The fused checks against the verdicts and literal messages of the ordered
+# tests alone: wrong lengths, non-finite coordinates, and tangency defects
+# one ulp either side of CONSTRAINT_TOL times the scale (the bound itself is
+# accepted).  On (0, 0, 1) and (1, 0, 0) the defect of the rows below is
+# exactly their coordinate d; a vector 4.0 long has scale 4, beyond the
+# point's share of it, 1.
+_UP, _DOWN = (lambda x: math.nextafter(x, math.inf)), (lambda x: math.nextafter(x, 0.0))
+_B1, _B4 = CONSTRAINT_TOL, CONSTRAINT_TOL * 4.0
+_LENGTH = (GeometryError, "vector and base point dimensions differ")
+_DEFECT = "vector is not tangent at its base point (defect {})"
+_FINITE = "tangent vector coordinates must be finite, got {}"
+
+FUSED_VECTOR_TABLE = {
+    1: (
+        [0.0, 0.0, 1.0],
+        [
+            ([0.5, 0.0], _LENGTH),
+            (0.5, _LENGTH),
+            (np.array([[0.5, 0.0, 0.0]]), _LENGTH),
+            ([math.nan, 0.5, 0.0], (GeometryError, _FINITE.format("[nan, 0.5, 0.0]"))),
+            ([0.5, math.inf, 0.0], (GeometryError, _FINITE.format("[0.5, inf, 0.0]"))),
+            ([0.5, 0.0, -math.inf], (GeometryError, _FINITE.format("[0.5, 0.0, -inf]"))),
+            ([0.5, 0.0, _DOWN(_B1)], "ok"),
+            ([0.5, 0.0, _B1], "ok"),
+            ([0.5, 0.0, _UP(_B1)], (GeometryError, _DEFECT.format("1.0000000000000002e-08"))),
+            ([4.0, 0.0, _DOWN(_B4)], "ok"),
+            ([4.0, 0.0, _UP(_B4)], (GeometryError, _DEFECT.format("4.000000000000001e-08"))),
+        ],
+    ),
+    -1: (
+        [1.0, 0.0, 0.0],
+        [
+            ([0.0, 0.5], _LENGTH),
+            (0.5, _LENGTH),
+            (np.array([[0.0, 0.5, 0.0]]), _LENGTH),
+            ([0.0, math.nan, 0.5], (GeometryError, _FINITE.format("[0.0, nan, 0.5]"))),
+            ([math.inf, 0.5, 0.0], (GeometryError, _FINITE.format("[inf, 0.5, 0.0]"))),
+            ([0.0, 0.5, -math.inf], (GeometryError, _FINITE.format("[0.0, 0.5, -inf]"))),
+            ([-_DOWN(_B1), 0.5, 0.0], "ok"),
+            ([-_B1, 0.5, 0.0], "ok"),
+            ([-_UP(_B1), 0.5, 0.0], (GeometryError, _DEFECT.format("1.0000000000000002e-08"))),
+            ([_DOWN(_B4), 4.0, 0.0], "ok"),
+            ([_UP(_B4), 4.0, 0.0], (GeometryError, _DEFECT.format("-4.000000000000001e-08"))),
+        ],
+    ),
+    0: (
+        [0.5, -2.0],
+        [
+            ([0.5, 0.0, 0.0], _LENGTH),
+            (0.5, _LENGTH),
+            (np.array([[0.5, 0.0]]), _LENGTH),
+            ([math.nan, 0.5], (GeometryError, _FINITE.format("[nan, 0.5]"))),
+            ([0.5, math.inf], (GeometryError, _FINITE.format("[0.5, inf]"))),
+            ([-math.inf, 0.5], (GeometryError, _FINITE.format("[-inf, 0.5]"))),
+            ([1e300, -1e300], "ok"),
+        ],
+    ),
+}
+
+#: the quadric one float either side of its bound, q = 1 +- CONSTRAINT_TOL,
+#: as (0, 0, z) on the sphere and (z, 0, 0) on the hyperboloid, both q = z*z
+_QUADRIC_Z = [
+    (1.000000005, None),
+    (1.0000000050000002, "1.0000000100000004"),
+    (0.999999995, None),
+    (0.9999999949999999, "0.9999999899999998"),
+]
+_QUADRIC = "coordinates violate the kappa={} quadric: q={}"
+
+FUSED_POINT_TABLE = [
+    *((1, [0.0, 0.0, z], "ok" if q is None else (GeometryError, _QUADRIC.format(1, q))) for z, q in _QUADRIC_Z),
+    *((-1, [z, 0.0, 0.0], "ok" if q is None else (GeometryError, _QUADRIC.format(-1, q))) for z, q in _QUADRIC_Z),
+    (1, [0.0, 1.0], (GeometryError, "kappa=1 point needs 3 coordinates, got shape (2,)")),
+    (1, 1.0, (GeometryError, "kappa=1 point needs 3 coordinates, got shape ()")),
+    (1, np.array([[0.0, 0.0, 1.0]]), (GeometryError, "kappa=1 point needs 3 coordinates, got shape (1, 3)")),
+    (1, [0.0, math.inf, 0.0], (GeometryError, _QUADRIC.format(1, "inf"))),
+    (-1, [-1.0, 0.0, 0.0], (GeometryError, "hyperboloid points must have positive first coordinate")),
+    (-1, [1.0, math.nan, 0.0], (GeometryError, _QUADRIC.format(-1, "nan"))),
+    (-1, [math.inf, 0.0, 0.0], (GeometryError, _QUADRIC.format(-1, "inf"))),
+    (0, [0.5, 0.0, 0.0], (GeometryError, "kappa=0 point needs 2 coordinates, got shape (3,)")),
+    (0, 2.0, (GeometryError, "kappa=0 point needs 2 coordinates, got shape ()")),
+    (0, np.array([[0.5, 0.0]]), (GeometryError, "kappa=0 point needs 2 coordinates, got shape (1, 2)")),
+    (0, [0.5, math.nan], (GeometryError, "flat point coordinates must be finite, got [0.5, nan]")),
+    (0, [-math.inf, 0.5], (GeometryError, "flat point coordinates must be finite, got [-inf, 0.5]")),
+]
+
+
+class TestFusedChecksTable:
+    @pytest.mark.parametrize(
+        "kappa, coords, want",
+        [(kappa, coords, want) for kappa, (_, rows) in FUSED_VECTOR_TABLE.items() for coords, want in rows],
+    )
+    def test_vector(self, kappa, coords, want):
+        base = ModelPoint(kappa, FUSED_VECTOR_TABLE[kappa][0])
+        got = outcome(lambda: ModelVector(base, coords))
+        if want == "ok":
+            assert got[0] == "ok" and float_bytes(got[1].xs) == float_bytes(coords)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("kappa, coords, want", FUSED_POINT_TABLE)
+    def test_point(self, kappa, coords, want):
+        got = outcome(lambda: ModelPoint(kappa, coords))
+        if want == "ok":
+            assert got[0] == "ok" and float_bytes(got[1].xs) == float_bytes(coords)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("kappa", [-1, 0, 1])
+def test_random_points_are_the_numpy_draws_bitwise(kappa):
+    """random_point on Python floats gives the coordinates its numpy form gave."""
+    rng, twin = np.random.default_rng(60 + kappa), np.random.default_rng(60 + kappa)
+    for _ in range(500):
+        if kappa == 0:
+            want = twin.normal(size=2)
+        elif kappa == 1:
+            x = twin.normal(size=3)
+            want = x / np.linalg.norm(x)
+        else:
+            y = twin.normal(size=2)
+            want = np.array([math.sqrt(1.0 + y @ y), y[0], y[1]])
+        assert float_bytes(random_point(kappa, rng).xs) == want.tobytes()
