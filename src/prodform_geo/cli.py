@@ -211,9 +211,13 @@ class ErrorTracker:
         self.max_rel = 0.0
 
     def record(self, got: float, want: float) -> None:
+        # _worse, inline: this runs once per check and sample
         err = abs(got - want)
-        self.max_abs = _worse(err, self.max_abs)
-        self.max_rel = _worse(err / max(1.0, abs(got), abs(want)), self.max_rel)
+        if err > self.max_abs or err != err:
+            self.max_abs = err
+        rel = err / max(1.0, abs(got), abs(want))
+        if rel > self.max_rel or rel != rel:
+            self.max_rel = rel
 
     def record_abs(self, err: float) -> None:
         err = abs(err)

@@ -46,6 +46,9 @@ ORTHONORMAL_TOL = 1e-8
 #: largest |A_ij - A_ji| accepted in a shape matrix
 SYMMETRY_TOL = 1e-8
 
+#: SYMMETRY_TOL at its exact value, the bound of ``at_most``
+_EXACT_SYMMETRY_TOL = Decimal(SYMMETRY_TOL)
+
 #: the index pairs (k, l), k <= l, of the partials d_k d_l f an ``Immersion.hessian`` returns
 HESSIAN_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
@@ -59,11 +62,12 @@ def is_finite(x) -> bool:
     return isinstance(x, (int, Fraction)) or math.isfinite(x)
 
 
-def at_most(x, bound: float) -> bool:
-    """x <= bound, with an exact x compared to the exact value of ``bound`` in its own type."""
+def at_most(x, bound: Decimal) -> bool:
+    """x <= bound, for ``bound`` the exact value of a float tolerance as a Decimal (``Decimal(float)``
+    is exact): an exact x is compared with that value in its own type, any other x with the float."""
     if isinstance(x, Decimal):
-        return x <= Decimal(bound)
-    return x <= (Fraction(bound) if isinstance(x, (int, Fraction)) else bound)
+        return x <= bound
+    return x <= (Fraction(bound) if isinstance(x, (int, Fraction)) else float(bound))
 
 
 @dataclass(frozen=True)
@@ -291,16 +295,49 @@ class ShapeInvariants:
     """
 
     def _set_shape(self, a) -> None:
-        """Store ``a`` as ``A`` once it is known to be a finite symmetric 3 x 3 matrix."""
-        if len(a) != 3 or any(len(row) != 3 for row in a):
+        """Store ``a`` as ``A`` once it is known to be a finite symmetric 3 x 3 matrix.
+
+        Nine entries of one kind, all ``float`` or all ``Decimal``, first meet
+        one test for that kind: the floats' sum is finite (an inf or NaN entry
+        makes it inf or NaN), each Decimal ``is_finite()``, and each
+        off-diagonal pair is equal or within SYMMETRY_TOL.  What that test
+        does not accept meets the ordered tests, which alone reject, with
+        the same verdict and message for every input.
+        """
+        if len(a) != 3:
             raise GeometryError("shape matrix must be 3 x 3")
-        # all entries are judged finite before a comparison can trap on a Decimal NaN
-        upper, lower = (a[0][1], a[0][2], a[1][2]), (a[1][0], a[2][0], a[2][1])
-        if not (
-            all(map(is_finite, (*a[0], *a[1], *a[2])))
-            and (upper == lower or all(x == y or at_most(abs(x - y), SYMMETRY_TOL) for x, y in zip(upper, lower)))
+        r0, r1, r2 = a
+        if len(r0) != 3 or len(r1) != 3 or len(r2) != 3:
+            raise GeometryError("shape matrix must be 3 x 3")
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = r0, r1, r2
+        kind, tol = type(a00), None
+        if (
+            kind is type(a01) is type(a02) is type(a10) is type(a11)
+            is type(a12) is type(a20) is type(a21) is type(a22)
         ):
-            raise GeometryError(f"shape matrix must be finite and symmetric within {SYMMETRY_TOL:g}")
+            if kind is float and math.isfinite(a00 + a01 + a02 + a10 + a11 + a12 + a20 + a21 + a22):
+                tol = SYMMETRY_TOL
+            elif kind is Decimal and (
+                a00.is_finite() and a01.is_finite() and a02.is_finite() and a10.is_finite() and a11.is_finite()
+                and a12.is_finite() and a20.is_finite() and a21.is_finite() and a22.is_finite()
+            ):
+                tol = _EXACT_SYMMETRY_TOL
+        if not (
+            tol is not None
+            and (a01 == a10 or abs(a01 - a10) <= tol)
+            and (a02 == a20 or abs(a02 - a20) <= tol)
+            and (a12 == a21 or abs(a12 - a21) <= tol)
+        ):
+            # all entries are judged finite before a comparison can trap on a Decimal NaN
+            upper, lower = (a01, a02, a12), (a10, a20, a21)
+            if not (
+                all(map(is_finite, (a00, a01, a02, a10, a11, a12, a20, a21, a22)))
+                and (
+                    upper == lower
+                    or all(x == y or at_most(abs(x - y), _EXACT_SYMMETRY_TOL) for x, y in zip(upper, lower))
+                )
+            ):
+                raise GeometryError(f"shape matrix must be finite and symmetric within {SYMMETRY_TOL:g}")
         object.__setattr__(self, "A", a)
 
     @property
@@ -329,8 +366,9 @@ class ShapeInvariants:
 
     @property
     def rho(self):
-        a = self.A
-        norm_sq = sum(a[i][j] ** 2 for i in range(3) for j in range(3))
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = self.A
+        # the squares summed from 0 in row order, as ``sum`` did before Python 3.12 compensated float sums
+        norm_sq = 0 + a00**2 + a01**2 + a02**2 + a10**2 + a11**2 + a12**2 + a20**2 + a21**2 + a22**2
         return (
             self.kappa1 * (1 - self.C)
             + self.kappa2 * (1 + self.C)
@@ -362,12 +400,13 @@ def _check_orthonormal(basis: Sequence[ProductVector], n: ProductVector) -> list
     within ORTHONORMAL_TOL; the pairings are product_metric's, bit for bit."""
     pair = _product_pairing(n.first.kappa, n.second.kappa)
     coords = _factor_coords(basis, n)
+    # each gap is judged as not (g <= tol), so a NaN gap, which a pairing of
+    # finite coordinates can overflow to, fails
     gaps = [abs(pair(a, b) - (i == j)) for i, a in enumerate(coords) for j, b in enumerate(coords)]
-    # a NaN gap would make numpy's maximum NaN, which passes
-    if max(gaps) > ORTHONORMAL_TOL and all(g == g for g in gaps):
+    if any(not g <= ORTHONORMAL_TOL for g in gaps):
         raise GeometryError("supplied basis is not orthonormal within 1e-8")
     normal = (n.first.xs, n.second.xs)
-    if max(abs(pair(b, normal)) for b in coords) > ORTHONORMAL_TOL:
+    if any(not abs(pair(b, normal)) <= ORTHONORMAL_TOL for b in coords):
         raise GeometryError("supplied basis is not tangent within 1e-8")
     return coords
 

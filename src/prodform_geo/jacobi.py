@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from decimal import Decimal
+from functools import reduce
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -134,9 +135,21 @@ def stability_series(delta, order: int = SERIES_ORDER) -> tuple[TaylorSeries, Ta
 # ---------------------------------------------------------------------------
 
 
+#: largest |C| accepted, and its exact value, the bound of ``at_most``
+_ANGLE_BOUND = 1 + 1e-12
+_EXACT_ANGLE_BOUND = Decimal(_ANGLE_BOUND)
+
+
 @dataclass(frozen=True)
 class CaseParams:
-    """Curvature pair and angle value driving the Jacobi blocks."""
+    """Curvature pair and angle value driving the Jacobi blocks.
+
+    The angle value must be finite with |C| <= 1 + 1e-12, judged in its own
+    type.  A ``float`` or ``Decimal`` C first meets one test for its kind
+    (|C| <= the bound, which a float NaN or infinity fails; a Decimal
+    ``is_finite()`` first); what that test does not accept meets the ordered
+    tests, which alone reject, with the same verdict and message.
+    """
 
     kappa1: int
     kappa2: int
@@ -145,8 +158,14 @@ class CaseParams:
     def __post_init__(self):
         if self.kappa1 not in KAPPAS or self.kappa2 not in KAPPAS:
             raise GeometryError(f"curvature tags must be in {KAPPAS}")
-        if not (is_finite(self.C) and at_most(abs(self.C), 1 + 1e-12)):
-            raise GeometryError(f"angle value must lie in [-1, 1], got {self.C!r}")
+        c = self.C
+        kind = type(c)
+        if not (
+            (kind is float and abs(c) <= _ANGLE_BOUND)
+            or (kind is Decimal and c.is_finite() and abs(c) <= _EXACT_ANGLE_BOUND)
+            or (is_finite(c) and at_most(abs(c), _EXACT_ANGLE_BOUND))
+        ):
+            raise GeometryError(f"angle value must lie in [-1, 1], got {c!r}")
 
     @property
     def delta1(self):
@@ -159,7 +178,15 @@ class CaseParams:
 
 @dataclass(frozen=True)
 class FrameShape(ShapeInvariants):
-    """Symmetric shape matrix in the adapted frame, with derived invariants."""
+    """Symmetric shape matrix in the adapted frame, with derived invariants.
+
+    ``A`` is stored as a tuple of three row tuples; a given tuple of tuples
+    is kept as it is, anything else is copied into one.  The shape is
+    checked by ``_set_shape`` when it is built, and then the angle: the
+    instance's ``CaseParams`` is built once, in ``__post_init__``, and read
+    as ``case``, so an out-of-range angle raises when the shape is built.
+    ``dataclasses.replace`` builds a new shape with its own ``case``.
+    """
 
     A: tuple
     kappa1: int
@@ -167,16 +194,16 @@ class FrameShape(ShapeInvariants):
     C: object
 
     def __post_init__(self):
-        self._set_shape(tuple(tuple(row) for row in self.A))
+        a = self.A
+        if not (type(a) is tuple and len(a) == 3 and type(a[0]) is type(a[1]) is type(a[2]) is tuple):
+            a = tuple(tuple(row) for row in a)
+        self._set_shape(a)
+        object.__setattr__(self, "case", CaseParams(self.kappa1, self.kappa2, self.C))
 
     @classmethod
     def from_record(cls, rec: ShapeRecord) -> "FrameShape":
         # plain floats: an overflow in the closed forms gives inf or nan, not a numpy warning
         return cls(A=rec.A.tolist(), kappa1=rec.kappa1, kappa2=rec.kappa2, C=rec.C)
-
-    @cached_property
-    def case(self) -> CaseParams:
-        return CaseParams(self.kappa1, self.kappa2, self.C)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +352,14 @@ def detq_derivatives(fs: FrameShape, cp: CaseParams, orders: Iterable[int]) -> d
     exactly with ``detq_taylor`` and uses none of the closed derivative forms.
     """
     orders = list(orders)
-    if any(k < 0 for k in orders):
+    if orders and min(orders) < 0:
         raise ValueError(f"derivative orders must be non-negative, got {orders}")
-    a = fs.A
-    upper = [a[i][j].as_integer_ratio() for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
-    e = math.lcm(*(den for _, den in upper))
-    a11, a22, a33, a12, a13, a23 = (num * (e // den) for num, den in upper)
+    (a11, a12, a13), (_, a22, a23), (_, _, a33) = fs.A
+    (n11, e11), (n22, e22), (n33, e33) = a11.as_integer_ratio(), a22.as_integer_ratio(), a33.as_integer_ratio()
+    (n12, e12), (n13, e13), (n23, e23) = a12.as_integer_ratio(), a13.as_integer_ratio(), a23.as_integer_ratio()
+    e = math.lcm(e11, e22, e33, e12, e13, e23)
+    a11, a22, a33 = n11 * (e // e11), n22 * (e // e22), n33 * (e // e33)
+    a12, a13, a23 = n12 * (e // e12), n13 * (e // e13), n23 * (e // e23)
     h12 = a11 * a22 - a12 * a12
     h13 = a11 * a33 - a13 * a13
     h23 = a22 * a33 - a23 * a23
@@ -342,23 +371,24 @@ def detq_derivatives(fs: FrameShape, cp: CaseParams, orders: Iterable[int]) -> d
     u = -cp.kappa1 * (cd + cn)  # d * (-delta1)
     v = -cp.kappa2 * (cd - cn)  # d * (-delta2)
 
-    def scaled_derivatives(c1c2: int, s1c2: int, c1s2: int, s1s2: int) -> list[int]:
-        """d^(n // 2) times the n-th derivative at 0 of c1c2 C1 C2 + s1c2 S1 C2 + c1s2 C1 S2 + s1s2 S1 S2."""
-        # at 0: C = 1, C' = 0, C'' = -delta, C''' = 0 and S = 0, S' = 1, S'' = 0, S''' = -delta
-        f = [c1c2, s1c2 + c1s2, c1c2 * (u + v) + 2 * d * s1s2, s1c2 * (u + 3 * v) + c1s2 * (3 * u + v)]
-        for n in range(4, max(orders, default=0) + 1):
-            f.append(2 * (u + v) * f[n - 2] - (u - v) ** 2 * f[n - 4])
-        return f
-
+    top = max(orders, default=0)
     # e^3 g and e^3 h: the terms of ``detq_closed_form`` without and with a factor l
     e2 = e * e
-    g = scaled_derivatives(e2 * e, -a22 * e2, -a33 * e2, h23 * e)
-    h = scaled_derivatives(-a11 * e2, h12 * e, h13 * e, -det)
+    e3 = e2 * e
+    g = _scaled_derivatives(e3, -a22 * e2, -a33 * e2, h23 * e, u, v, d, top)
+    h = _scaled_derivatives(-a11 * e2, h12 * e, h13 * e, -det, u, v, d, top)
     # k h^(k-1) is scaled by d^((k - 1) // 2), one power of d short of d^(k // 2) for even k
-    return {
-        k: Fraction(g[k] + (k * h[k - 1] * d ** (1 - k % 2) if k else 0), e2 * e * d ** (k // 2))
-        for k in orders
-    }
+    return {k: Fraction(g[k] + (k * h[k - 1] * d ** (1 - k % 2) if k else 0), e3 * d ** (k // 2)) for k in orders}
+
+
+def _scaled_derivatives(c1c2: int, s1c2: int, c1s2: int, s1s2: int, u: int, v: int, d: int, top: int) -> list[int]:
+    """d^(n // 2) times the n-th derivative at 0, for n up to max(top, 3), of c1c2 C1 C2 +
+    s1c2 S1 C2 + c1s2 C1 S2 + s1s2 S1 S2, where u = -d delta1 and v = -d delta2."""
+    # at 0: C = 1, C' = 0, C'' = -delta, C''' = 0 and S = 0, S' = 1, S'' = 0, S''' = -delta
+    f = [c1c2, s1c2 + c1s2, c1c2 * (u + v) + 2 * d * s1s2, s1c2 * (u + 3 * v) + c1s2 * (3 * u + v)]
+    for n in range(4, top + 1):
+        f.append(2 * (u + v) * f[n - 2] - (u - v) ** 2 * f[n - 4])
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +410,14 @@ def detq_derivative_formula(k: int, cp: CaseParams, H=None, rho=None, H12=None, 
     exactly.
     """
     k1, k2, c = cp.kappa1, cp.kappa2, cp.C
-    if k not in formula_orders(k1, k2):
+    # the orders of ``formula_orders``
+    if k not in (1, 2, 4, 6) and not (k == 10 and k1 == 1 and k2 == -1):
         raise UnsupportedCaseError(f"no closed form for derivative order {k} at the pair ({k1}, {k2})")
     if k == 1:
         if H is None:
             raise GeometryError("k = 1 needs the mean curvature H")
         return -H
-    if any(v is None for v in (rho, H12, H13)):
+    if rho is None or H12 is None or H13 is None:
         raise GeometryError(f"k = {k} needs rho, H12 and H13")
     if k == 2:
         return rho + ((k1 - k2) * c - 3 * (k1 + k2)) / 2

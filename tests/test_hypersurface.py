@@ -586,11 +586,11 @@ class TestShapeOperator:
 
 
 def reference_check_orthonormal(basis, n):
-    """``_check_orthonormal`` on product_metric, kept as the reference."""
+    """``_check_orthonormal`` on product_metric, kept as the reference; a NaN gap fails."""
     gram = np.array([[product_metric(a, b) for b in basis] for a in basis])
-    if float(np.max(np.abs(gram - np.eye(3)))) > hypersurface.ORTHONORMAL_TOL:
+    if not float(np.max(np.abs(gram - np.eye(3)))) <= hypersurface.ORTHONORMAL_TOL:
         raise GeometryError("supplied basis is not orthonormal within 1e-8")
-    if max(abs(product_metric(b, n)) for b in basis) > hypersurface.ORTHONORMAL_TOL:
+    if not all(abs(product_metric(b, n)) <= hypersurface.ORTHONORMAL_TOL for b in basis):
         raise GeometryError("supplied basis is not tangent within 1e-8")
 
 
@@ -654,6 +654,22 @@ class TestFactorCoordinatePairings:
             for a, x in zip((e1, e2, e3), coords):
                 for b, y in zip((e1, e2, e3, n), [*coords, *hypersurface._factor_coords((n,), n)]):
                     assert np.float64(pair(x, y)).tobytes() == np.float64(product_metric(a, b)).tobytes()
+
+    def test_check_orthonormal_rejects_a_nan_gram_entry(self):
+        # the Lorentz square of a finite leg 1e200 (sinh 1, cosh 1, 0) at
+        # (cosh 1, sinh 1, 0) on H^2 overflows to -inf + inf: a NaN gap
+        p1, p2 = ModelPoint(-1, [math.cosh(1.0), math.sinh(1.0), 0.0]), ModelPoint(0, [0.0, 0.0])
+        leg = ModelVector(p1, [1e200 * math.sinh(1.0), 1e200 * math.cosh(1.0), 0.0])
+        basis = (
+            ProductVector(leg, zero_vector(p2)),
+            ProductVector(ModelVector(p1, [0.0, 0.0, 1.0]), zero_vector(p2)),
+            ProductVector(zero_vector(p1), ModelVector(p2, [1.0, 0.0])),
+        )
+        n = ProductVector(zero_vector(p1), ModelVector(p2, [0.0, 1.0]))
+        assert math.isnan(product_metric(basis[0], basis[0]))
+        expected = (GeometryError, "supplied basis is not orthonormal within 1e-8")
+        assert outcome(hypersurface._check_orthonormal, basis, n) == expected
+        assert outcome(reference_check_orthonormal, basis, n) == expected
 
 
 def differenced_jacobian(imm, u, k, l):

@@ -175,7 +175,12 @@ class TestFrameShape:
     def test_case_built_once(self):
         fs = FrameShape(A=((1, 0, 0), (0, 1, 0), (0, 0, 1)), kappa1=1, kappa2=-1, C=Decimal("0.2"))
         assert fs.case is fs.case
-        assert replace(fs, C=Decimal("0.3")).case.C == Decimal("0.3")
+        assert (fs.case.kappa1, fs.case.kappa2, fs.case.C) == (1, -1, Decimal("0.2"))
+        other = replace(fs, C=Decimal("0.3"))
+        assert other.case.C == Decimal("0.3") and other.case is not fs.case and fs.case.C == Decimal("0.2")
+        # the angle is checked when the shape is built, not when its case is first read
+        with pytest.raises(GeometryError, match=r"angle value must lie in \[-1, 1\], got Decimal\('1\.5'\)"):
+            replace(fs, C=Decimal("1.5"))
 
 
 NUMBER_TYPES = [float, np.float64, Fraction, Decimal]
@@ -267,6 +272,130 @@ class TestValidationAcrossNumberTypes:
         # has a float-era decision to compare with
         with pytest.raises(GeometryError):
             CaseParams(1, -1, Decimal(c))
+
+
+#: the messages of the shape and angle checks, spelled out
+NOT_3X3 = "shape matrix must be 3 x 3"
+NOT_FINITE_SYMMETRIC = "shape matrix must be finite and symmetric within 1e-08"
+ANGLE_OUT = "angle value must lie in [-1, 1], got "
+
+ALL_KINDS = (float, np.float64, int, Fraction, Decimal)
+REAL_KINDS = (float, np.float64, Fraction, Decimal)
+
+ABOVE_SYMMETRY_TOL = math.nextafter(SYMMETRY_TOL, math.inf)
+BELOW_SYMMETRY_TOL = math.nextafter(SYMMETRY_TOL, 0.0)
+ANGLE_BOUND = 1 + 1e-12
+
+
+def _identity_with(slot, value):
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    i, j = slot
+    rows[i][j] = value
+    return rows
+
+
+def assert_geometry_error(build, message):
+    """``build()`` raises a GeometryError itself, not a subclass, with exactly ``message``."""
+    with pytest.raises(GeometryError) as err:
+        build()
+    assert type(err.value) is GeometryError and str(err.value) == message
+
+
+def _shape_table():
+    """(label, number kinds, rows, None if accepted or the message of the GeometryError)."""
+    table = [
+        ("identity", ALL_KINDS, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], None),
+        ("symmetric", ALL_KINDS, [[2, -1, 0], [-1, 0, 1], [0, 1, -2]], None),
+        ("two-rows", ALL_KINDS, [[1, 0, 0], [0, 1, 0]], NOT_3X3),
+        ("four-rows", ALL_KINDS, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], NOT_3X3),
+        ("short-row", ALL_KINDS, [[1, 0, 0], [0, 1], [0, 0, 1]], NOT_3X3),
+        ("long-row", ALL_KINDS, [[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]], NOT_3X3),
+        ("ragged-and-non-finite", (float, Decimal), [[1, 0, 0], ["nan", 1], [0, 0, 1]], NOT_3X3),
+        ("asymmetric-by-one", ALL_KINDS, [[1, 0, 0], [1, 1, 0], [0, 0, 1]], NOT_FINITE_SYMMETRIC),
+    ]
+    for slot in [(i, j) for i in range(3) for j in range(3)]:
+        for bad in ("nan", "inf", "-inf", "sNaN"):
+            kinds = (Decimal,) if bad == "sNaN" else (float, np.float64, Decimal)
+            table.append((f"{bad}-at-{slot}", kinds, _identity_with(slot, bad), NOT_FINITE_SYMMETRIC))
+    for slot in ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)):
+        # an off-diagonal gap one float below, at and one float above SYMMETRY_TOL, either sign
+        for gap, verdict in (
+            (BELOW_SYMMETRY_TOL, None),
+            (SYMMETRY_TOL, None),
+            (ABOVE_SYMMETRY_TOL, NOT_FINITE_SYMMETRIC),
+        ):
+            for x in (gap, -gap):
+                table.append((f"gap-{x!r}-at-{slot}", REAL_KINDS, _identity_with(slot, x), verdict))
+    return [
+        pytest.param(num, rows, verdict, id=f"{label}-{num.__name__}")
+        for label, kinds, rows, verdict in table
+        for num in kinds
+    ]
+
+
+def _angle_table():
+    """(number kind, C, None if accepted or the message of the GeometryError)."""
+    table = []
+    for c in (0.0, 0.5, 1.0, math.nextafter(ANGLE_BOUND, 0.0), ANGLE_BOUND):
+        table += [(num, num(x), None) for num in REAL_KINDS for x in (c, -c)]
+    for c in (math.nextafter(ANGLE_BOUND, math.inf), 2.0, 1e300):
+        table += [(num, num(x), ANGLE_OUT + repr(num(x))) for num in REAL_KINDS for x in (c, -c)]
+    table += [(int, c, None) for c in (-1, 0, 1)] + [(int, c, ANGLE_OUT + repr(c)) for c in (-2, 2, 10**400)]
+    table += [(num, num(x), ANGLE_OUT + repr(num(x))) for num in (float, np.float64) for x in ("nan", "inf", "-inf")]
+    table += [(Decimal, Decimal(x), ANGLE_OUT + repr(Decimal(x))) for x in ("NaN", "sNaN", "Infinity", "-Infinity")]
+    return table
+
+
+def _entries(num, rows):
+    """``rows`` in the number kind ``num``: floats at their exact value, strings parsed."""
+    return tuple(tuple(x if isinstance(x, num) else num(x) for x in row) for row in rows)
+
+
+class TestShapeAndAngleTable:
+    """Every number kind meets a fused test first and the ordered tests behind it;
+    each input keeps its stored ``A`` or its exception class and literal message."""
+
+    @pytest.mark.parametrize("num, rows, verdict", _shape_table())
+    def test_shape(self, num, rows, verdict):
+        a = _entries(num, rows)
+        if verdict is None:
+            assert FrameShape(A=a, kappa1=1, kappa2=-1, C=0.25).A is a
+        else:
+            assert_geometry_error(lambda: FrameShape(A=a, kappa1=1, kappa2=-1, C=0.25), verdict)
+
+    @pytest.mark.parametrize("num, c, verdict", _angle_table(), ids=lambda v: getattr(v, "__name__", repr(v)[:40]))
+    def test_angle(self, num, c, verdict):
+        a = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        if verdict is None:
+            assert CaseParams(1, -1, c).C is c
+            assert FrameShape(A=a, kappa1=1, kappa2=-1, C=c).case.C is c
+        else:
+            assert_geometry_error(lambda: CaseParams(1, -1, c), verdict)
+            # a FrameShape checks its angle when it is built
+            assert_geometry_error(lambda: FrameShape(A=a, kappa1=1, kappa2=-1, C=c), verdict)
+
+    def test_other_rows_are_copied_into_tuples(self):
+        rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        for a in (rows, tuple(rows), np.array(rows).tolist(), [tuple(row) for row in rows]):
+            fs = FrameShape(A=a, kappa1=1, kappa2=-1, C=0.5)
+            assert fs.A == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+            assert type(fs.A) is tuple and all(type(row) is tuple for row in fs.A)
+
+    @pytest.mark.parametrize(
+        "a, verdict",
+        [
+            (((1.5, 1e-9, 0), (0, 1.5, 0.0), (0.0, 0.0, 1.5)), None),
+            (((1.5, 2e-8, 0), (0, 1.5, 0.0), (0.0, 0.0, 1.5)), NOT_FINITE_SYMMETRIC),
+            (((Decimal(1), 0, 0), (0, 1, 0), (0, 0, Decimal("NaN"))), NOT_FINITE_SYMMETRIC),
+            (((Fraction(1, 3), 0.0, 0), (0, 1, 0), (0, 0, 1)), None),
+        ],
+        ids=["float-int-near", "float-int-far", "decimal-int-nan", "fraction-float-int"],
+    )
+    def test_mixed_kinds_meet_the_ordered_tests(self, a, verdict):
+        if verdict is None:
+            assert FrameShape(A=a, kappa1=1, kappa2=-1, C=0.25).A is a
+        else:
+            assert_geometry_error(lambda: FrameShape(A=a, kappa1=1, kappa2=-1, C=0.25), verdict)
 
 
 class TestAdaptedFrame:

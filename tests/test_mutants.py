@@ -10,6 +10,7 @@ coefficients that are not all zero) is judged by the ``cases`` checks alone.
 
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from prodform_geo.classify import (
     known_geometry,
 )
 from prodform_geo.hypersurface import ricci, unit_normal
-from prodform_geo.jacobi import detq_and_slope, detq_derivative_formula, parallel_shape, q_rows
+from prodform_geo.jacobi import detq_and_slope, detq_derivative_formula, detq_derivatives, parallel_shape, q_rows
 
 CASES_ARGV = ["cases", "--samples", "50"]
 IDENTITIES_ARGV = ["identities", "--samples", "50"]
@@ -133,6 +134,18 @@ def _order_off(order):
     return mutant
 
 
+def _oracle_order_off(order):
+    # the exact oracle's value at one order off by 1e-6 of its size, at least 1e-6
+    def mutant(fs, cp, orders):
+        values = detq_derivatives(fs, cp, orders)
+        if order in values:
+            values[order] += max(1, abs(values[order])) * Fraction(1, 10**6)
+        return values
+
+    mutant.__name__ = f"_oracle_order_{order}_off"
+    return mutant
+
+
 def _detq_and_slope_scaled(fsf, cpf, l):
     # det Q and its slope off by the same factor: the log derivative cannot see it
     det, slope = detq_and_slope(fsf, cpf, l)
@@ -207,6 +220,11 @@ MUTANTS = [
         for k in (1, 2, 4, 6)
     ),
     (_order_off(10), "detq_derivative_formula", DETQ_ARGV, {f"{CaseId.S2xH2.value}.derivative_order_10"}),
+    *(
+        (_oracle_order_off(k), "detq_derivatives", DETQ_ARGV, _in_every_case(f"derivative_order_{k}"))
+        for k in (1, 2, 4, 6)
+    ),
+    (_oracle_order_off(10), "detq_derivatives", DETQ_ARGV, {f"{CaseId.S2xH2.value}.derivative_order_10"}),
     (_known_angle_off, "known_geometry", GALLERY_ARGV, _in_every_example("angle_constancy")),
     (_known_largest_curvature_off, "known_geometry", GALLERY_ARGV, _in_every_example("curvature_constancy")),
     (_known_curvatures_negated, "known_geometry", GALLERY_ARGV, _in_every_example("curvature_constancy", _curved)),
