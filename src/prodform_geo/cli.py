@@ -199,7 +199,8 @@ class ErrorTracker:
     ``record`` scales an error by max(1, |got|, |want|); ``record_abs`` takes
     an unscaled error, so its relative error is the absolute one.  ``check``
     judges the relative maximum, or the absolute one with ``judge_abs``.  A
-    NaN error, once recorded, stays the maximum and fails the check.
+    NaN error, once recorded, stays the maximum and fails the check, and so
+    does any pair of exact values given to ``record_unequal``.
     """
 
     def __init__(self, name: str, anchor: str, tol: float, judge_abs: bool = False):
@@ -209,6 +210,7 @@ class ErrorTracker:
         self.judge_abs = judge_abs
         self.max_abs = 0.0
         self.max_rel = 0.0
+        self.unequal = False
 
     def record(self, got: float, want: float) -> None:
         # _worse, inline: this runs once per check and sample
@@ -218,6 +220,11 @@ class ErrorTracker:
         rel = err / max(1.0, abs(got), abs(want))
         if rel > self.max_rel or rel != rel:
             self.max_rel = rel
+
+    def record_unequal(self, got, want) -> None:
+        """Record two exact values known to differ: their float error, and a failed check."""
+        self.unequal = True
+        self.record(float(got), float(want))
 
     def record_abs(self, err: float) -> None:
         err = abs(err)
@@ -232,7 +239,7 @@ class ErrorTracker:
             samples=samples,
             max_abs_err=self.max_abs,
             max_rel_err=self.max_rel,
-            passed=bool(err <= self.tol),
+            passed=bool(err <= self.tol) and not self.unequal,
         )
 
 
@@ -380,7 +387,8 @@ def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
     """Per case, each sample draws an exact shape, a float shape and l, in that order.
 
     The exact half compares the closed derivative forms of det Q at 0 with the
-    integer oracle.  The float half compares det Q and tr A_l with the closed
+    integer oracle exactly; only an unequal pair is rounded, to report its
+    error.  The float half compares det Q and tr A_l with the closed
     expansion: the closed side per sample, the matrix side a block of
     ``DETQ_BLOCK`` samples at a time (``_check_matrix_block``).
     """
@@ -403,9 +411,10 @@ def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
         for _ in range(cfg.samples):
             closed, oracle = exact_derivatives(random_frame_shape(case, rng, exact=True), orders)
             for k in orders:
-                # float() rounds a Decimal and a Fraction correctly, so equal
-                # exact values record an error of 0
-                derivative_trackers[k].record(float(closed[k]), float(oracle[k]))
+                # a Decimal and a Fraction compare exactly: an equal pair is an
+                # error of 0, and an unequal one fails its line
+                if closed[k] != oracle[k]:
+                    derivative_trackers[k].record_unequal(closed[k], oracle[k])
 
             fsf = random_frame_shape(case, rng, exact=False)
             cpf = fsf.case

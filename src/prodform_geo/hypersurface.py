@@ -63,11 +63,17 @@ def is_finite(x) -> bool:
 
 
 def at_most(x, bound: Decimal) -> bool:
-    """x <= bound, for ``bound`` the exact value of a float tolerance as a Decimal (``Decimal(float)``
-    is exact): an exact x is compared with that value in its own type, any other x with the float."""
+    """|x| <= bound, for ``bound`` the exact value of a float tolerance as a Decimal (``Decimal(float)``
+    is exact): an exact |x| is compared with that value in its own type, a Decimal's as ``copy_abs()``,
+    which neither rounds nor traps, and any other |x| with the float."""
     if isinstance(x, Decimal):
-        return x <= bound
-    return x <= (Fraction(bound) if isinstance(x, (int, Fraction)) else float(bound))
+        return x.copy_abs() <= bound
+    return abs(x) <= (Fraction(bound) if isinstance(x, (int, Fraction)) else float(bound))
+
+
+def _difference(x, y):
+    """x - y of two finite numbers, as Fractions if either is a Decimal: Decimal subtraction rounds."""
+    return Fraction(x) - Fraction(y) if isinstance(x, Decimal) or isinstance(y, Decimal) else x - y
 
 
 @dataclass(frozen=True)
@@ -297,12 +303,13 @@ class ShapeInvariants:
     def _set_shape(self, a) -> None:
         """Store ``a`` as ``A`` once it is known to be a finite symmetric 3 x 3 matrix.
 
-        Nine entries of one kind, all ``float`` or all ``Decimal``, first meet
-        one test for that kind: the floats' sum is finite (an inf or NaN entry
-        makes it inf or NaN), each Decimal ``is_finite()``, and each
-        off-diagonal pair is equal or within SYMMETRY_TOL.  What that test
-        does not accept meets the ordered tests, which alone reject, with
-        the same verdict and message for every input.
+        Nine ``float`` entries first meet one fused test: their sum is finite
+        (an inf or NaN entry makes it inf or NaN) and each off-diagonal pair
+        is equal or within SYMMETRY_TOL.  What that test does not accept, and
+        every other input, meets the ordered tests, which alone reject: each
+        entry finite in its own type, then each unequal pair's ``_difference``,
+        exact if it holds a Decimal, ``at_most`` SYMMETRY_TOL.  A float input
+        gets the same verdict and message from either path.
         """
         if len(a) != 3:
             raise GeometryError("shape matrix must be 3 x 3")
@@ -310,23 +317,13 @@ class ShapeInvariants:
         if len(r0) != 3 or len(r1) != 3 or len(r2) != 3:
             raise GeometryError("shape matrix must be 3 x 3")
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = r0, r1, r2
-        kind, tol = type(a00), None
-        if (
-            kind is type(a01) is type(a02) is type(a10) is type(a11)
-            is type(a12) is type(a20) is type(a21) is type(a22)
-        ):
-            if kind is float and math.isfinite(a00 + a01 + a02 + a10 + a11 + a12 + a20 + a21 + a22):
-                tol = SYMMETRY_TOL
-            elif kind is Decimal and (
-                a00.is_finite() and a01.is_finite() and a02.is_finite() and a10.is_finite() and a11.is_finite()
-                and a12.is_finite() and a20.is_finite() and a21.is_finite() and a22.is_finite()
-            ):
-                tol = _EXACT_SYMMETRY_TOL
         if not (
-            tol is not None
-            and (a01 == a10 or abs(a01 - a10) <= tol)
-            and (a02 == a20 or abs(a02 - a20) <= tol)
-            and (a12 == a21 or abs(a12 - a21) <= tol)
+            type(a00) is type(a01) is type(a02) is type(a10) is type(a11)
+            is type(a12) is type(a20) is type(a21) is type(a22) is float
+            and math.isfinite(a00 + a01 + a02 + a10 + a11 + a12 + a20 + a21 + a22)
+            and (a01 == a10 or abs(a01 - a10) <= SYMMETRY_TOL)
+            and (a02 == a20 or abs(a02 - a20) <= SYMMETRY_TOL)
+            and (a12 == a21 or abs(a12 - a21) <= SYMMETRY_TOL)
         ):
             # all entries are judged finite before a comparison can trap on a Decimal NaN
             upper, lower = (a01, a02, a12), (a10, a20, a21)
@@ -334,7 +331,7 @@ class ShapeInvariants:
                 all(map(is_finite, (a00, a01, a02, a10, a11, a12, a20, a21, a22)))
                 and (
                     upper == lower
-                    or all(x == y or at_most(abs(x - y), _EXACT_SYMMETRY_TOL) for x, y in zip(upper, lower))
+                    or all(x == y or at_most(_difference(x, y), _EXACT_SYMMETRY_TOL) for x, y in zip(upper, lower))
                 )
             ):
                 raise GeometryError(f"shape matrix must be finite and symmetric within {SYMMETRY_TOL:g}")

@@ -145,10 +145,11 @@ class CaseParams:
     """Curvature pair and angle value driving the Jacobi blocks.
 
     The angle value must be finite with |C| <= 1 + 1e-12, judged in its own
-    type.  A ``float`` or ``Decimal`` C first meets one test for its kind
-    (|C| <= the bound, which a float NaN or infinity fails; a Decimal
-    ``is_finite()`` first); what that test does not accept meets the ordered
-    tests, which alone reject, with the same verdict and message.
+    type.  A ``float`` C first meets one fused test, |C| <= the bound, which
+    a NaN or infinity fails.  What that test does not accept, and every other
+    C, meets the ordered tests, which alone reject: C finite, then |C|
+    ``at_most`` the bound, which never rounds a Decimal.  A float C gets the
+    same verdict and message from either path.
     """
 
     kappa1: int
@@ -159,11 +160,9 @@ class CaseParams:
         if self.kappa1 not in KAPPAS or self.kappa2 not in KAPPAS:
             raise GeometryError(f"curvature tags must be in {KAPPAS}")
         c = self.C
-        kind = type(c)
         if not (
-            (kind is float and abs(c) <= _ANGLE_BOUND)
-            or (kind is Decimal and c.is_finite() and abs(c) <= _EXACT_ANGLE_BOUND)
-            or (is_finite(c) and at_most(abs(c), _EXACT_ANGLE_BOUND))
+            (type(c) is float and abs(c) <= _ANGLE_BOUND)
+            or (is_finite(c) and at_most(c, _EXACT_ANGLE_BOUND))
         ):
             raise GeometryError(f"angle value must lie in [-1, 1], got {c!r}")
 

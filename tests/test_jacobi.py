@@ -286,6 +286,13 @@ ABOVE_SYMMETRY_TOL = math.nextafter(SYMMETRY_TOL, math.inf)
 BELOW_SYMMETRY_TOL = math.nextafter(SYMMETRY_TOL, 0.0)
 ANGLE_BOUND = 1 + 1e-12
 
+#: 1e-40 above the angle bound and above SYMMETRY_TOL, in Decimals of up to 80
+#: digits: a Decimal operation in the default 28-digit context rounds them
+#: onto the bound, and one in a context that traps Inexact raises
+_PREC_80 = decimal.Context(prec=80)
+DECIMAL_ANGLE_JUST_OUT = _PREC_80.add(Decimal(ANGLE_BOUND), Decimal("1e-40"))
+DECIMAL_GAP_JUST_OUT = _PREC_80.add(Decimal(SYMMETRY_TOL), Decimal("1e-40"))
+
 
 def _identity_with(slot, value):
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -326,6 +333,8 @@ def _shape_table():
         ):
             for x in (gap, -gap):
                 table.append((f"gap-{x!r}-at-{slot}", REAL_KINDS, _identity_with(slot, x), verdict))
+        just_out = _identity_with(slot, DECIMAL_GAP_JUST_OUT)
+        table.append((f"gap-just-out-at-{slot}", (Decimal,), just_out, NOT_FINITE_SYMMETRIC))
     return [
         pytest.param(num, rows, verdict, id=f"{label}-{num.__name__}")
         for label, kinds, rows, verdict in table
@@ -343,6 +352,9 @@ def _angle_table():
     table += [(int, c, None) for c in (-1, 0, 1)] + [(int, c, ANGLE_OUT + repr(c)) for c in (-2, 2, 10**400)]
     table += [(num, num(x), ANGLE_OUT + repr(num(x))) for num in (float, np.float64) for x in ("nan", "inf", "-inf")]
     table += [(Decimal, Decimal(x), ANGLE_OUT + repr(Decimal(x))) for x in ("NaN", "sNaN", "Infinity", "-Infinity")]
+    # copy_negate, since unary minus rounds to the context
+    just_out = (DECIMAL_ANGLE_JUST_OUT, DECIMAL_ANGLE_JUST_OUT.copy_negate())
+    table += [(Decimal, c, ANGLE_OUT + repr(c)) for c in just_out]
     return table
 
 
@@ -352,8 +364,10 @@ def _entries(num, rows):
 
 
 class TestShapeAndAngleTable:
-    """Every number kind meets a fused test first and the ordered tests behind it;
-    each input keeps its stored ``A`` or its exception class and literal message."""
+    """Floats meet a fused test first and the ordered tests behind it; every
+    other number kind meets the ordered tests alone, which judge a Decimal
+    without rounding it.  Each input keeps its stored ``A`` or its exception
+    class and literal message."""
 
     @pytest.mark.parametrize("num, rows, verdict", _shape_table())
     def test_shape(self, num, rows, verdict):
@@ -374,6 +388,14 @@ class TestShapeAndAngleTable:
             # a FrameShape checks its angle when it is built
             assert_geometry_error(lambda: FrameShape(A=a, kappa1=1, kappa2=-1, C=c), verdict)
 
+    def test_decimals_just_out_are_rejected_where_inexact_traps(self):
+        a = _entries(Decimal, _identity_with((1, 0), DECIMAL_GAP_JUST_OUT))
+        with decimal.localcontext() as ctx:
+            ctx.traps[decimal.Inexact] = True
+            c = DECIMAL_ANGLE_JUST_OUT
+            assert_geometry_error(lambda: CaseParams(1, -1, c), ANGLE_OUT + repr(c))
+            assert_geometry_error(lambda: FrameShape(A=a, kappa1=1, kappa2=-1, C=0.25), NOT_FINITE_SYMMETRIC)
+
     def test_other_rows_are_copied_into_tuples(self):
         rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         for a in (rows, tuple(rows), np.array(rows).tolist(), [tuple(row) for row in rows]):
@@ -388,8 +410,22 @@ class TestShapeAndAngleTable:
             (((1.5, 2e-8, 0), (0, 1.5, 0.0), (0.0, 0.0, 1.5)), NOT_FINITE_SYMMETRIC),
             (((Decimal(1), 0, 0), (0, 1, 0), (0, 0, Decimal("NaN"))), NOT_FINITE_SYMMETRIC),
             (((Fraction(1, 3), 0.0, 0), (0, 1, 0), (0, 0, 1)), None),
+            # an unequal pair of a Decimal and a float or a Fraction is judged exactly
+            (((1.0, Decimal("0.25"), 0), (0.5, 1, 0), (0, 0, 1)), NOT_FINITE_SYMMETRIC),
+            (((1.0, Decimal("0.25"), 0), (0.250000005, 1, 0), (0, 0, 1)), None),
+            (((1, Decimal("0.25"), 0), (Fraction(1, 2), 1, 0), (0, 0, 1)), NOT_FINITE_SYMMETRIC),
+            (((1, Decimal("0.25"), 0), (Fraction(1, 4) + Fraction(1, 10**8), 1, 0), (0, 0, 1)), None),
         ],
-        ids=["float-int-near", "float-int-far", "decimal-int-nan", "fraction-float-int"],
+        ids=[
+            "float-int-near",
+            "float-int-far",
+            "decimal-int-nan",
+            "fraction-float-int",
+            "decimal-float-far",
+            "decimal-float-near",
+            "decimal-fraction-far",
+            "decimal-fraction-at-tol",
+        ],
     )
     def test_mixed_kinds_meet_the_ordered_tests(self, a, verdict):
         if verdict is None:

@@ -8,6 +8,7 @@ target.  The paper's finiteness step (C is a root of a cubic with constant
 coefficients that are not all zero) is judged by the ``cases`` checks alone.
 """
 
+import decimal
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -134,6 +135,16 @@ def _order_off(order):
     return mutant
 
 
+def _order_4_off_by_1e_30(k, cp, **invariants):
+    # the closed order-4 form off by a factor of 1 + 1e-30, which no float
+    # sees: only an exact judge of the line can
+    value = detq_derivative_formula(k, cp, **invariants)
+    if k != 4:
+        return value
+    wide = decimal.Context(prec=100)
+    return wide.multiply(value, wide.add(1, Decimal("1e-30")))
+
+
 def _oracle_order_off(order):
     # the exact oracle's value at one order off by 1e-6 of its size, at least 1e-6
     def mutant(fs, cp, orders):
@@ -220,6 +231,7 @@ MUTANTS = [
         for k in (1, 2, 4, 6)
     ),
     (_order_off(10), "detq_derivative_formula", DETQ_ARGV, {f"{CaseId.S2xH2.value}.derivative_order_10"}),
+    (_order_4_off_by_1e_30, "detq_derivative_formula", DETQ_ARGV, _in_every_case("derivative_order_4")),
     *(
         (_oracle_order_off(k), "detq_derivatives", DETQ_ARGV, _in_every_case(f"derivative_order_{k}"))
         for k in (1, 2, 4, 6)
