@@ -61,7 +61,7 @@ from .classify import (
 from .hypersurface import angle_of_normal, ricci, shape_operator, unit_normal
 from .jacobi import (
     FrameShape,
-    detq_and_slope,
+    detq_and_slope_from_pairs,
     detq_derivative_formula,
     detq_derivatives,
     formula_orders,
@@ -384,20 +384,24 @@ def _check_matrix_block(q, q_prime, dets, traced, det_tracker: ErrorTracker, tra
 
 
 def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
-    """Per case, each sample draws an exact shape, a float shape and l, in that order.
+    """Each sample is drawn once and checked in every selected case.
 
-    The exact half compares the closed derivative forms of det Q at 0 with the
-    integer oracle exactly; only an unequal pair is rounded, to report its
-    error.  The float half compares det Q and tr A_l with the closed
-    expansion: the closed side per sample, the matrix side a block of
-    ``DETQ_BLOCK`` samples at a time (``_check_matrix_block``).
+    A sample is an exact shape, a float shape and l, drawn in that order from
+    one generator; the draws do not depend on the case, and each selected
+    case builds its own shapes from them, checked as any shape.  The exact
+    half compares the closed derivative forms of det Q at 0 with the integer
+    oracle exactly; only an unequal pair is rounded, to report its error.
+    The float half compares det Q and tr A_l with the closed expansion: the
+    closed side per sample, the matrix side a block of ``DETQ_BLOCK`` samples
+    of one case at a time (``_check_matrix_block``).  Each case's lines come
+    out as if it had been run alone.
     """
     tol = cfg.tolerance("detq")
     tol_matrix = cfg.tolerance("detq_matrix")
-    q, q_prime = np.empty((DETQ_BLOCK, 3, 3)), np.empty((DETQ_BLOCK, 3, 3))
+    # per case: its orders, trackers, Q and Q' stacks and its block's samples
+    per_case = []
     for case in cfg.selected_cases():
         orders = formula_orders(case.kappa1, case.kappa2)
-        rng = np.random.default_rng(cfg.seed)
         tag = case.value
         derivative_trackers = {
             k: ErrorTracker(f"{tag}.derivative_order_{k}", f"jacobi.detq.d{k}", tol) for k in orders
@@ -406,22 +410,33 @@ def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
             f"{tag}.detq_matrix_vs_closed_form", "jacobi.detq.matrix_equivalence", tol_matrix, judge_abs=True
         )
         trace_tracker = ErrorTracker(f"{tag}.trace_vs_log_derivative", "jacobi.detq.jacobi_formula", tol)
-        dets, traced = [], []
+        q, q_prime = np.empty((DETQ_BLOCK, 3, 3)), np.empty((DETQ_BLOCK, 3, 3))
+        per_case.append((case, orders, derivative_trackers, det_tracker, trace_tracker, q, q_prime, [], []))
+    first = per_case[0][0]
+    rng = np.random.default_rng(cfg.seed)
 
-        for _ in range(cfg.samples):
-            closed, oracle = exact_derivatives(random_frame_shape(case, rng, exact=True), orders)
+    for _ in range(cfg.samples):
+        # drawn in the first case, whose shapes these are
+        exact = random_frame_shape(first, rng, exact=True)
+        drawn = random_frame_shape(first, rng, exact=False)
+        l = float(rng.uniform(-0.4, 0.4))
+        for case, orders, derivative_trackers, det_tracker, trace_tracker, q, q_prime, dets, traced in per_case:
+            fs, fsf = exact, drawn
+            if case is not first:
+                fs = FrameShape(A=exact.A, kappa1=case.kappa1, kappa2=case.kappa2, C=exact.C)
+                fsf = FrameShape(A=drawn.A, kappa1=case.kappa1, kappa2=case.kappa2, C=drawn.C)
+            closed, oracle = exact_derivatives(fs, orders)
             for k in orders:
                 # a Decimal and a Fraction compare exactly: an equal pair is an
                 # error of 0, and an unequal one fails its line
                 if closed[k] != oracle[k]:
                     derivative_trackers[k].record_unequal(closed[k], oracle[k])
 
-            fsf = random_frame_shape(case, rng, exact=False)
             cpf = fsf.case
-            l = float(rng.uniform(-0.4, 0.4))
-            det_closed, slope = detq_and_slope(fsf, cpf, l)
             d1, d2 = float(cpf.delta1), float(cpf.delta2)
+            # one evaluation of both pairs serves the closed expansion and Q and Q'
             pairs = (*stability_functions(d1, l), *stability_functions(d2, l))
+            det_closed, slope = detq_and_slope_from_pairs(fsf, d1, d2, *pairs, l)
             q[len(dets)] = q_rows(fsf.A, l, *pairs)
             if abs(det_closed) > 1e-3:
                 q_prime[len(traced)] = q_prime_rows(fsf.A, d1, d2, *pairs)
@@ -429,9 +444,10 @@ def run_detq(cfg: RunConfig, report: VerificationReport) -> None:
             dets.append(det_closed)
             if len(dets) == DETQ_BLOCK:
                 _check_matrix_block(q, q_prime, dets, traced, det_tracker, trace_tracker)
+
+    for _, _, derivative_trackers, det_tracker, trace_tracker, q, q_prime, dets, traced in per_case:
         if dets:
             _check_matrix_block(q, q_prime, dets, traced, det_tracker, trace_tracker)
-
         for tracker in (*derivative_trackers.values(), det_tracker, trace_tracker):
             report.add(tracker.check(cfg.samples))
 

@@ -261,8 +261,14 @@ def detq_and_slope(fs: FrameShape, cp: CaseParams, l: float) -> tuple[float, flo
     """det Q(l) and its l-derivative from one evaluation of the closed expansion."""
     d1 = float(cp.delta1)
     d2 = float(cp.delta2)
-    s1, c1 = stability_functions(d1, l)
-    s2, c2 = stability_functions(d2, l)
+    return detq_and_slope_from_pairs(fs, d1, d2, *stability_functions(d1, l), *stability_functions(d2, l), l)
+
+
+def detq_and_slope_from_pairs(
+    fs: FrameShape, d1: float, d2: float, s1: float, c1: float, s2: float, c2: float, l: float
+) -> tuple[float, float]:
+    """``detq_and_slope`` from the float deltas and their stability pairs at l, which
+    a caller that also builds the rows of Q and Q' evaluates once for both."""
     # (X Y)' of the four products, from S' = C and C' = -delta S
     slopes = (-d1 * s1 * c2 - d2 * c1 * s2, c1 * c2 - d2 * s1 * s2, -d1 * s1 * s2 + c1 * c2, c1 * s2 + s1 * c2)
     # -0.0 + t == t for every float t (0.0 + -0.0 is 0.0), so these folds are ((t1 + t2) + t3) + t4

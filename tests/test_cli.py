@@ -150,21 +150,21 @@ class TestCommands:
 
     def test_detq_evaluates_the_expansion_once_per_float_sample(self, monkeypatch):
         calls = []
-        original = jacobi.detq_and_slope
+        original = jacobi.detq_and_slope_from_pairs
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
         # the module's own callers and cli's imported name
-        monkeypatch.setattr(jacobi, "detq_and_slope", counted)
-        monkeypatch.setattr(cli, "detq_and_slope", counted)
+        monkeypatch.setattr(jacobi, "detq_and_slope_from_pairs", counted)
+        monkeypatch.setattr(cli, "detq_and_slope_from_pairs", counted)
         report = run(make_config(command="detq", samples=1000, seed=1))
         assert report.all_passed
         # one float sample per case and draw
         assert len(calls) == 3 * 1000
 
-    def test_detq_evaluates_each_stability_pair_twice_per_float_sample(self, monkeypatch):
+    def test_detq_evaluates_each_stability_pair_once_per_float_sample(self, monkeypatch):
         calls = []
         original = spaceform.stability_functions
 
@@ -172,12 +172,12 @@ class TestCommands:
             calls.append(args)
             return original(*args)
 
-        # detq_and_slope's name in jacobi and the matrix rows' in cli
+        # detq_and_slope's name in jacobi and run_detq's in cli
         monkeypatch.setattr(jacobi, "stability_functions", counted)
         monkeypatch.setattr(cli, "stability_functions", counted)
         assert run(make_config(command="detq", samples=100, seed=1)).all_passed
-        # both pairs once for the closed expansion and once for Q and Q'
-        assert len(calls) == 4 * 3 * 100
+        # both pairs once, for the closed expansion and for Q and Q' alike
+        assert len(calls) == 2 * 3 * 100
 
     @staticmethod
     def _per_sample_detq(cfg):
@@ -225,6 +225,49 @@ class TestCommands:
         for size in (1, 7):
             monkeypatch.setattr(cli, "DETQ_BLOCK", size)
             assert render_json(run(cfg)) == reference
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_frame_shape_draws_do_not_depend_on_the_case(self, exact):
+        # what lets run_detq draw a sample once for every case
+        shapes, states = [], []
+        for case in CaseId:
+            rng = np.random.default_rng(5)
+            fs = cli.random_frame_shape(case, rng, exact)
+            assert (fs.kappa1, fs.kappa2) == (case.kappa1, case.kappa2)
+            shapes.append((fs.A, fs.C))
+            states.append(rng.bit_generator.state)
+        assert shapes == [shapes[0]] * 3
+        assert states == [states[0]] * 3
+
+    @pytest.mark.parametrize("seed", [2, 11])
+    def test_detq_lines_of_a_case_equal_its_own_run(self, seed):
+        def errors(checks, tag):
+            return [
+                (c.name, c.max_abs_err.hex(), c.max_rel_err.hex(), c.passed)
+                for c in checks
+                if c.name.startswith(f"{tag}.")
+            ]
+
+        every = run(make_config(command="detq", samples=300, seed=seed)).checks
+        for tag in CASES:
+            alone = run(make_config(command="detq", case=tag, samples=300, seed=seed)).checks
+            assert errors(every, tag) == errors(alone, tag)
+            assert len(errors(alone, tag)) == len(alone)
+
+    @pytest.mark.parametrize("case", [None, "h2r2"])
+    def test_detq_draws_each_sample_once(self, case, monkeypatch):
+        # perfbench cuts the detq-oracle run on calls of cli.random_frame_shape
+        calls = []
+        original = cli.random_frame_shape
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "random_frame_shape", counted)
+        assert run(make_config(command="detq", case=case, samples=30, seed=4)).all_passed
+        # one exact and one float shape per sample, whatever the cases
+        assert len(calls) == 2 * 30
 
     def test_cases_all_pass(self):
         report = run(make_config(command="cases", samples=50, seed=9))

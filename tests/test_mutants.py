@@ -30,7 +30,13 @@ from prodform_geo.classify import (
     known_geometry,
 )
 from prodform_geo.hypersurface import ricci, unit_normal
-from prodform_geo.jacobi import detq_and_slope, detq_derivative_formula, detq_derivatives, parallel_shape, q_rows
+from prodform_geo.jacobi import (
+    detq_and_slope_from_pairs,
+    detq_derivative_formula,
+    detq_derivatives,
+    parallel_shape,
+    q_rows,
+)
 
 CASES_ARGV = ["cases", "--samples", "50"]
 IDENTITIES_ARGV = ["identities", "--samples", "50"]
@@ -116,8 +122,8 @@ def _metric_cross_term(x, y):
     return product_metric(x, y) + 1e-9 * float(cross)
 
 
-def _slope_off(fsf, cpf, l):
-    det, slope = detq_and_slope(fsf, cpf, l)
+def _slope_off(*args):
+    det, slope = detq_and_slope_from_pairs(*args)
     return det, slope + 1e-9
 
 
@@ -157,9 +163,9 @@ def _oracle_order_off(order):
     return mutant
 
 
-def _detq_and_slope_scaled(fsf, cpf, l):
+def _detq_and_slope_scaled(*args):
     # det Q and its slope off by the same factor: the log derivative cannot see it
-    det, slope = detq_and_slope(fsf, cpf, l)
+    det, slope = detq_and_slope_from_pairs(*args)
     return det * (1.0 + 1e-9), slope * (1.0 + 1e-9)
 
 
@@ -217,8 +223,8 @@ MUTANTS = [
     (_metric_cross_term, "product_metric", IDENTITIES_ARGV, _in_every_case("p_isometry")),
     (_complex_structure_off_on_its_image(0), "complex_structures", IDENTITIES_ARGV, _in_every_case("j1_squared")),
     (_complex_structure_off_on_its_image(1), "complex_structures", IDENTITIES_ARGV, _in_every_case("j2_squared")),
-    (_slope_off, "detq_and_slope", DETQ_ARGV, _in_every_case("trace_vs_log_derivative")),
-    (_detq_and_slope_scaled, "detq_and_slope", DETQ_ARGV, _in_every_case("detq_matrix_vs_closed_form")),
+    (_slope_off, "detq_and_slope_from_pairs", DETQ_ARGV, _in_every_case("trace_vs_log_derivative")),
+    (_detq_and_slope_scaled, "detq_and_slope_from_pairs", DETQ_ARGV, _in_every_case("detq_matrix_vs_closed_form")),
     (
         _q_row_reads_s2,
         "q_rows",
