@@ -27,6 +27,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from decimal import Decimal
 from fractions import Fraction
+from operator import sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -253,10 +254,50 @@ def _worse(err: float, worst: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: samples of ``identities`` whose normals are drawn together, in one call
+IDENTITIES_BLOCK = 256
+
+
+def _normals_per_sample(case: CaseId) -> int:
+    """Standard normals one ``identities`` sample draws: per factor, its
+    point's (3 on the sphere, 2 elsewhere) and three tangents' (x, y and the
+    unit factor vector), one per embedding coordinate."""
+    return sum((3 if k == 1 else 2) + 3 * (2 if k == 0 else 3) for k in (case.kappa1, case.kappa2))
+
+
+class _Normals:
+    """A drawn block of standard normals, handed out in order as the
+    generator would have drawn them: ``normal(size=n)`` is a view of the next
+    n, in the form ``random_point`` and ``random_tangent`` take."""
+
+    __slots__ = ("flat", "at")
+
+    def __init__(self, block: np.ndarray):
+        self.flat = block.reshape(-1)
+        self.at = 0
+
+    def normal(self, size: int) -> np.ndarray:
+        start = self.at
+        self.at = end = start + size
+        return self.flat[start:end]
+
+
 def run_identities(cfg: RunConfig, report: VerificationReport) -> None:
+    """Check P, J1, J2 and the curvature tensor on random points and tangents.
+
+    Each case has one generator at the seed, and draws the standard normals
+    of ``IDENTITIES_BLOCK`` samples at a time in one call, a row of
+    ``_normals_per_sample`` per sample.  A sample's point, x, y and unit
+    factor vectors take them in that order through ``random_product_point``,
+    ``random_product_tangent`` and ``_unit_factor_vectors``, as they took
+    them from the generator one vector at a time: the generator's normals
+    are one stream however they are drawn, so the report is byte for byte
+    that of per-vector draws, and memory does not grow with ``--samples``.
+    """
     tol = cfg.tolerance("identities")
     for case in cfg.selected_cases():
         rng = np.random.default_rng(cfg.seed)
+        width = _normals_per_sample(case)
         trackers = {
             name: ErrorTracker(f"{case.value}.{name}", f"ambient.{name}", tol)
             for name in (
@@ -272,39 +313,50 @@ def run_identities(cfg: RunConfig, report: VerificationReport) -> None:
                 "sectional_mixed",
             )
         }
-        for _ in range(cfg.samples):
-            p = random_product_point(case.kappa1, case.kappa2, rng)
-            x = random_product_tangent(p, rng)
-            y = random_product_tangent(p, rng)
+        for start in range(0, cfg.samples, IDENTITIES_BLOCK):
+            rows = min(IDENTITIES_BLOCK, cfg.samples - start)
+            normals = _Normals(rng.normal(size=(rows, width)))
+            for _ in range(rows):
+                # through cli's name, on whose calls perfbench's identities workload cuts its runs
+                p = random_product_point(case.kappa1, case.kappa2, normals)
+                x = random_product_tangent(p, normals)
+                y = random_product_tangent(p, normals)
 
-            px = product_structure(x)
-            py = product_structure(y)
-            trackers["p_involution"].record_abs(_vector_gap(product_structure(px), x))
-            trackers["p_symmetric"].record(product_metric(px, y), product_metric(py, x))
-            trackers["p_isometry"].record(product_metric(px, py), product_metric(x, y))
-            j1x, j2x = complex_structures(x)
-            j1j1x, j2j1x = complex_structures(j1x)
-            j1j2x, j2j2x = complex_structures(j2x)
-            minus_x = -x
-            trackers["p_eq_minus_j1j2"].record_abs(_vector_gap(-j1j2x, px))
-            trackers["p_eq_minus_j2j1"].record_abs(_vector_gap(-j2j1x, px))
-            trackers["j1_squared"].record_abs(_vector_gap(j1j1x, minus_x))
-            trackers["j2_squared"].record_abs(_vector_gap(j2j2x, minus_x))
+                px = product_structure(x)
+                py = product_structure(y)
+                trackers["p_involution"].record_abs(_vector_gap(product_structure(px), x))
+                trackers["p_symmetric"].record(product_metric(px, y), product_metric(py, x))
+                trackers["p_isometry"].record(product_metric(px, py), product_metric(x, y))
+                j1x, j2x = complex_structures(x)
+                j1j1x, j2j1x = complex_structures(j1x)
+                j1j2x, j2j2x = complex_structures(j2x)
+                minus_x = -x
+                trackers["p_eq_minus_j1j2"].record_abs(_vector_gap(-j1j2x, px))
+                trackers["p_eq_minus_j2j1"].record_abs(_vector_gap(-j2j1x, px))
+                trackers["j1_squared"].record_abs(_vector_gap(j1j1x, minus_x))
+                trackers["j2_squared"].record_abs(_vector_gap(j2j2x, minus_x))
 
-            a, b = _unit_factor_vectors(p, rng)
-            ja = complex_structures(a)[0]
-            trackers["sectional_first"].record(curvature_tensor(a, ja, ja, a), float(case.kappa1))
-            jb = complex_structures(b)[0]
-            trackers["sectional_second"].record(curvature_tensor(b, jb, jb, b), float(case.kappa2))
-            trackers["sectional_mixed"].record(curvature_tensor(a, b, b, a), 0.0)
+                a, b = _unit_factor_vectors(p, normals)
+                ja = complex_structures(a)[0]
+                trackers["sectional_first"].record(curvature_tensor(a, ja, ja, a), float(case.kappa1))
+                jb = complex_structures(b)[0]
+                trackers["sectional_second"].record(curvature_tensor(b, jb, jb, b), float(case.kappa2))
+                trackers["sectional_mixed"].record(curvature_tensor(a, b, b, a), 0.0)
 
         for tracker in trackers.values():
             report.add(tracker.check(cfg.samples))
 
 
 def _vector_gap(x: ProductVector, y: ProductVector) -> float:
-    """Largest coordinate gap, on the vectors' Python floats; the max is exact."""
-    return max([abs(a - b) for u, v in ((x.first, y.first), (x.second, y.second)) for a, b in zip(u.xs, v.xs)])
+    """Largest coordinate gap, on the vectors' Python floats; the max is exact.
+
+    ``max`` keeps the first of its arguments unless a later one is larger, so
+    a NaN gap is the result where it comes first and dropped elsewhere.
+    """
+    return max(
+        *map(abs, map(sub, x.first.xs, y.first.xs)),
+        *map(abs, map(sub, x.second.xs, y.second.xs)),
+    )
 
 
 def _unit_factor_vectors(p, rng) -> tuple[ProductVector, ProductVector]:

@@ -423,17 +423,32 @@ def tangent_frame(p: ModelPoint) -> tuple[ModelVector, ModelVector]:
     return ModelVector(p, a), ModelVector(p, ja)
 
 
-def random_point(kappa: int, rng: np.random.Generator) -> ModelPoint:
-    """Random model point; plumbing for seeded verification sweeps."""
+def point_from_normals(kappa: int, z: np.ndarray) -> ModelPoint:
+    """The model point formed from the ndarray ``z`` of standard normals, 3 on
+    the sphere (z / |z|) and 2 elsewhere (the plane's z, the hyperboloid's
+    point over z)."""
     if kappa == 0:
-        return ModelPoint(0, rng.normal(size=2).tolist())
+        return ModelPoint(0, z.tolist())
     if kappa == 1:
-        x = rng.normal(size=3)
-        r = math.sqrt(x.dot(x))  # np.linalg.norm(x), as numpy computes it
-        return ModelPoint(1, [a / r for a in x.tolist()])
-    y = rng.normal(size=2)
-    return ModelPoint(-1, [math.sqrt(1.0 + y @ y), *y.tolist()])
+        r = math.sqrt(z.dot(z))  # np.linalg.norm(z), as numpy computes it
+        return ModelPoint(1, [a / r for a in z.tolist()])
+    return ModelPoint(-1, [math.sqrt(1.0 + z @ z), *z.tolist()])
+
+
+def tangent_from_normals(p: ModelPoint, z: np.ndarray) -> ModelVector:
+    """The tangent projection at p of the ndarray ``z`` of len(p.xs) standard normals."""
+    return ModelVector(p, _project(p, z.tolist()))
+
+
+def random_point(kappa: int, rng: np.random.Generator) -> ModelPoint:
+    """Random model point; plumbing for seeded verification sweeps.
+
+    ``rng`` may be any source whose ``normal(size=n)`` gives the next n
+    standard normals as an ndarray, as a Generator does.
+    """
+    return point_from_normals(kappa, rng.normal(size=3 if kappa == 1 else 2))
 
 
 def random_tangent(p: ModelPoint, rng: np.random.Generator) -> ModelVector:
-    return ModelVector(p, _project(p, rng.normal(size=len(p.xs)).tolist()))
+    """Random tangent vector at p, from a source of normals as ``random_point`` takes."""
+    return tangent_from_normals(p, rng.normal(size=len(p.xs)))

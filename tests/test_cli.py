@@ -3,8 +3,10 @@ import json
 import math
 import os
 import stat
+import struct
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,6 +141,43 @@ class TestCommands:
         monkeypatch.setattr(spaceform, "_tangent_check", counting)
         assert run(make_config(command="identities", case=case, samples=1, seed=1)).all_passed
         assert len(calls) == 20
+
+    @pytest.mark.parametrize("samples", [1, 2 * cli.IDENTITIES_BLOCK + 3])
+    def test_identities_draws_a_block_at_a_time(self, samples, monkeypatch):
+        # a sample's normals: per factor, its point's (3 on the sphere, 2
+        # elsewhere), then x, y and the unit factor vector, one per coordinate
+        widths = {"s2h2": 3 + 2 + 3 * (3 + 3), "s2r2": 3 + 2 + 3 * (3 + 2), "h2r2": 2 + 2 + 3 * (3 + 2)}
+        block = cli.IDENTITIES_BLOCK
+        default_rng = np.random.default_rng
+        generators = []
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+                self.sizes = []
+                generators.append(self)
+
+            def normal(self, size=None):
+                self.sizes.append(size)
+                return self.rng.normal(size=size)
+
+        # each sample's point still goes through cli's name, which perfbench's
+        # identities workload cuts its runs on
+        points = []
+
+        def counting_points(*args):
+            points.append(args)
+            return random_product_point(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        monkeypatch.setattr(cli, "random_product_point", counting_points)
+        assert run(make_config(command="identities", samples=samples, seed=2)).all_passed
+        assert len(points) == len(CASES) * samples
+        assert len(generators) == len(CASES)
+        for case, generator in zip(CASES, generators):
+            assert len(generator.sizes) == -(-samples // block)
+            assert all(rows <= block and width == widths[case] for rows, width in generator.sizes)
+            assert sum(rows for rows, _ in generator.sizes) == samples
 
     def test_detq_all_pass(self):
         report = run(make_config(command="detq", samples=25, seed=7))
@@ -427,6 +466,44 @@ class TestCommands:
             assert first == second
 
 
+def list_form_vector_gap(x, y):
+    """``cli._vector_gap`` as a max over one list of the gaps."""
+    return max([abs(a - b) for u, v in ((x.first, y.first), (x.second, y.second)) for a, b in zip(u.xs, v.xs)])
+
+
+def factor_pair(first, second):
+    return SimpleNamespace(first=SimpleNamespace(xs=first), second=SimpleNamespace(xs=second))
+
+
+INF, NAN = math.inf, math.nan
+#: (x's first and second factor coordinates, y's), each giving the list form's result
+VECTOR_GAP_TABLE = {
+    "finite": (([0.5, -1.0, 2.0], [1.0, 3.0]), ([0.25, 1.0, 2.0], [1.0, 2.5])),
+    "nan first in the first factor": (([NAN, 1.0, 0.0], [5.0, 0.0]), ([0.0, 3.0, 0.0], [0.0, 0.0])),
+    "nan last in the first factor": (([0.0, 1.0, NAN], [5.0, 0.0]), ([0.0, 3.0, 0.0], [0.0, 0.0])),
+    "nan first in the second factor": (([0.0, 1.0, 0.0], [NAN, 0.0]), ([0.0, 3.0, 0.0], [0.0, 0.0])),
+    "nan last in the second factor": (([0.0, 1.0, 0.0], [5.0, NAN]), ([0.0, 3.0, 0.0], [0.0, 0.0])),
+    "inf - inf first": (([INF, 1.0], [2.0, 0.0]), ([INF, 0.0], [0.0, 0.0])),
+    "inf - inf last": (([1.0, 2.0], [0.0, INF]), ([0.0, 0.0], [0.0, INF])),
+    "inf - -inf": (([1.0, INF], [0.0, 2.0]), ([0.0, -INF], [0.0, 0.0])),
+    "signed zeros": (([-0.0, 0.0, -0.0], [0.0, -0.0]), ([0.0, -0.0, -0.0], [-0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("x, y", VECTOR_GAP_TABLE.values(), ids=VECTOR_GAP_TABLE.keys())
+def test_vector_gap_is_the_list_form(x, y):
+    x, y = factor_pair(*x), factor_pair(*y)
+    got, want = cli._vector_gap(x, y), list_form_vector_gap(x, y)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_vector_gap_keeps_a_nan_only_where_it_comes_first():
+    nan_first = factor_pair([NAN, 1.0], [0.0, 0.0]), factor_pair([0.0, 3.0], [0.0, 0.0])
+    nan_later = factor_pair([0.0, 1.0], [NAN, 0.0]), factor_pair([0.0, 3.0], [0.0, 0.0])
+    assert math.isnan(cli._vector_gap(*nan_first))
+    assert cli._vector_gap(*nan_later) == 2.0
+
+
 def reference_vector_gap(x, y):
     return max(
         float(np.max(np.abs(x.first.coords - y.first.coords))),
@@ -436,7 +513,8 @@ def reference_vector_gap(x, y):
 
 def reference_identities(cfg):
     """``identities`` as it ran while each sample rebuilt P x, P y, the J pairs
-    and -x where each was used, with numpy reductions for the vector gaps."""
+    and -x where each was used, with numpy reductions for the vector gaps,
+    and drew each vector's normals from the generator in a call of its own."""
     report = cli.VerificationReport(seed=cfg.seed, config=cli._config_echo(cfg))
     tol = cfg.tolerance("identities")
     for case in cfg.selected_cases():
@@ -496,6 +574,13 @@ class TestDeterminism:
     @pytest.mark.parametrize("seed", [4, 13])
     def test_identities_report_matches_reference_loop(self, seed):
         cfg = make_config(command="identities", samples=50, seed=seed)
+        assert render_json(run(cfg)) == render_json(reference_identities(cfg))
+
+    @pytest.mark.parametrize("samples", [1, cli.IDENTITIES_BLOCK - 1, cli.IDENTITIES_BLOCK, cli.IDENTITIES_BLOCK + 1, 2 * cli.IDENTITIES_BLOCK + 3])
+    @pytest.mark.parametrize("seed", [4, 13])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_identities_blocks_match_per_vector_draws(self, case, seed, samples):
+        cfg = make_config(command="identities", case=case, samples=samples, seed=seed)
         assert render_json(run(cfg)) == render_json(reference_identities(cfg))
 
     @pytest.mark.parametrize(

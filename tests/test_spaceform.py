@@ -21,8 +21,10 @@ from prodform_geo.spaceform import (
     geodesic_transport,
     metric,
     parallel_transport,
+    point_from_normals,
     random_point,
     random_tangent,
+    tangent_from_normals,
     tangent_frame,
     tangent_project,
     zero_vector,
@@ -946,7 +948,10 @@ class TestFusedChecksTable:
 
 @pytest.mark.parametrize("kappa", [-1, 0, 1])
 def test_random_points_are_the_numpy_draws_bitwise(kappa):
-    """random_point on Python floats gives the coordinates its numpy form gave."""
+    """random_point on Python floats gives the coordinates its numpy form
+    gave; random_point and random_tangent are point_from_normals and
+    tangent_from_normals on the normals they draw, bit for bit, also where
+    those normals are row slices of a 2-D block at odd offsets."""
     rng, twin = np.random.default_rng(60 + kappa), np.random.default_rng(60 + kappa)
     for _ in range(500):
         if kappa == 0:
@@ -958,3 +963,16 @@ def test_random_points_are_the_numpy_draws_bitwise(kappa):
             y = twin.normal(size=2)
             want = np.array([math.sqrt(1.0 + y @ y), y[0], y[1]])
         assert float_bytes(random_point(kappa, rng).xs) == want.tobytes()
+
+    n_point, n_tangent = (3 if kappa == 1 else 2), (2 if kappa == 0 else 3)
+    rng, twin = np.random.default_rng(70 + kappa), np.random.default_rng(70 + kappa)
+    # a row: one normal no one uses, the point's, then the tangent's
+    block = twin.normal(size=(500, 1 + n_point + n_tangent))
+    for row in block:
+        rng.normal(size=1)
+        p = random_point(kappa, rng)
+        v = random_tangent(p, rng)
+        q = point_from_normals(kappa, row[1 : 1 + n_point])
+        w = tangent_from_normals(q, row[1 + n_point :])
+        assert float_bytes(p.xs) == float_bytes(q.xs)
+        assert float_bytes(v.xs) == float_bytes(w.xs)
