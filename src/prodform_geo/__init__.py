@@ -23,6 +23,8 @@ from .ambient import (
     product_structure,
 )
 from .hypersurface import (
+    CaseParams,
+    FrameShape,
     Immersion,
     ShapeRecord,
     ricci,
@@ -31,9 +33,7 @@ from .hypersurface import (
     unit_normal,
 )
 from .jacobi import (
-    CaseParams,
     FocalPointError,
-    FrameShape,
     TaylorSeries,
     UnsupportedCaseError,
     detq_closed_form,

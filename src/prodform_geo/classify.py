@@ -519,10 +519,10 @@ def isoparametric_report(
     """Measure the angle, principal curvatures and flow H(l) over a grid.
 
     Each grid point gets one flow-frame shape record, and H(l) comes from
-    one evaluation of the det Q closed form of its frame shape
-    (``flow_mean_curvature``).  A sample at or beyond a focal point gives
-    None and the walk continues.  The report holds measurements only: the checks
-    and their tolerances belong to the caller.
+    one evaluation of the det Q closed form of that record, which is its
+    frame shape (``flow_mean_curvature``).  A sample at or beyond a focal
+    point gives None and the walk continues.  The report holds measurements
+    only: the checks and their tolerances belong to the caller.
     """
     l_samples = tuple(float(l) for l in l_samples)
 
@@ -530,9 +530,9 @@ def isoparametric_report(
     h_values: list[tuple[Optional[float], ...]] = []
     h_of_l: dict[float, list[float]] = {l: [] for l in l_samples}
     for u in grid:
-        fs, cp, rec = frame_shape_at(imm, u)
+        rec, cp, _ = frame_shape_at(imm, u)
         records.append(rec)
-        hs = tuple(flow_mean_curvature(fs, cp, l) for l in l_samples)
+        hs = tuple(flow_mean_curvature(rec, cp, l) for l in l_samples)
         for l, h in zip(l_samples, hs):
             if h is not None:
                 h_of_l[l].append(h)

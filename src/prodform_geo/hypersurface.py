@@ -5,10 +5,12 @@ with an analytic jacobian and closed second partials (its ``hessian``).  From
 it we derive tangent frames, the unit normal (by a generalized cross product
 in an orthonormal ambient frame), the product angle function C = <PN, N>, the
 shape operator from the second fundamental form h_kl = <d_k d_l f, N>, and
-curvature invariants.  A chart with a closed hessian needs no differenced
-point.  Derivatives the chart does not give in closed form (those of the
-negative control and of flowed charts) are central differences at steps
-STEP, 2 STEP and 4 STEP, Richardson-extrapolated to order STEP^6.
+curvature invariants, held by one checked shape type, :class:`FrameShape`
+(a :class:`ShapeRecord` is one with its basis and normal).  A chart with a
+closed hessian needs no differenced point.  Derivatives the chart does not
+give in closed form (those of the negative control and of flowed charts)
+are central differences at steps STEP, 2 STEP and 4 STEP,
+Richardson-extrapolated to order STEP^6.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .ambient import ProductPoint, ProductVector, _product_pairing, product_metr
 from .spaceform import (
     DegeneratePointError,
     GeometryError,
+    KAPPAS,
     ModelVector,
     _frame_legs,
     _pairing,
@@ -289,19 +292,80 @@ def gram_schmidt(vectors: Sequence[ProductVector]) -> tuple[ProductVector, ...]:
     return tuple(out)
 
 
-class ShapeInvariants:
-    """Curvature invariants of a symmetric 3 x 3 shape matrix at an angle value.
+#: largest |C| accepted, and its exact value, the bound of ``at_most``
+_ANGLE_BOUND = 1 + 1e-12
+_EXACT_ANGLE_BOUND = Decimal(_ANGLE_BOUND)
 
-    Subclasses provide ``A``, ``kappa1``, ``kappa2`` and ``C``.  ``A`` is read
-    as ``A[i][j]``, so an ndarray and a tuple of Fraction or Decimal rows all
-    work and each invariant stays in the entries' ring.  The invariants are
-    computed on access.  The scalar curvature is always recomputed from the
-    trace identity, never accepted as an independent input, so (A, C, rho)
-    stay consistent.
+
+@dataclass(frozen=True)
+class CaseParams:
+    """Curvature pair and angle value driving the Jacobi blocks.
+
+    The angle value must be finite with |C| <= 1 + 1e-12, judged in its own
+    type.  A ``float`` C first meets one fused test, |C| <= the bound, which
+    a NaN or infinity fails.  What that test does not accept, and every other
+    C, meets the ordered tests, which alone reject: C finite, then |C|
+    ``at_most`` the bound, which never rounds a Decimal.  A float C gets the
+    same verdict and message from either path.
     """
 
-    def _set_shape(self, a) -> None:
-        """Store ``a`` as ``A`` once it is known to be a finite symmetric 3 x 3 matrix.
+    kappa1: int
+    kappa2: int
+    C: object  # float, Fraction or Decimal
+
+    def __post_init__(self):
+        if self.kappa1 not in KAPPAS or self.kappa2 not in KAPPAS:
+            raise GeometryError(f"curvature tags must be in {KAPPAS}")
+        c = self.C
+        if not (
+            (type(c) is float and abs(c) <= _ANGLE_BOUND)
+            or (is_finite(c) and at_most(c, _EXACT_ANGLE_BOUND))
+        ):
+            raise GeometryError(f"angle value must lie in [-1, 1], got {c!r}")
+
+    @property
+    def delta1(self):
+        return self.kappa1 * (1 + self.C) / 2
+
+    @property
+    def delta2(self):
+        return self.kappa2 * (1 - self.C) / 2
+
+
+@dataclass(frozen=True)
+class FrameShape:
+    """Symmetric 3 x 3 shape matrix at an angle value, with its curvature invariants.
+
+    ``A`` is stored as a tuple of three row tuples; a given tuple of tuples
+    is kept as it is, anything else is copied into one, and what cannot be
+    is not 3 x 3.  ``A`` is read as ``A[i][j]``, so rows of floats, Fractions
+    or Decimals all work and each invariant stays in the entries' ring.  The
+    shape is checked by ``_set_shape`` when it is built, and then the angle:
+    the instance's ``CaseParams`` is built once, in ``__post_init__``, and
+    read as ``case``, so an out-of-range angle raises when the shape is
+    built.  ``dataclasses.replace`` builds a new shape with its own ``case``.
+    The invariants are computed on access.  The scalar curvature is always
+    recomputed from the trace identity, never accepted as an independent
+    input, so (A, C, rho) stay consistent.
+    """
+
+    A: tuple
+    kappa1: int
+    kappa2: int
+    C: object  # float, Fraction or Decimal
+
+    def __post_init__(self):
+        a = self.A
+        if not (type(a) is tuple and len(a) == 3 and type(a[0]) is type(a[1]) is type(a[2]) is tuple):
+            try:
+                a = tuple(tuple(row) for row in a)
+            except TypeError:  # a scalar, or a scalar row
+                raise GeometryError("shape matrix must be 3 x 3") from None
+        self._set_shape(a)
+        object.__setattr__(self, "case", CaseParams(self.kappa1, self.kappa2, self.C))
+
+    def _set_shape(self, a: tuple) -> None:
+        """Store the row tuples ``a`` as ``A`` once they are a finite symmetric 3 x 3 matrix.
 
         Nine ``float`` entries first meet one fused test: their sum is finite
         (an inf or NaN entry makes it inf or NaN) and each off-diagonal pair
@@ -311,12 +375,9 @@ class ShapeInvariants:
         exact if it holds a Decimal, ``at_most`` SYMMETRY_TOL.  A float input
         gets the same verdict and message from either path.
         """
-        if len(a) != 3:
+        if len(a) != 3 or len(a[0]) != 3 or len(a[1]) != 3 or len(a[2]) != 3:
             raise GeometryError("shape matrix must be 3 x 3")
-        r0, r1, r2 = a
-        if len(r0) != 3 or len(r1) != 3 or len(r2) != 3:
-            raise GeometryError("shape matrix must be 3 x 3")
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = r0, r1, r2
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
         if not (
             type(a00) is type(a01) is type(a02) is type(a10) is type(a11)
             is type(a12) is type(a20) is type(a21) is type(a22) is float
@@ -375,18 +436,12 @@ class ShapeInvariants:
 
 
 @dataclass(frozen=True)
-class ShapeRecord(ShapeInvariants):
-    """Shape operator at a point, in a declared orthonormal tangent basis."""
+class ShapeRecord(FrameShape):
+    """Shape operator at a point: the ``FrameShape`` of its matrix in a declared
+    orthonormal tangent basis, with that basis and the unit normal."""
 
-    A: np.ndarray
     basis: tuple[ProductVector, ProductVector, ProductVector]
     normal: ProductVector
-    kappa1: int
-    kappa2: int
-    C: float
-
-    def __post_init__(self):
-        self._set_shape(np.array(self.A, dtype=float, ndmin=2))
 
     def principal_curvatures(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.A)
@@ -487,7 +542,8 @@ def shape_operator(
     h = closed_hessian() if imm.hessian is not None else _richardson(second_difference)
     a = coeff @ h @ coeff.T
     a = 0.5 * (a + a.T)
-    return ShapeRecord(A=a, basis=basis, normal=n, kappa1=imm.kappa1, kappa2=imm.kappa2, C=angle_of_normal(n))
+    # plain floats: an overflow in the closed forms gives inf or nan, not a numpy warning
+    return ShapeRecord(A=a.tolist(), basis=basis, normal=n, kappa1=imm.kappa1, kappa2=imm.kappa2, C=angle_of_normal(n))
 
 
 def ricci(x: ProductVector, rec: ShapeRecord) -> float:

@@ -7,15 +7,14 @@ has a short closed expansion whose l-derivatives at 0 are polynomial in the
 curvature invariants; this module provides the closed forms, an exact integer
 recurrence oracle for those derivatives, and a truncated-power-series engine
 that the tests use as its reference.  The stability pair (S_delta, C_delta)
-of the Jacobi blocks is ``spaceform.stability_functions``.
+of the Jacobi blocks is ``spaceform.stability_functions``, and the shape data
+they act on, ``FrameShape`` and ``CaseParams``, are ``hypersurface``'s.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from decimal import Decimal
 from functools import reduce
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -23,9 +22,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .ambient import ProductPoint, ProductVector, product_exp
-from .hypersurface import Immersion, ShapeInvariants, ShapeRecord, shape_operator, unit_normal
-from .hypersurface import at_most, is_finite
-from .spaceform import GeometryError, KAPPAS, complex_structure, geodesic_transport, stability_functions, tangent_frame, zero_vector
+from .hypersurface import CaseParams, FrameShape, Immersion, ShapeRecord, shape_operator, unit_normal
+from .spaceform import GeometryError, complex_structure, geodesic_transport, stability_functions, tangent_frame, zero_vector
 
 #: below this |det Q| the flow has hit a focal point
 FOCAL_TOL = 1e-10
@@ -128,81 +126,6 @@ def stability_series(delta, order: int = SERIES_ORDER) -> tuple[TaylorSeries, Ta
             s[2 * m + 1] = power / math.factorial(2 * m + 1)
         power = power * (-delta)
     return TaylorSeries(s), TaylorSeries(c)
-
-
-# ---------------------------------------------------------------------------
-# case parameters and shape data in the adapted frame
-# ---------------------------------------------------------------------------
-
-
-#: largest |C| accepted, and its exact value, the bound of ``at_most``
-_ANGLE_BOUND = 1 + 1e-12
-_EXACT_ANGLE_BOUND = Decimal(_ANGLE_BOUND)
-
-
-@dataclass(frozen=True)
-class CaseParams:
-    """Curvature pair and angle value driving the Jacobi blocks.
-
-    The angle value must be finite with |C| <= 1 + 1e-12, judged in its own
-    type.  A ``float`` C first meets one fused test, |C| <= the bound, which
-    a NaN or infinity fails.  What that test does not accept, and every other
-    C, meets the ordered tests, which alone reject: C finite, then |C|
-    ``at_most`` the bound, which never rounds a Decimal.  A float C gets the
-    same verdict and message from either path.
-    """
-
-    kappa1: int
-    kappa2: int
-    C: object  # float, Fraction or Decimal
-
-    def __post_init__(self):
-        if self.kappa1 not in KAPPAS or self.kappa2 not in KAPPAS:
-            raise GeometryError(f"curvature tags must be in {KAPPAS}")
-        c = self.C
-        if not (
-            (type(c) is float and abs(c) <= _ANGLE_BOUND)
-            or (is_finite(c) and at_most(c, _EXACT_ANGLE_BOUND))
-        ):
-            raise GeometryError(f"angle value must lie in [-1, 1], got {c!r}")
-
-    @property
-    def delta1(self):
-        return self.kappa1 * (1 + self.C) / 2
-
-    @property
-    def delta2(self):
-        return self.kappa2 * (1 - self.C) / 2
-
-
-@dataclass(frozen=True)
-class FrameShape(ShapeInvariants):
-    """Symmetric shape matrix in the adapted frame, with derived invariants.
-
-    ``A`` is stored as a tuple of three row tuples; a given tuple of tuples
-    is kept as it is, anything else is copied into one.  The shape is
-    checked by ``_set_shape`` when it is built, and then the angle: the
-    instance's ``CaseParams`` is built once, in ``__post_init__``, and read
-    as ``case``, so an out-of-range angle raises when the shape is built.
-    ``dataclasses.replace`` builds a new shape with its own ``case``.
-    """
-
-    A: tuple
-    kappa1: int
-    kappa2: int
-    C: object
-
-    def __post_init__(self):
-        a = self.A
-        if not (type(a) is tuple and len(a) == 3 and type(a[0]) is type(a[1]) is type(a[2]) is tuple):
-            a = tuple(tuple(row) for row in a)
-        self._set_shape(a)
-        object.__setattr__(self, "case", CaseParams(self.kappa1, self.kappa2, self.C))
-
-    @classmethod
-    def from_record(cls, rec: ShapeRecord) -> "FrameShape":
-        # plain floats: an overflow in the closed forms gives inf or nan, not a numpy warning
-        return cls(A=rec.A.tolist(), kappa1=rec.kappa1, kappa2=rec.kappa2, C=rec.C)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +411,11 @@ def flow_frame(n: ProductVector) -> tuple[ProductVector, ProductVector, ProductV
     )
 
 
-def frame_shape_at(imm: Immersion, u: np.ndarray) -> tuple[FrameShape, CaseParams, ShapeRecord]:
-    """Shape data at a parameter value, expressed in the flow frame of its normal."""
+def frame_shape_at(imm: Immersion, u: np.ndarray) -> tuple[ShapeRecord, CaseParams, ShapeRecord]:
+    """Shape record at a parameter value in the flow frame of its normal, with its ``CaseParams``;
+    the record is also the frame shape that the det Q forms read, so it comes first and last."""
     rec = shape_operator(imm, u, basis=flow_frame)
-    fs = FrameShape.from_record(rec)
-    return fs, fs.case, rec
+    return rec, rec.case, rec
 
 
 def normal_graph(imm: Immersion, phi: Callable[[np.ndarray], float], name: str) -> Immersion:

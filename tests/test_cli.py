@@ -456,6 +456,20 @@ class TestCommands:
         run(make_config(command="flow", grid=2))
         assert calls == 2**3
 
+    def test_gallery_checks_one_shape_per_point(self, monkeypatch):
+        calls = 0
+        original = hypersurface.FrameShape._set_shape
+
+        def counted(fs, a):
+            nonlocal calls
+            calls += 1
+            return original(fs, a)
+
+        monkeypatch.setattr(hypersurface.FrameShape, "_set_shape", counted)
+        run(make_config(command="gallery", grid=2))
+        # the negative control takes unit normals only
+        assert calls == len(gallery_specs()) * 2**3 == 200
+
     def test_flow_keeps_repeated_l_values_in_order(self):
         report = run(make_config(command="flow", grid=2, l_values=(0.1, 0.1, -0.0)))
         ls = [row["l"] for row in report.rows]

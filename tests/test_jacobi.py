@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prodform_geo import jacobi, spaceform
+import prodform_geo
+from prodform_geo import hypersurface, jacobi, spaceform
 from prodform_geo.ambient import ProductVector, product_exp, product_metric, product_structure
 from prodform_geo.classify import (
     CaseId,
@@ -19,7 +20,7 @@ from prodform_geo.classify import (
     gallery_specs,
 )
 from prodform_geo.cli import exact_derivatives, random_frame_shape
-from prodform_geo.hypersurface import ORTHONORMAL_TOL, SYMMETRY_TOL, angle_of_normal, unit_normal
+from prodform_geo.hypersurface import ORTHONORMAL_TOL, SYMMETRY_TOL, ShapeRecord, angle_of_normal, unit_normal
 from prodform_geo.jacobi import (
     CaseParams,
     FocalPointError,
@@ -160,6 +161,11 @@ class TestCaseParams:
 
 
 class TestFrameShape:
+    def test_shape_classes_live_in_hypersurface(self):
+        # jacobi and the package re-export the one definition of each
+        assert jacobi.FrameShape is prodform_geo.FrameShape is hypersurface.FrameShape
+        assert jacobi.CaseParams is hypersurface.CaseParams
+
     @pytest.mark.parametrize(
         "a",
         [
@@ -387,6 +393,17 @@ class TestShapeAndAngleTable:
             assert_geometry_error(lambda: CaseParams(1, -1, c), verdict)
             # a FrameShape checks its angle when it is built
             assert_geometry_error(lambda: FrameShape(A=a, kappa1=1, kappa2=-1, C=c), verdict)
+
+    @pytest.mark.parametrize("cls", [FrameShape, ShapeRecord])
+    @pytest.mark.parametrize(
+        "a",
+        [[1.0, 2.0, 3.0], np.zeros(3), 5.0, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 5.0]],
+        ids=["flat-list", "flat-array", "scalar", "scalar-row"],
+    )
+    def test_what_has_no_rows_is_not_3x3(self, cls, a):
+        # a record's own fields, its basis and normal, are not checked
+        extra = {"basis": (), "normal": None} if cls is ShapeRecord else {}
+        assert_geometry_error(lambda: cls(A=a, kappa1=1, kappa2=-1, C=0.0, **extra), NOT_3X3)
 
     def test_decimals_just_out_are_rejected_where_inexact_traps(self):
         a = _entries(Decimal, _identity_with((1, 0), DECIMAL_GAP_JUST_OUT))
@@ -1060,6 +1077,23 @@ class TestDecimalClosedForms:
         a[0][0] = Decimal("0." + "3" * 30)
         with pytest.raises(decimal.Inexact):
             exact_derivatives(replace(fs, A=tuple(map(tuple, a))), (1, 2))
+
+
+class TestOneShapePerPoint:
+    def test_frame_shape_at_checks_the_shape_once(self, monkeypatch):
+        calls = []
+        original = FrameShape._set_shape
+
+        def counted(fs, a):
+            calls.append(a)
+            return original(fs, a)
+
+        monkeypatch.setattr(FrameShape, "_set_shape", counted)
+        imm = build_example(ExampleSpec(family=FAMILY_PSI, c=0.25))
+        fs, cp, rec = frame_shape_at(imm, np.array([0.3, -0.2, 0.4]))
+        assert len(calls) == 1
+        assert fs is rec and cp is rec.case
+        assert type(rec.A) is tuple and all(type(x) is float for row in rec.A for x in row)
 
 
 class TestJacobiAgainstNumericFlow:
