@@ -29,37 +29,22 @@ from .jacobi import (
     horner,
     normal_graph,
 )
-from .spaceform import KAPPAS, GeometryError, ModelPoint, ModelVector, stability_functions, tangent_frame, zero_vector
+from .spaceform import KAPPAS, GeometryError, ModelPoint, ModelVector, stability_functions, tangent_frame
 
 
 class CaseId(enum.Enum):
-    """The three mixed-curvature products."""
+    """The three mixed-curvature products: each value is the case's tag, and
+    each case carries its curvature pair as ``kappa1`` and ``kappa2``."""
 
-    S2xH2 = "s2h2"
-    S2xR2 = "s2r2"
-    H2xR2 = "h2r2"
+    S2xH2 = "s2h2", 1, -1
+    S2xR2 = "s2r2", 1, 0
+    H2xR2 = "h2r2", -1, 0
 
-    @property
-    def kappa1(self) -> int:
-        return {"s2h2": 1, "s2r2": 1, "h2r2": -1}[self.value]
-
-    @property
-    def kappa2(self) -> int:
-        return {"s2h2": -1, "s2r2": 0, "h2r2": 0}[self.value]
-
-    @classmethod
-    def from_tag(cls, tag: str) -> "CaseId":
-        for case in cls:
-            if case.value == tag.lower():
-                return case
-        raise GeometryError(f"unknown case tag {tag!r}; expected one of s2h2, s2r2, h2r2")
-
-    @classmethod
-    def from_kappas(cls, kappa1: int, kappa2: int) -> "CaseId":
-        for case in cls:
-            if (case.kappa1, case.kappa2) == (kappa1, kappa2):
-                return case
-        raise GeometryError(f"no mixed case for curvature pair ({kappa1}, {kappa2})")
+    def __new__(cls, tag: str, kappa1: int, kappa2: int) -> "CaseId":
+        case = object.__new__(cls)
+        case._value_ = tag
+        case.kappa1, case.kappa2 = kappa1, kappa2
+        return case
 
 
 @dataclass(frozen=True)
@@ -255,7 +240,7 @@ def constant_curvature_curve(kappa: int, k: float) -> Callable[..., list[list[fl
     return curve
 
 
-def fermi_chart(kappa: int, k: float) -> tuple[Callable, Callable, Callable]:
+def fermi_chart(kappa: int, k: float) -> tuple[Callable, Callable]:
     """Fermi coordinates along the curve of constant curvature k.
 
     F(a, b) = C(b) gamma(a) + S(b) nu(a), with (S, C) the stability pair at
@@ -265,15 +250,10 @@ def fermi_chart(kappa: int, k: float) -> tuple[Callable, Callable, Callable]:
     F_a = (C - kS) gamma', F_b = -kappa S gamma + C nu, F_aa = (C - kS) gamma'',
     F_ab = -(kappa S + kC) gamma' and F_bb = -kappa F.  At b = 0 the chart is
     positively oriented, (F_a, F_b) = (gamma', J gamma'); at k = 0 it covers
-    the whole factor.  Returns F, (F, F_a, F_b) and (F_aa, F_ab, F_bb) as
+    the whole factor.  Returns (F, F_a, F_b) and (F_aa, F_ab, F_bb) as
     functions of (a, b), each evaluating one curve frame.
     """
     curve = constant_curvature_curve(kappa, k)
-
-    def point(a: float, b: float) -> list[float]:
-        gamma, nu = curve(a)
-        s, c = stability_functions(kappa, b)
-        return [c * g + s * n for g, n in zip(gamma, nu)]
 
     def partials(a: float, b: float) -> tuple[list[float], list[float], list[float]]:
         gamma, nu, dgamma = curve(a, 1)
@@ -295,66 +275,116 @@ def fermi_chart(kappa: int, k: float) -> tuple[Callable, Callable, Callable]:
             [-kappa * (c * g + s * n) for g, n in zip(gamma, nu)],
         )
 
-    return point, partials, second_partials
+    return partials, second_partials
+
+
+def _curve_piece(kappa: int, k: float) -> tuple:
+    """The piece gamma(t) of ``constant_curvature_curve``, constant in (a, b)."""
+    curve = constant_curvature_curve(kappa, k)
+
+    def partials(t: float, a: float, b: float) -> list[list[float]]:
+        gamma, _, dgamma = curve(t, 1)
+        return [gamma, dgamma, [0.0] * len(gamma), [0.0] * len(gamma)]
+
+    def second(t: float, a: float, b: float) -> list[list[float]]:
+        ddgamma = curve(t, 2)[3]
+        zero = [0.0] * len(ddgamma)
+        return [ddgamma, zero, zero, zero, zero, zero]
+
+    return kappa, partials, second
+
+
+def _factor_piece(kappa: int) -> tuple:
+    """The piece F(a, b) of ``fermi_chart(kappa, 0)``, the full factor, constant in t."""
+    factor_partials, factor_second = fermi_chart(kappa, 0.0)
+
+    def partials(t: float, a: float, b: float) -> list[list[float]]:
+        f, fa, fb = factor_partials(a, b)
+        return [f, [0.0] * len(f), fa, fb]
+
+    def second(t: float, a: float, b: float) -> list[list[float]]:
+        zero = [0.0] * (2 if kappa == 0 else 3)
+        return [zero, zero, zero, *factor_second(a, b)]
+
+    return kappa, partials, second
+
+
+def _psi_pieces(c: float) -> tuple[tuple, tuple]:
+    """psi's pieces in (t, r, s): the horocycle's Fermi sweep F(r, -sqrt(c) t), with
+    F = ``fermi_chart(-1, 1)``, and the line (s, sqrt(1 - c) t)."""
+    sc, flat_speed = math.sqrt(c), math.sqrt(1.0 - c)
+    sweep_partials, sweep_second = fermi_chart(-1, 1.0)
+
+    def sweep(t: float, r: float, s: float) -> list[list[float]]:
+        f, fr, fb = sweep_partials(r, -sc * t)
+        return [f, [-sc * x for x in fb], fr, [0.0] * 3]
+
+    def sweep_curvature(t: float, r: float, s: float) -> list[list[float]]:
+        frr, frb, fbb = sweep_second(r, -sc * t)
+        zero = [0.0] * 3
+        return [[c * x for x in fbb], [-sc * x for x in frb], zero, frr, zero, zero]
+
+    def line(t: float, r: float, s: float) -> list[list[float]]:
+        return [[s, t * flat_speed], [0.0, flat_speed], [0.0, 0.0], [1.0, 0.0]]
+
+    # the line is linear in (t, s), and nothing depends on r
+    return (-1, sweep, sweep_curvature), (0, line, lambda t, r, s: [[0.0, 0.0]] * 6)
+
+
+def _assemble(first: tuple, second: tuple, name: str) -> Immersion:
+    """The immersion (t, a, b) -> (first, second) of two factor pieces, with its jacobian and hessian.
+
+    A piece is (kappa, partials, second): as functions of (t, a, b), ``partials``
+    gives the factor point and its three first partials and ``second`` its six
+    second partials in the order of ``HESSIAN_PAIRS``, each a new list of
+    Python floats.  The chart and the jacobian's base take the point of ``partials``.
+    """
+    kappa1, partials1, second1 = first
+    kappa2, partials2, second2 = second
+
+    def chart(u: np.ndarray) -> ProductPoint:
+        # Python floats: numpy scalar arithmetic is slower and rounds the same
+        t, a, b = u.tolist()
+        return ProductPoint(ModelPoint(kappa1, partials1(t, a, b)[0]), ModelPoint(kappa2, partials2(t, a, b)[0]))
+
+    def jacobian(u: np.ndarray):
+        t, a, b = u.tolist()
+        f, f_t, f_a, f_b = partials1(t, a, b)
+        g, g_t, g_a, g_b = partials2(t, a, b)
+        p, q = ModelPoint(kappa1, f), ModelPoint(kappa2, g)
+        return (
+            ProductVector(ModelVector(p, f_t), ModelVector(q, g_t)),
+            ProductVector(ModelVector(p, f_a), ModelVector(q, g_a)),
+            ProductVector(ModelVector(p, f_b), ModelVector(q, g_b)),
+        )
+
+    def hessian(u: np.ndarray):
+        t, a, b = u.tolist()
+        return tuple(zip(second1(t, a, b), second2(t, a, b)))
+
+    return Immersion(
+        kappa1=kappa1,
+        kappa2=kappa2,
+        chart=chart,
+        jacobian=jacobian,
+        hessian=hessian,
+        name=name,
+    )
 
 
 def build_example(spec: ExampleSpec) -> Immersion:
     """Immersion of a classified example, with its analytic jacobian and hessian.
 
-    A curve times a full factor is (gamma(t), F(a, b)) with F the factor's
-    ``fermi_chart`` at k = 0; psi is the horocycle's Fermi sweep ruled
-    against a line, (F(r, -sqrt(c) t), (s, sqrt(1 - c) t)) with
-    F = ``fermi_chart(-1, 1)``.
+    Each example assembles two factor pieces.  A curve times a full factor is
+    (gamma(t), F(a, b)), in either order, with F the factor's ``fermi_chart``
+    at k = 0; psi is the horocycle's Fermi sweep ruled against a line,
+    (F(r, -sqrt(c) t), (s, sqrt(1 - c) t)) with F = ``fermi_chart(-1, 1)``.
     """
     if spec.family == FAMILY_PSI:
-        return _build_psi(spec)
-    curve_first = spec.family == FAMILY_CURVE_X_FACTOR
-
-    def ordered(curve_part, factor_part) -> tuple:
-        """The (first, second) factor order of the family; a swap is its own inverse."""
-        return (curve_part, factor_part) if curve_first else (factor_part, curve_part)
-
-    curve_kappa, factor_kappa = ordered(spec.kappa1, spec.kappa2)
-    curve = constant_curvature_curve(curve_kappa, spec.k)
-    factor, factor_partials, factor_second = fermi_chart(factor_kappa, 0.0)
-    curve_dim, factor_dim = (2 if kappa == 0 else 3 for kappa in (curve_kappa, factor_kappa))
-
-    def chart(u: np.ndarray) -> ProductPoint:
-        # Python floats: numpy scalar arithmetic is slower and rounds the same
-        t, a, b = u.tolist()
-        return ProductPoint(*ordered(ModelPoint(curve_kappa, curve(t)[0]), ModelPoint(factor_kappa, factor(a, b))))
-
-    def jacobian(u: np.ndarray):
-        t, a, b = u.tolist()
-        gamma, _, dgamma = curve(t, 1)
-        f, fa, fb = factor_partials(a, b)
-        pc, pf = ModelPoint(curve_kappa, gamma), ModelPoint(factor_kappa, f)
-        zc, zf = zero_vector(pc), zero_vector(pf)
-        return (
-            ProductVector(*ordered(ModelVector(pc, dgamma), zf)),
-            ProductVector(*ordered(zc, ModelVector(pf, fa))),
-            ProductVector(*ordered(zc, ModelVector(pf, fb))),
-        )
-
-    def hessian(u: np.ndarray):
-        # the curve and the factor chart share no parameter, so d_t d_a f = d_t d_b f = 0
-        t, a, b = u.tolist()
-        zc, zf = [0.0] * curve_dim, [0.0] * factor_dim
-        return (
-            ordered(curve(t, 2)[3], zf),
-            ordered(zc, zf),
-            ordered(zc, zf),
-            *(ordered(zc, d) for d in factor_second(a, b)),
-        )
-
-    return Immersion(
-        kappa1=spec.kappa1,
-        kappa2=spec.kappa2,
-        chart=chart,
-        jacobian=jacobian,
-        hessian=hessian,
-        name=spec.label(),
-    )
+        return _assemble(*_psi_pieces(spec.c), spec.label())
+    if spec.family == FAMILY_CURVE_X_FACTOR:
+        return _assemble(_curve_piece(spec.kappa1, spec.k), _factor_piece(spec.kappa2), spec.label())
+    return _assemble(_factor_piece(spec.kappa1), _curve_piece(spec.kappa2, spec.k), spec.label())
 
 
 @dataclass(frozen=True)
@@ -383,49 +413,6 @@ def known_geometry(spec: ExampleSpec) -> KnownGeometry:
         return KnownGeometry(1.0 - 2.0 * spec.c, (0.0, 0.0, math.sqrt(1.0 - spec.c)))
     # k >= 0, so (0, 0, k) is ascending
     return KnownGeometry(1.0 if spec.family == FAMILY_CURVE_X_FACTOR else -1.0, (0.0, 0.0, spec.k))
-
-
-def _build_psi(spec: ExampleSpec) -> Immersion:
-    c = spec.c
-    sc, flat_speed = math.sqrt(c), math.sqrt(1.0 - c)
-    sweep, sweep_partials, sweep_second = fermi_chart(-1, 1.0)
-
-    def chart(u: np.ndarray) -> ProductPoint:
-        t, r, s = u.tolist()
-        return ProductPoint(ModelPoint(-1, sweep(r, -sc * t)), ModelPoint(0, [s, t * flat_speed]))
-
-    def jacobian(u: np.ndarray):
-        t, r, s = u.tolist()
-        f, fr, fb = sweep_partials(r, -sc * t)
-        p, q = ModelPoint(-1, f), ModelPoint(0, [s, t * flat_speed])
-        return (
-            ProductVector(ModelVector(p, [-sc * x for x in fb]), ModelVector(q, [0.0, flat_speed])),
-            ProductVector(ModelVector(p, fr), zero_vector(q)),
-            ProductVector(zero_vector(p), ModelVector(q, [1.0, 0.0])),
-        )
-
-    def hessian(u: np.ndarray):
-        # the second factor (s, t sqrt(1 - c)) is linear, and nothing depends on s
-        t, r, s = u.tolist()
-        frr, frb, fbb = sweep_second(r, -sc * t)
-        zero, flat = [0.0] * 3, [0.0] * 2
-        return (
-            ([c * x for x in fbb], flat),
-            ([-sc * x for x in frb], flat),
-            (zero, flat),
-            (frr, flat),
-            (zero, flat),
-            (zero, flat),
-        )
-
-    return Immersion(
-        kappa1=-1,
-        kappa2=0,
-        chart=chart,
-        jacobian=jacobian,
-        hessian=hessian,
-        name=spec.label(),
-    )
 
 
 #: the normal distance of the negative control is CONTROL_AMPLITUDE sin(u1 + 2 u2 - u3)

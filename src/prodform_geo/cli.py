@@ -137,9 +137,7 @@ class RunConfig:
                 raise ConfigError(f"--out directory of {self.out!r} does not exist")
 
     def selected_cases(self) -> list[CaseId]:
-        if self.case is None:
-            return [CaseId.from_tag(tag) for tag in CASES]
-        return [CaseId.from_tag(self.case)]
+        return list(CaseId) if self.case is None else [CaseId(self.case)]
 
     def tolerance(self, key: str) -> float:
         return self.tol if self.tol is not None else DEFAULT_TOLS[key]
@@ -539,11 +537,11 @@ def run_cases(cfg: RunConfig, report: VerificationReport) -> None:
 
 
 def _gallery_selection(cfg: RunConfig) -> list[ExampleSpec]:
-    cases = cfg.selected_cases()
+    pairs = {(case.kappa1, case.kappa2) for case in cfg.selected_cases()}
     specs = [
         replace(s, c=cfg.c) if s.family == FAMILY_PSI else s
         for s in gallery_specs()
-        if cfg.family in (None, s.family) and CaseId.from_kappas(s.kappa1, s.kappa2) in cases
+        if cfg.family in (None, s.family) and (s.kappa1, s.kappa2) in pairs
     ]
     if not specs:
         raise ConfigError("gallery selection is empty")
@@ -605,7 +603,7 @@ def run_gallery(cfg: RunConfig, report: VerificationReport) -> None:
 
 def run_flow(cfg: RunConfig, report: VerificationReport) -> None:
     family = cfg.family or FAMILY_PSI
-    case = CaseId.from_tag(cfg.case) if cfg.case else CaseId.H2xR2
+    case = CaseId(cfg.case) if cfg.case else CaseId.H2xR2
     if family == FAMILY_PSI and case is not CaseId.H2xR2:
         raise ConfigError(f"psi lives in h2r2, not in {case.value}")
     spec = ExampleSpec(family=family, kappa1=case.kappa1, kappa2=case.kappa2, k=cfg.k, c=cfg.c)

@@ -151,19 +151,21 @@ def q_prime_rows(a, d1: float, d2: float, s1: float, c1: float, s2: float, c2: f
     )
 
 
+def _float_rows(fs: FrameShape) -> list[list[float]]:
+    """The shape's entries as Python floats, whatever their type in fs."""
+    return [[float(x) for x in row] for row in fs.A]
+
+
 def q_matrix(fs: FrameShape, cp: CaseParams, l: float) -> np.ndarray:
     """Jacobi component matrix Q(l), the array of ``q_rows``; Q(0) is the identity."""
-    # the entries as floats, whatever their type in fs
-    a = np.array(fs.A, dtype=float).tolist()
-    return np.array(q_rows(a, l, *stability_functions(cp.delta1, l), *stability_functions(cp.delta2, l)))
+    return np.array(q_rows(_float_rows(fs), l, *stability_functions(cp.delta1, l), *stability_functions(cp.delta2, l)))
 
 
 def q_matrix_prime(fs: FrameShape, cp: CaseParams, l: float) -> np.ndarray:
     """Analytic l-derivative of Q, the array of ``q_prime_rows``."""
-    a = np.array(fs.A, dtype=float).tolist()
     d1 = float(cp.delta1)
     d2 = float(cp.delta2)
-    return np.array(q_prime_rows(a, d1, d2, *stability_functions(d1, l), *stability_functions(d2, l)))
+    return np.array(q_prime_rows(_float_rows(fs), d1, d2, *stability_functions(d1, l), *stability_functions(d2, l)))
 
 
 def _detq_terms(fs: FrameShape, s1, c1, s2, c2) -> tuple:
@@ -324,9 +326,14 @@ def _scaled_derivatives(c1c2: int, s1c2: int, c1s2: int, s1s2: int, u: int, v: i
 # ---------------------------------------------------------------------------
 
 
+#: the derivative orders with a closed form at every pair, and at (+1, -1)
+_FORMULA_ORDERS = (1, 2, 4, 6)
+_FORMULA_ORDERS_S2H2 = (1, 2, 4, 6, 10)
+
+
 def formula_orders(kappa1: int, kappa2: int) -> tuple[int, ...]:
     """The derivative orders with a closed form: 1, 2, 4 and 6, and 10 at (+1, -1) only."""
-    return (1, 2, 4, 6) + ((10,) if (kappa1, kappa2) == (1, -1) else ())
+    return _FORMULA_ORDERS_S2H2 if (kappa1, kappa2) == (1, -1) else _FORMULA_ORDERS
 
 
 def detq_derivative_formula(k: int, cp: CaseParams, H=None, rho=None, H12=None, H13=None):
@@ -338,8 +345,7 @@ def detq_derivative_formula(k: int, cp: CaseParams, H=None, rho=None, H12=None, 
     exactly.
     """
     k1, k2, c = cp.kappa1, cp.kappa2, cp.C
-    # the orders of ``formula_orders``
-    if k not in (1, 2, 4, 6) and not (k == 10 and k1 == 1 and k2 == -1):
+    if k not in formula_orders(k1, k2):
         raise UnsupportedCaseError(f"no closed form for derivative order {k} at the pair ({k1}, {k2})")
     if k == 1:
         if H is None:

@@ -683,6 +683,30 @@ def differenced_jacobian(imm, u, k, l):
     return hypersurface._richardson(lambda s: (column(u + s * step) - column(u - s * step)) / (2.0 * s))
 
 
+def differenced_chart(imm, u, k):
+    """d_k of the chart, a Richardson central difference of its raw coordinates."""
+
+    def coords(v):
+        return hypersurface._chart_coords(imm, v)
+
+    step = np.eye(3)[k]
+    return hypersurface._richardson(lambda s: (coords(u + s * step) - coords(u - s * step)) / (2.0 * s))
+
+
+class TestExampleJacobian:
+    @pytest.mark.parametrize("spec", gallery_specs(), ids=lambda spec: spec.label())
+    def test_legs_are_the_charts_partials(self, spec):
+        # each leg stands on the chart's point, value for value, and is the
+        # chart's partial, an oracle that does not involve the normal
+        imm = build_example(spec)
+        for u in imm.grid(3):
+            p = imm.chart(u)
+            for k, leg in enumerate(imm.jacobian(u)):
+                assert (leg.first.base.xs, leg.second.base.xs) == (p.first.xs, p.second.xs), (u, k)
+                analytic = np.concatenate((leg.first.coords, leg.second.coords))
+                assert np.max(np.abs(analytic - differenced_chart(imm, u, k))) < 1e-10, (u, k)
+
+
 #: a change of parameters v -> M v with det M > 0 and no zero entry
 REPARAMETRIZATION = np.array([[0.8, 0.3, -0.2], [0.25, 0.7, 0.35], [-0.15, 0.4, 0.9]])
 
